@@ -1,14 +1,14 @@
-"""Sharded-scheduler bench: coordination must stay a rounding error.
+"""Sharded-execution bench: coordination must stay a rounding error.
 
 Three claims pinned here:
 
-1. The scheduler's bookkeeping (keying, shard planning, the stealing
-   loop, journal events) adds **< 10%** over the plain runner for the
-   same inline serial campaign.  The two sides are measured
-   *interleaved* (runner, scheduler, runner, scheduler, ...) and
-   best-of-REPEATS so machine drift hits both denominators equally — on
-   deliberately tiny jobs an un-paired wall-clock ratio swings by more
-   than the budget.
+1. Shard planning and work stealing add **< 10%** to the same inline
+   serial campaign: four shards (one worker slot draining its home
+   shard, then stealing from the other three) against a single shard
+   (no steals).  The two sides are measured *interleaved* (one shard,
+   four shards, one shard, four shards, ...) and best-of-REPEATS so
+   machine drift hits both denominators equally — on deliberately tiny
+   jobs an un-paired wall-clock ratio swings by more than the budget.
 2. A warm resume — every job recovered from the shared cache, nothing
    re-executed — costs a bounded fraction of the cold campaign: replaying
    the journal plus N cache probes, not N executions.
@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 from repro import journal as jrnl
-from repro.campaign import CampaignRunner, ResultCache, ShardedCampaignScheduler
+from repro.campaign import CampaignRunner, ResultCache
 from repro.campaign.jobs import CampaignJob, ClusterRef
 from repro.experiments import PAPER_CONFIG
 from repro.perfwatch import MetricSpec, scenario
@@ -56,18 +56,18 @@ def _jobs():
 
 
 def _paired_seconds(repeats: int = 5) -> tuple:
-    """Interleaved best-of wall times: (plain runner, sharded scheduler)."""
-    best_runner = best_scheduler = float("inf")
+    """Interleaved best-of wall times: (one shard, four shards)."""
+    best_single = best_sharded = float("inf")
     for _ in range(repeats):
         jobs = _jobs()
         t0 = time.perf_counter()
-        CampaignRunner(workers=1).run(jobs, label="sharded-bench")
-        best_runner = min(best_runner, time.perf_counter() - t0)
+        CampaignRunner(workers=1, shards=1).run(jobs, label="sharded-bench")
+        best_single = min(best_single, time.perf_counter() - t0)
         jobs = _jobs()
         t0 = time.perf_counter()
-        ShardedCampaignScheduler(workers=1, shards=4).run(jobs, label="sharded-bench")
-        best_scheduler = min(best_scheduler, time.perf_counter() - t0)
-    return best_runner, best_scheduler
+        CampaignRunner(workers=1, shards=4).run(jobs, label="sharded-bench")
+        best_sharded = min(best_sharded, time.perf_counter() - t0)
+    return best_single, best_sharded
 
 
 def _cold_and_warm_resume_seconds() -> tuple:
@@ -77,16 +77,16 @@ def _cold_and_warm_resume_seconds() -> tuple:
         path = Path(tmp) / "run.jsonl"
         jobs = _jobs()
         t0 = time.perf_counter()
-        ShardedCampaignScheduler(workers=1, cache=cache, journal=path).run(
+        CampaignRunner(workers=1, cache=cache, journal=path).run(
             jobs, label="sharded-bench"
         )
         cold = time.perf_counter() - t0
         best_warm = float("inf")
         for _ in range(REPEATS):
             t0 = time.perf_counter()
-            result = ShardedCampaignScheduler(
-                workers=1, cache=cache, journal=path
-            ).run(jobs, label="sharded-bench", resume=True)
+            result = CampaignRunner(workers=1, cache=cache, journal=path).run(
+                jobs, label="sharded-bench", resume=True
+            )
             best_warm = min(best_warm, time.perf_counter() - t0)
         assert result.manifest["sharding"]["jobs_recovered"] == JOB_COUNT
     return cold, best_warm
@@ -107,13 +107,13 @@ def _crash_resume_roundtrip_seconds() -> float:
         )
         t0 = time.perf_counter()
         try:
-            ShardedCampaignScheduler(workers=1, cache=cache, journal=crasher).run(
+            CampaignRunner(workers=1, cache=cache, journal=crasher).run(
                 jobs, label="sharded-bench"
             )
             raise AssertionError("drill writer never crashed")
         except jrnl.SimulatedCrash:
             pass
-        result = ShardedCampaignScheduler(workers=1, cache=cache, journal=path).run(
+        result = CampaignRunner(workers=1, cache=cache, journal=path).run(
             jobs, label="sharded-bench", resume=True
         )
         elapsed = time.perf_counter() - t0
@@ -123,14 +123,15 @@ def _crash_resume_roundtrip_seconds() -> float:
 
 @scenario(
     "campaign.sharded_resume",
-    description="sharded-scheduler coordination cost and crash-resume economics",
+    description="shard planning + work stealing cost and crash-resume economics",
     tier="quick",
     repeats=2,
     metrics=(
         MetricSpec(
             "scheduler_overhead_fraction",
             direction="lower",
-            help="(sharded inline wall / plain runner wall) - 1; budget is 0.10",
+            help="(inline wall at 4 shards / inline wall at 1 shard) - 1; "
+            "budget is 0.10",
         ),
         MetricSpec(
             "warm_resume_fraction",
@@ -145,25 +146,25 @@ def _crash_resume_roundtrip_seconds() -> float:
     ),
 )
 def sharded_resume_scenario():
-    runner_s, scheduler_s = _paired_seconds()
+    single_s, sharded_s = _paired_seconds()
     cold_s, warm_s = _cold_and_warm_resume_seconds()
     roundtrip_s = _crash_resume_roundtrip_seconds()
     return {
-        "scheduler_overhead_fraction": scheduler_s / runner_s - 1.0,
+        "scheduler_overhead_fraction": sharded_s / single_s - 1.0,
         "warm_resume_fraction": warm_s / cold_s,
         "crash_roundtrip_ratio": roundtrip_s / cold_s,
     }
 
 
 def test_scheduler_overhead_under_10_percent():
-    runner_s, scheduler_s = _paired_seconds()
-    overhead = scheduler_s / runner_s - 1.0
+    single_s, sharded_s = _paired_seconds()
+    overhead = sharded_s / single_s - 1.0
     print(
-        f"\n{JOB_COUNT}-config campaign: runner {runner_s:.3f} s, "
-        f"sharded scheduler {scheduler_s:.3f} s -> {100 * overhead:.2f}% overhead"
+        f"\n{JOB_COUNT}-config campaign: 1 shard {single_s:.3f} s, "
+        f"4 shards {sharded_s:.3f} s -> {100 * overhead:.2f}% overhead"
     )
     assert overhead < 0.10, (
-        f"scheduler overhead {100 * overhead:.2f}% exceeds the 10% budget"
+        f"sharding overhead {100 * overhead:.2f}% exceeds the 10% budget"
     )
 
 

@@ -13,14 +13,16 @@ This package is the substrate that runs them at scale:
     :class:`ResultCache` — content-addressed on-disk payload cache with
     hit/miss/invalidation accounting.
 :mod:`~repro.campaign.runner`
-    :class:`CampaignRunner` — the pool/serial executor — and
-    :class:`CampaignResult`.
+    :class:`CampaignRunner` — the one executor: cache probe, sharded
+    work-stealing dispatch over a transport-shaped worker API (inline or
+    process pool), and journal-replay crash resume — and
+    :class:`CampaignResult`.  ``ShardedCampaignScheduler`` is an alias
+    of :class:`CampaignRunner`, kept for existing callers.
 :mod:`~repro.campaign.manifest`
     Machine-readable run manifests and their reproducibility fingerprint.
 :mod:`~repro.campaign.scheduler`
-    :class:`ShardedCampaignScheduler` — deterministic sharding, work
-    stealing, and journal-replay crash resume over a transport-shaped
-    worker API (see ``docs/distributed_campaigns.md``).
+    The pure, deterministic shard plan (:func:`shard_of`,
+    :func:`plan_shards`); see ``docs/distributed_campaigns.md``.
 
 Quick tour:
 
@@ -51,23 +53,19 @@ from .manifest import (
 from .runner import (
     CampaignResult,
     CampaignRunner,
-    JobOutcome,
-    build_manifest,
-    check_jobs,
-    run_cache_stats,
-)
-from .scheduler import (
     InlineTransport,
+    JobOutcome,
     ProcessPoolTransport,
     ShardedCampaignScheduler,
-    ShardPlan,
     WorkerTransport,
     WorkItem,
     WorkResult,
+    build_manifest,
+    check_jobs,
     execute_work_item,
-    plan_shards,
-    shard_of,
+    run_cache_stats,
 )
+from .scheduler import ShardPlan, plan_shards, shard_of
 
 __all__ = [
     "CacheStats",

@@ -1,43 +1,63 @@
-"""The campaign executor: fan jobs out, consult the cache, keep the books.
+"""The campaign executor: key, probe, shard, dispatch, keep the books.
 
 :class:`CampaignRunner` takes a list of :class:`~repro.campaign.jobs.CampaignJob`
 and produces a :class:`CampaignResult`:
 
 1. every job is keyed by the SHA-256 of its canonical serialization;
-2. keyed jobs are probed against the (optional) on-disk
+2. keyed jobs are probed once against the (optional) on-disk
    :class:`~repro.campaign.cache.ResultCache` — hits skip execution;
-3. the remaining jobs run on a ``concurrent.futures`` process pool
-   (``workers > 1``) or inline (``workers == 1``, and automatically as a
-   fallback when the platform cannot spawn a pool);
+3. the remaining jobs are split into deterministic shards
+   (:func:`~repro.campaign.scheduler.plan_shards`, a pure function of each
+   job's key) and drained through a :class:`WorkerTransport`: inline
+   (``workers == 1``, and automatically as a fallback when a pool cannot
+   start or dies mid-run) or on a process pool.  Worker slots keep a
+   home-shard affinity and steal from the deepest backlog once their home
+   runs dry, so skewed job durations do not leave slots idle;
 4. each outcome records wall time and cache status, and the whole run is
    summarized in a machine-readable manifest (see
    :mod:`repro.campaign.manifest`).
 
 Ordering is part of the contract: outcomes and manifest rows follow job
-submission order, never completion order, so parallel runs are manifest-
-identical to serial runs modulo the volatile timing fields.
+submission order, never completion order, so parallel, sharded, and
+resumed runs are manifest-identical to serial runs modulo the volatile
+timing, cache, and ``sharding`` fields.
 
 Failure containment
 -------------------
-Each job attempt executes under a try/except boundary in both the pool and
-the serial paths: an exception fails *that job*, never the campaign.  A
-failed job's outcome carries ``status="failed"`` and a structured ``error``
+Each job attempt executes under a try/except boundary in whichever process
+runs it: an exception fails *that job*, never the campaign.  A failed
+job's outcome carries ``status="failed"`` and a structured ``error``
 (exception type, message, truncated traceback).  ``retries`` re-attempts a
 failed job with seeded exponential backoff; a success on retry yields the
 same payload a clean run would (each attempt executes with a freshly
 seeded executor), so caching stays sound.  The failure *policy* is the
-runner's: ``keep_going=False`` (default, matching the historical abort
-behaviour) raises :class:`~repro.exceptions.CampaignExecutionError` once a
-job exhausts its retries; ``keep_going=True`` finishes the surviving jobs
-and returns a result whose manifest records the damage — the input to the
-partial-TGI path (see :mod:`repro.core.tgi`).
+runner's: ``keep_going=False`` (default) raises
+:class:`~repro.exceptions.CampaignExecutionError` once a job exhausts its
+retries; ``keep_going=True`` finishes the surviving jobs and returns a
+result whose manifest records the damage — the input to the partial-TGI
+path (see :mod:`repro.core.tgi`).
 
+Crash resume
+------------
+``run(jobs, resume=True)`` replays the existing journal into per-job
+attempt state (:func:`repro.journal.replay`), recovers every job that is
+terminal in the replayed state *and* present in the shared result cache,
+re-schedules only the remainder, and extends the *same* journal file under
+the original run id (``run.resumed`` event).  Recovery is just a cache
+hit, so the resumed manifest has the uninterrupted run's fingerprint.  A
+job that crashed between its ``job.completed`` event and its cache
+publication (``job.stored``) is re-executed: the journal is the witness,
+the cache is the payload store, and resume trusts payloads only from the
+cache.
+
+Telemetry
+---------
 When a telemetry session is active (:mod:`repro.telemetry`) the runner
 traces each job's lifecycle — ``job.serialize`` → ``job.cache_probe`` →
 ``job.execute`` (one span per attempt) → ``job.store`` — and counts jobs,
-failures, retries, and cache behaviour into the metrics registry.  Pool
-workers collect spans and metrics in their own process and ship them back
-beside the payload; the parent absorbs worker spans under its
+failures, retries, steals, and cache behaviour into the metrics registry.
+Pool workers collect spans and metrics in their own process and ship them
+back beside the payload; the parent absorbs worker spans under its
 ``campaign.pool`` span and merges worker metric state.  Telemetry never
 touches payloads, cache keys, or manifest fingerprints: runs are
 byte-identical with telemetry on or off.
@@ -45,13 +65,16 @@ byte-identical with telemetry on or off.
 Flight recorder
 ---------------
 ``journal=`` arms the append-only run journal (:mod:`repro.journal`): the
-parent records the run lifecycle, schedule, and cache hits; whichever
-process executes a job appends its attempt-level events (start, contained
-failure, retry, completion with ``getrusage`` CPU/RSS accounting) to the
+parent records the run lifecycle, shard plan, schedule, steals, and cache
+hits; whichever process executes a job appends its attempt-level events
+(start, contained failure, retry, completion with ``getrusage`` CPU/RSS
+accounting, and ``job.stored`` once the payload is durably cached) to the
 *same* file via atomic ``O_APPEND`` line writes, so ``tgi watch`` can
 follow an in-flight campaign from another process.  The manifest records
 the journal's path, run id, and content digest as a volatile block —
 like telemetry, journaling never changes payloads or fingerprints.
+
+See ``docs/campaign_runner.md`` and ``docs/distributed_campaigns.md``.
 """
 
 from __future__ import annotations
@@ -59,10 +82,17 @@ from __future__ import annotations
 import os
 import time
 import traceback as traceback_module
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import journal as jrnl
 from .. import telemetry as tele
@@ -74,11 +104,19 @@ from ..rng import child_rng
 from .cache import ResultCache, cache_key
 from .jobs import CampaignJob, execute_job, job_to_dict, payload_sweep
 from .manifest import MANIFEST_VERSION, manifest_fingerprint, write_manifest
+from .scheduler import ShardPlan, plan_shards
 
 __all__ = [
     "JobOutcome",
     "CampaignResult",
     "CampaignRunner",
+    "ShardedCampaignScheduler",
+    "WorkItem",
+    "WorkResult",
+    "execute_work_item",
+    "WorkerTransport",
+    "InlineTransport",
+    "ProcessPoolTransport",
     "run_cache_stats",
     "check_jobs",
     "build_manifest",
@@ -91,6 +129,11 @@ CACHE_STATUSES = ("hit", "computed", "uncached", "failed")
 #: Structured-error tracebacks are tail-truncated to this many characters
 #: (the tail names the raising frame; the head is usually pool plumbing).
 TRACEBACK_LIMIT_CHARS = 4000
+
+#: Errors that mean the process pool itself failed, at start-up or
+#: mid-run (``PermissionError`` is an ``OSError``).  The runner then
+#: finishes the uncollected jobs inline.
+_POOL_FAILURES = (OSError, ImportError, BrokenExecutor)
 
 
 def _error_info(exc: BaseException) -> Dict[str, str]:
@@ -127,12 +170,7 @@ _JOURNAL_MESSAGE_LIMIT = 500
 
 
 def check_jobs(jobs: Sequence[CampaignJob]) -> List[CampaignJob]:
-    """Validate a campaign's job list (non-empty, unique ids); returns it.
-
-    Shared by :class:`CampaignRunner` and the sharded scheduler
-    (:mod:`repro.campaign.scheduler`) so both reject malformed campaigns
-    with identical errors.
-    """
+    """Validate a campaign's job list (non-empty, unique ids); returns it."""
     jobs = list(jobs)
     if not jobs:
         raise ReproError("campaign needs at least one job")
@@ -404,91 +442,148 @@ class CampaignResult:
         write_manifest(self.manifest, path)
 
 
-#: Jobs this worker process has finished — heartbeat payload.  Lives at
-#: module level so it survives across ``pool.map`` calls into one worker.
+@dataclass(frozen=True)
+class WorkItem:
+    """One schedulable unit: a keyed job plus everything a worker needs.
+
+    Self-contained and picklable by design — a transport may hand it to
+    another process (or, later, another host), so it carries *paths* to
+    the shared journal and cache, never live handles.
+    """
+
+    index: int  # position in the campaign's job list (ordering contract)
+    shard: int  # shard the plan assigned it to (pre-steal)
+    job: CampaignJob
+    key: str
+    retries: int = 0
+    backoff_s: float = 0.0
+    backoff_seed: int = 0
+    with_telemetry: bool = False
+    journal_path: Optional[str] = None
+    run_id: Optional[str] = None
+    timeline_dir: Optional[str] = None
+    cache_dir: Optional[str] = None
+    code_version: Optional[str] = None
+
+
+@dataclass
+class WorkResult:
+    """What came back for one :class:`WorkItem`."""
+
+    index: int
+    shard: int
+    payload: Optional[Dict]
+    error: Optional[Dict]
+    attempts: int
+    wall_s: float
+    cache_status: str  # "computed" / "uncached" / "failed"
+    spans: Optional[List[Dict]] = None
+    metrics: Optional[Dict] = None
+    cache_puts: int = 0  # publishes by a worker-side cache (pool workers only)
+
+
+def execute_work_item(
+    item: WorkItem,
+    *,
+    journal: Optional[jrnl.JournalWriter] = None,
+    cache: Optional[ResultCache] = None,
+) -> WorkResult:
+    """Execute (contained, with retries) → publish, for one item.
+
+    The single execution path every transport funnels through.  The
+    parent has already probed the cache and missed; keys are unique within
+    a campaign, so probing again here could only hit when another campaign
+    publishes the same key concurrently, and republishing identical
+    content is safe.  On success the payload is published to the shared
+    cache *from the executing process* (atomic rename; unique staging
+    name), and only then does the ``job.stored`` event land — so a
+    journal that contains ``job.stored`` implies a durable cache entry,
+    which is exactly the order crash resume relies on.
+    """
+    timeline_dir = Path(item.timeline_dir) if item.timeline_dir is not None else None
+    payload, error, attempts, wall = _attempt_job(
+        item.job,
+        retries=item.retries,
+        backoff_s=item.backoff_s,
+        backoff_seed=item.backoff_seed,
+        journal=journal,
+        timeline_dir=timeline_dir,
+    )
+    if error is not None:
+        return WorkResult(
+            index=item.index,
+            shard=item.shard,
+            payload=None,
+            error=error,
+            attempts=attempts,
+            wall_s=wall,
+            cache_status="failed",
+        )
+    with tele.span("job.store", job=item.job.job_id, skipped=cache is None):
+        if cache is not None:
+            cache.put(item.key, payload)
+    if cache is not None and journal is not None:
+        journal.emit("job.stored", job=item.job.job_id, key=item.key)
+    return WorkResult(
+        index=item.index,
+        shard=item.shard,
+        payload=payload,
+        error=None,
+        attempts=attempts,
+        wall_s=wall,
+        cache_status="uncached" if cache is None else "computed",
+    )
+
+
+#: Jobs this worker process has finished — heartbeat payload (survives
+#: across submissions into one reused pool worker).
 _WORKER_JOBS_DONE = 0
 
 
-def _execute_keyed(args):
-    """Pool-side shim: one keyed job in, one contained result out.
+def _pool_worker(item: WorkItem) -> WorkResult:
+    """Pool-side shim: rebuild per-process handles, run one item.
 
-    Takes ``(index, job, with_telemetry, retries, backoff_s, backoff_seed,
-    journal_path, run_id, timeline_dir)`` and returns ``(index, payload,
-    error, attempts, wall_s, spans, metrics)``.  The worker measures its own wall time (the
-    parent cannot observe per-job durations through ``pool.map``) and
-    contains job exceptions so one bad job never tears down the pool.
-    With telemetry requested, the worker collects into its own session and
-    ships the finished spans (dict form) and the metric state back with
-    the payload; both are ``None`` otherwise.
-
-    Journal events do *not* ship back: with ``journal_path`` set the
-    worker opens its own ``O_APPEND`` handle on the shared journal and
-    emits attempt events directly, which is what makes ``tgi watch`` live
-    rather than end-of-run.  Each pickup also emits a ``worker.heartbeat``
-    with the worker's cumulative job count and resource usage.
+    The worker drops any fork-inherited ambient journal/telemetry
+    bindings, opens its *own* ``O_APPEND`` handle on the shared journal
+    (same run id) and its own view of the shared cache directory, emits a
+    pickup heartbeat, and ships finished telemetry spans/metric state plus
+    its cache-put count back with the payload.
     """
     global _WORKER_JOBS_DONE
-    (
-        index,
-        job,
-        with_telemetry,
-        retries,
-        backoff_s,
-        backoff_seed,
-        journal_path,
-        run_id,
-        timeline_dir,
-    ) = args
-    timeline_path = Path(timeline_dir) if timeline_dir is not None else None
     journal = None
-    if journal_path is not None:
+    if item.journal_path is not None:
         # A fork-started worker inherits the parent's ambient writer (and
         # its fd); drop the inherited binding and open our own handle so
         # close/lifetime stay per-process.
         jrnl.detach()
         journal = jrnl.JournalWriter(
-            journal_path, run_id=run_id, process=f"worker-{os.getpid()}"
+            item.journal_path, run_id=item.run_id, process=f"worker-{os.getpid()}"
         )
         jrnl.attach(journal)
         journal.emit(
             "worker.heartbeat", jobs_done=_WORKER_JOBS_DONE, **jrnl.rusage_fields()
         )
+    cache = None
+    if item.cache_dir is not None:
+        cache = ResultCache(item.cache_dir, code_version=item.code_version)
     try:
-        if not with_telemetry:
-            payload, error, attempts, wall = _attempt_job(
-                job,
-                retries=retries,
-                backoff_s=backoff_s,
-                backoff_seed=backoff_seed,
-                journal=journal,
-                timeline_dir=timeline_path,
+        if not item.with_telemetry:
+            result = execute_work_item(item, journal=journal, cache=cache)
+        else:
+            # Fork-started workers inherit a copy of the parent session;
+            # nothing collected into it would ever ship back, so collect
+            # into a fresh one instead.
+            tele.deactivate()
+            session = tele.TelemetrySession(
+                label=f"worker:{item.job.job_id}", process=f"worker-{os.getpid()}"
             )
-            return index, payload, error, attempts, wall, None, None
-        # Under the fork start method the worker inherits a *copy* of the
-        # parent's ambient session; nothing collected into it would ever
-        # ship back, so drop it and collect into a fresh per-worker session.
-        tele.deactivate()
-        session = tele.TelemetrySession(
-            label=f"worker:{job.job_id}", process=f"worker-{os.getpid()}"
-        )
-        with tele.use(session):
-            payload, error, attempts, wall = _attempt_job(
-                job,
-                retries=retries,
-                backoff_s=backoff_s,
-                backoff_seed=backoff_seed,
-                journal=journal,
-                timeline_dir=timeline_path,
-            )
-        return (
-            index,
-            payload,
-            error,
-            attempts,
-            wall,
-            session.tracer.as_dicts(),
-            session.metrics.state(),
-        )
+            with tele.use(session):
+                result = execute_work_item(item, journal=journal, cache=cache)
+            result.spans = session.tracer.as_dicts()
+            result.metrics = session.metrics.state()
+        if cache is not None:
+            result.cache_puts = cache.stats.puts
+        return result
     finally:
         if journal is not None:
             _WORKER_JOBS_DONE += 1
@@ -496,18 +591,144 @@ def _execute_keyed(args):
             journal.close()
 
 
+class WorkerTransport:
+    """Where work items execute: the multi-host seam.
+
+    A transport owns a fixed number of worker ``slots`` and moves
+    :class:`WorkItem`\\ s to them.  The runner drives it with a strict
+    protocol — at most ``slots`` items outstanding, ``next_result()``
+    only while ``outstanding() > 0`` — and handles policy (stealing,
+    fail-fast, fallback) itself, so a transport implements mechanics
+    only.  Implementations today run inline or on a local process pool;
+    a multi-host transport needs nothing beyond this interface because
+    items carry paths (shared journal, shared cache), never live handles.
+    """
+
+    name = "abstract"
+    slots = 1
+
+    def start(self) -> None:
+        """Acquire execution resources (may raise; the runner degrades)."""
+
+    def submit(self, item: WorkItem) -> None:
+        raise NotImplementedError
+
+    def next_result(self) -> WorkResult:
+        raise NotImplementedError
+
+    def outstanding(self) -> int:
+        raise NotImplementedError
+
+    def close(self, *, cancel: bool = False) -> None:
+        """Release resources; ``cancel`` abandons queued work (fail-fast)."""
+
+
+class InlineTransport(WorkerTransport):
+    """Executes items synchronously in the scheduling process.
+
+    Used for ``workers=1``, single-job campaigns, and as the degradation
+    target when a process pool cannot start or dies mid-run (result-
+    identical by construction).  Items run against the *live* cache and
+    journal writer, so telemetry spans land directly in the ambient
+    session and cache stats accrue in place — no shipping needed.
+    """
+
+    name = "inline"
+    slots = 1
+
+    def __init__(
+        self,
+        *,
+        cache: Optional[ResultCache] = None,
+        journal: Optional[jrnl.JournalWriter] = None,
+    ):
+        self.cache = cache
+        self.journal = journal
+        self._done: Deque[WorkResult] = deque()
+
+    def submit(self, item: WorkItem) -> None:
+        self._done.append(
+            execute_work_item(item, journal=self.journal, cache=self.cache)
+        )
+
+    def next_result(self) -> WorkResult:
+        return self._done.popleft()
+
+    def outstanding(self) -> int:
+        return len(self._done)
+
+    def close(self, *, cancel: bool = False) -> None:
+        self._done.clear()
+
+
+class ProcessPoolTransport(WorkerTransport):
+    """Executes items on a local ``ProcessPoolExecutor``.
+
+    ``submit`` feeds one item per call (the runner's stealing loop decides
+    what runs next); ``next_result`` blocks on the first completed future.
+    Pool-level failures propagate to the runner, which re-runs uncollected
+    items inline.
+    """
+
+    name = "process-pool"
+
+    def __init__(self, workers: int):
+        if workers < 1:
+            raise ReproError(f"transport workers must be >= 1, got {workers}")
+        self.workers = workers
+        self.slots = workers
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._futures: Set[Future] = set()
+
+    def start(self) -> None:
+        if self._pool is None:
+            pool = ProcessPoolExecutor(max_workers=self.workers)
+            # Surface spawn failures now, not at first submit: submitting
+            # a no-op forces worker startup on platforms that lazily fork.
+            pool.submit(int).result()
+            self._pool = pool
+
+    def submit(self, item: WorkItem) -> None:
+        if self._pool is None:
+            self.start()
+        self._futures.add(self._pool.submit(_pool_worker, item))
+
+    def next_result(self) -> WorkResult:
+        if not self._futures:
+            raise ReproError("next_result() with no outstanding work")
+        done, self._futures = wait(self._futures, return_when=FIRST_COMPLETED)
+        first = done.pop()
+        self._futures |= done  # completed-but-unconsumed go back in the set
+        return first.result()
+
+    def outstanding(self) -> int:
+        return len(self._futures)
+
+    def close(self, *, cancel: bool = False) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=not cancel, cancel_futures=cancel)
+            self._pool = None
+        self._futures.clear()
+
+
 class CampaignRunner:
-    """Executes campaigns of independent jobs with caching and observability.
+    """Executes campaigns of independent jobs: caching, sharding, resume.
 
     Parameters
     ----------
     workers:
-        Process-pool width; ``1`` (default) runs inline.  Pools that fail
-        to start (restricted platforms) or die mid-campaign degrade to the
-        serial path, which is result-identical by construction and only
+        Worker-slot count; ``1`` (default) runs inline, more uses a
+        process pool (or the supplied ``transport``).  Pools that fail to
+        start (restricted platforms) or die mid-campaign degrade to inline
+        execution, which is result-identical by construction and only
         re-executes jobs whose results were not already collected.
+    shards:
+        Shard count for the deterministic plan; ``0`` (default) means one
+        shard per worker slot.
     cache:
-        A :class:`ResultCache`, or ``None`` to always execute.
+        A :class:`ResultCache`, or ``None`` to always execute.  Required
+        for resume — the journal records what finished, the cache holds
+        the payloads.
     retries:
         Extra executions granted to a failing job (0 = one attempt only).
         Backed off exponentially from ``backoff_s`` with seeded jitter.
@@ -524,19 +745,24 @@ class CampaignRunner:
         Flight-recorder target: a path (the runner creates, finalizes,
         and digests the journal) or an existing
         :class:`~repro.journal.JournalWriter` (the caller keeps ownership
-        and finalization).  ``None`` (default) records nothing.
+        and finalization).  ``None`` (default) records nothing.  Required
+        for resume.
     timeline:
         Directory for per-job power-timeline artifacts
         (:mod:`repro.timeline`).  When set, every executed job arms the
         ambient timeline sink and its captured run timelines land as
         ``<dir>/<job_id>.timeline.json`` — the input of ``tgi dashboard``.
         ``None`` (default) captures nothing; cached jobs never re-capture.
+    transport:
+        A :class:`WorkerTransport` to execute on, overriding the
+        inline/process-pool choice (the multi-host hook).
     """
 
     def __init__(
         self,
         *,
         workers: int = 1,
+        shards: int = 0,
         cache: Optional[ResultCache] = None,
         retries: int = 0,
         keep_going: bool = False,
@@ -544,14 +770,18 @@ class CampaignRunner:
         backoff_seed: int = 0,
         journal: Optional[Union[str, Path, jrnl.JournalWriter]] = None,
         timeline: Optional[Union[str, Path]] = None,
+        transport: Optional[WorkerTransport] = None,
     ):
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
+        if shards < 0:
+            raise ReproError(f"shards must be >= 0 (0 = one per worker), got {shards}")
         if retries < 0:
             raise ReproError(f"retries must be >= 0, got {retries}")
         if backoff_s < 0:
             raise ReproError(f"backoff_s must be >= 0, got {backoff_s}")
         self.workers = workers
+        self.shards = shards
         self.cache = cache
         self.retries = retries
         self.keep_going = keep_going
@@ -559,21 +789,91 @@ class CampaignRunner:
         self.backoff_seed = backoff_seed
         self.journal = journal
         self.timeline = Path(timeline) if timeline is not None else None
+        self.transport = transport
 
     # ------------------------------------------------------------------
+    def _journal_path(self) -> Optional[Path]:
+        if self.journal is None:
+            return None
+        if isinstance(self.journal, jrnl.JournalWriter):
+            return self.journal.path
+        return Path(self.journal)
+
+    def _resume_state(
+        self, jobs: Sequence[CampaignJob], keys: Sequence[str]
+    ) -> jrnl.RunState:
+        """Replay the journal being resumed, guarding campaign identity."""
+        if self.journal is None:
+            raise ReproError(
+                "resume needs a journal: pass journal=<path of the run to resume>"
+            )
+        if self.cache is None:
+            raise ReproError(
+                "resume needs the shared result cache: the journal records what "
+                "finished; the cache holds the payloads"
+            )
+        path = self._journal_path()
+        if not path.exists():
+            raise ReproError(f"cannot resume: journal {path} does not exist")
+        state = jrnl.replay(jrnl.read_events(path))
+        if not state.started:
+            raise ReproError(
+                f"cannot resume: journal {path} has no run.start event"
+            )
+        by_id = {job.job_id: key for job, key in zip(jobs, keys)}
+        for job_id, job_state in state.jobs.items():
+            if job_id not in by_id:
+                raise ReproError(
+                    f"cannot resume: journal {path} schedules job {job_id!r}, "
+                    "which is not in this campaign's job list"
+                )
+            if job_state.key and job_state.key != by_id[job_id]:
+                raise ReproError(
+                    f"cannot resume: job {job_id!r} is keyed "
+                    f"{job_state.key[:12]}... in the journal but "
+                    f"{by_id[job_id][:12]}... now — the job definition changed "
+                    "between the crashed run and this one"
+                )
+        return state
+
     def _journal_writer(
-        self, label: str
+        self, label: str, prior: Optional[jrnl.RunState]
     ) -> Tuple[Optional[jrnl.JournalWriter], bool]:
-        """The run's journal writer plus whether this runner owns it."""
+        """The run's writer plus ownership; resumes reuse the prior run id."""
         if self.journal is None:
             return None, False
         if isinstance(self.journal, jrnl.JournalWriter):
             return self.journal, False
-        return jrnl.JournalWriter(Path(self.journal), label=label), True
+        run_id = prior.run_id if prior is not None and prior.run_id else None
+        return (
+            jrnl.JournalWriter(self._journal_path(), label=label, run_id=run_id),
+            True,
+        )
+
+    def _make_transport(
+        self, pending: int, writer: Optional[jrnl.JournalWriter]
+    ) -> WorkerTransport:
+        if self.transport is not None:
+            return self.transport
+        if self.workers > 1 and pending > 1:
+            return ProcessPoolTransport(min(self.workers, pending))
+        return InlineTransport(cache=self.cache, journal=writer)
 
     # ------------------------------------------------------------------
-    def run(self, jobs: Sequence[CampaignJob], *, label: str = "campaign") -> CampaignResult:
-        """Execute the campaign and return outcomes plus manifest.
+    def run(
+        self,
+        jobs: Sequence[CampaignJob],
+        *,
+        label: str = "campaign",
+        resume: bool = False,
+    ) -> CampaignResult:
+        """Execute (or resume) the campaign; returns outcomes plus manifest.
+
+        With ``resume=True`` the journal must already exist: its events
+        are replayed first, recovered jobs are served from the shared
+        cache without re-execution, and the remainder is re-sharded and
+        re-dispatched while the same journal file grows under the
+        original run id.
 
         Raises :class:`~repro.exceptions.CampaignExecutionError` when a
         job exhausts its retries under the fail-fast policy (the default);
@@ -583,42 +883,58 @@ class CampaignRunner:
         the flight recorder's whole point is surviving the crash.
         """
         jobs = check_jobs(jobs)
-
         if self.timeline is not None:
             self.timeline.mkdir(parents=True, exist_ok=True)
 
-        writer, owns_writer = self._journal_writer(label)
-        attached_ambient = False
-        if writer is not None:
-            writer.emit(
-                "run.start",
-                label=label,
-                jobs=len(jobs),
-                workers=self.workers,
-                retries_allowed=self.retries,
-                keep_going=self.keep_going,
-                cache_enabled=self.cache is not None,
-            )
+        with tele.span("campaign.run", label=label, jobs=len(jobs)):
+            keys: List[str] = []
+            for job in jobs:
+                with tele.span("job.serialize", job=job.job_id):
+                    keys.append(cache_key(job))
+
+            prior = self._resume_state(jobs, keys) if resume else None
+            prior_terminal = set()
+            if prior is not None:
+                prior_terminal = {
+                    job_id
+                    for job_id, job_state in prior.jobs.items()
+                    if job_state.status in ("completed", "cached")
+                }
+
+            writer, owns_writer = self._journal_writer(label, prior)
+            num_shards = self.shards or self.workers
+            attached_ambient = False
             # Ambient emission is what lets deeply nested code (the fault
-            # injector) journal on the serial path; pool workers attach
+            # injector) journal on the inline path; pool workers attach
             # their own per-process handle instead.
-            if jrnl.ambient() is None:
+            if writer is not None and jrnl.ambient() is None:
                 jrnl.attach(writer)
                 attached_ambient = True
 
-        t_start = time.perf_counter()
-        invalidations_before = self.cache.stats.invalidations if self.cache is not None else 0
-        try:
-            with tele.span("campaign.run", label=label, jobs=len(jobs)):
-                keys: List[str] = []
-                for job in jobs:
-                    with tele.span("job.serialize", job=job.job_id):
-                        keys.append(cache_key(job))
+            t_start = time.perf_counter()
+            invalidations_before = self.cache.stats.invalidations if self.cache is not None else 0
+            stolen = 0
+            recovered = 0
+            workers_used = 1
+            transport_name = "inline"
+            try:
+                if writer is not None and prior is None:
+                    writer.emit(
+                        "run.start",
+                        label=label,
+                        jobs=len(jobs),
+                        workers=self.workers,
+                        retries_allowed=self.retries,
+                        keep_going=self.keep_going,
+                        cache_enabled=self.cache is not None,
+                        shards=num_shards,
+                    )
                 if writer is not None:
                     for index, (job, key) in enumerate(zip(jobs, keys)):
                         writer.emit(
                             "job.scheduled", job=job.job_id, key=key, index=index
                         )
+
                 payloads: Dict[int, Dict] = {}
                 statuses: Dict[int, str] = {}
                 walls: Dict[int, float] = {}
@@ -639,6 +955,8 @@ class CampaignRunner:
                                 statuses[index] = "hit"
                                 walls[index] = time.perf_counter() - t0
                                 attempts[index] = 0
+                                if job_id in prior_terminal:
+                                    recovered += 1
                                 if writer is not None:
                                     writer.emit(
                                         "job.cache_hit",
@@ -649,9 +967,37 @@ class CampaignRunner:
                                 continue
                     pending.append(index)
 
-                workers_used = self._execute(
-                    jobs, pending, payloads, walls, errors, attempts, writer
-                )
+                if writer is not None and prior is not None:
+                    writer.emit(
+                        "run.resumed",
+                        jobs_recovered=recovered,
+                        jobs_pending=len(pending),
+                        shards=num_shards,
+                    )
+
+                plan = plan_shards([keys[i] for i in pending], num_shards)
+                if writer is not None:
+                    for shard, members in enumerate(plan.assignments):
+                        writer.emit("shard.planned", shard=shard, jobs=len(members))
+
+                if pending:
+                    items = self._work_items(jobs, keys, pending, plan, writer)
+                    results, stolen, workers_used, transport_name = self._dispatch(
+                        items, writer
+                    )
+                    for result in results.values():
+                        index = result.index
+                        walls[index] = result.wall_s
+                        attempts[index] = result.attempts
+                        statuses[index] = result.cache_status
+                        if result.error is not None:
+                            errors[index] = result.error
+                        else:
+                            payloads[index] = result.payload
+                        if self.cache is not None:
+                            # Pool workers publish through their own cache
+                            # objects; fold those puts into the parent's books.
+                            self.cache.stats.puts += result.cache_puts
 
                 failed = [i for i in pending if i in errors]
                 if failed and not self.keep_going:
@@ -667,38 +1013,27 @@ class CampaignRunner:
                         failures=failures,
                     )
 
-                for index in pending:
-                    if index in errors:
-                        statuses[index] = "failed"
-                        continue
-                    statuses[index] = "uncached" if self.cache is None else "computed"
-                    with tele.span(
-                        "job.store", job=jobs[index].job_id, skipped=self.cache is None
-                    ):
-                        if self.cache is not None:
-                            self.cache.put(keys[index], payloads[index])
                 if tele.active():
                     for index in range(len(jobs)):
                         tele.count("tgi_campaign_jobs_total", status=statuses[index])
-                    jobs_failed = len(failed)
-                    retries_total = sum(
-                        max(0, attempts.get(i, 1) - 1) for i in pending
-                    )
-                    if jobs_failed:
-                        tele.count("tgi_campaign_jobs_failed_total", jobs_failed)
+                    retries_total = sum(max(0, attempts[i] - 1) for i in pending)
+                    if failed:
+                        tele.count("tgi_campaign_jobs_failed_total", len(failed))
                     if retries_total:
                         tele.count("tgi_campaign_jobs_retried_total", retries_total)
-        except CampaignExecutionError as exc:
-            if writer is not None and owns_writer:
-                writer.finalize(
-                    status="aborted",
-                    jobs_failed=len(exc.failures),
-                    total_wall_s=time.perf_counter() - t_start,
-                )
-            raise
-        finally:
-            if attached_ambient:
-                jrnl.detach()
+                    if stolen:
+                        tele.count("tgi_campaign_jobs_stolen_total", stolen)
+            except CampaignExecutionError as exc:
+                if writer is not None and owns_writer:
+                    writer.finalize(
+                        status="aborted",
+                        jobs_failed=len(exc.failures),
+                        total_wall_s=time.perf_counter() - t_start,
+                    )
+                raise
+            finally:
+                if attached_ambient:
+                    jrnl.detach()
 
         total_wall = time.perf_counter() - t_start
         outcomes = [
@@ -707,10 +1042,10 @@ class CampaignRunner:
                 key=keys[i],
                 payload=payloads.get(i),
                 cache_status=statuses[i],
-                wall_s=walls.get(i, 0.0),
+                wall_s=walls[i],
                 status="failed" if i in errors else "ok",
                 error=errors.get(i),
-                attempts=attempts.get(i, 1),
+                attempts=attempts[i],
             )
             for i in range(len(jobs))
         ]
@@ -754,118 +1089,170 @@ class CampaignRunner:
             invalidations=invalidations,
             journal_info=journal_info,
             timeline_info=timeline_info,
+            extra={
+                "sharding": {
+                    "shards": num_shards,
+                    "plan": [
+                        [jobs[pending[p]].job_id for p in members]
+                        for members in plan.assignments
+                    ],
+                    "transport": transport_name,
+                    "stolen": stolen,
+                    "resumed": prior is not None,
+                    "jobs_recovered": recovered,
+                }
+            },
         )
         return CampaignResult(outcomes, manifest)
 
     # ------------------------------------------------------------------
-    def _execute(
+    def _work_items(
         self,
         jobs: Sequence[CampaignJob],
-        pending: List[int],
-        payloads: Dict[int, Dict],
-        walls: Dict[int, float],
-        errors: Dict[int, Dict],
-        attempts: Dict[int, int],
-        journal: Optional[jrnl.JournalWriter] = None,
-    ) -> int:
-        """Run the uncached jobs; returns the worker count actually used.
-
-        Fills exactly one of ``payloads[i]``/``errors[i]`` (plus
-        ``walls[i]`` and ``attempts[i]``) for every pending index it
-        reaches; under fail-fast it stops dispatching after the first
-        exhausted job.  If the pool dies mid-campaign, the serial fallback
-        picks up only the indices whose results were not yet collected.
-        Pool workers get the journal's *path* (writers hold fds and locks,
-        which do not pickle) and append to it directly; the serial path
-        reuses the parent's writer.
-        """
-        if not pending:
-            return 1
-        session = tele.current()
-        journal_path = str(journal.path) if journal is not None else None
-        journal_run_id = journal.run_id if journal is not None else None
-        timeline_dir = str(self.timeline) if self.timeline is not None else None
-        pool_failed_mid_stream = False
-        if self.workers > 1 and len(pending) > 1:
-            try:
-                with ProcessPoolExecutor(max_workers=self.workers) as pool:
-                    with tele.span(
-                        "campaign.pool",
-                        workers=min(self.workers, len(pending)),
-                        jobs=len(pending),
-                    ) as pool_span:
-                        for (
-                            index,
-                            payload,
-                            error,
-                            job_attempts,
-                            wall,
-                            span_dicts,
-                            metric_state,
-                        ) in pool.map(
-                            _execute_keyed,
-                            [
-                                (
-                                    i,
-                                    jobs[i],
-                                    session is not None,
-                                    self.retries,
-                                    self.backoff_s,
-                                    self.backoff_seed,
-                                    journal_path,
-                                    journal_run_id,
-                                    timeline_dir,
-                                )
-                                for i in pending
-                            ],
-                        ):
-                            walls[index] = wall
-                            attempts[index] = job_attempts
-                            if error is not None:
-                                errors[index] = error
-                            else:
-                                payloads[index] = payload
-                            if session is not None and span_dicts:
-                                session.tracer.absorb(
-                                    span_dicts,
-                                    parent_id=pool_span.span_id,
-                                    offset_s=pool_span.t_start,
-                                )
-                            if session is not None and metric_state:
-                                session.metrics.merge(metric_state)
-                            if error is not None and not self.keep_going:
-                                # Fail fast: stop feeding the pool; run()
-                                # raises from the recorded error.
-                                pool.shutdown(wait=False, cancel_futures=True)
-                                return min(self.workers, len(pending))
-                return min(self.workers, len(pending))
-            except (OSError, PermissionError, ImportError, BrokenExecutor):
-                pool_failed_mid_stream = True  # fall through to the serial path
-        remaining = [
-            i for i in pending if i not in payloads and i not in errors
-        ]
-        if pool_failed_mid_stream and len(remaining) < len(pending) and tele.active():
-            tele.count(
-                "tgi_campaign_pool_fallback_total", resumed_jobs=len(remaining)
-            )
-        for index in remaining:
-            payload, error, job_attempts, wall = _attempt_job(
-                jobs[index],
+        keys: Sequence[str],
+        pending: Sequence[int],
+        plan: ShardPlan,
+        writer: Optional[jrnl.JournalWriter],
+    ) -> List[WorkItem]:
+        """Materialize work items for the pending jobs, shard-annotated."""
+        shard_by_position = {}
+        for shard, members in enumerate(plan.assignments):
+            for position in members:
+                shard_by_position[position] = shard
+        return [
+            WorkItem(
+                index=index,
+                shard=shard_by_position[position],
+                job=jobs[index],
+                key=keys[index],
                 retries=self.retries,
                 backoff_s=self.backoff_s,
                 backoff_seed=self.backoff_seed,
-                journal=journal,
-                timeline_dir=self.timeline,
+                with_telemetry=tele.current() is not None,
+                journal_path=str(writer.path) if writer is not None else None,
+                run_id=writer.run_id if writer is not None else None,
+                timeline_dir=str(self.timeline) if self.timeline else None,
+                cache_dir=str(self.cache.directory) if self.cache is not None else None,
+                code_version=self.cache.code_version if self.cache is not None else None,
             )
-            walls[index] = wall
-            attempts[index] = job_attempts
-            if error is not None:
-                errors[index] = error
-                if not self.keep_going:
-                    return 1
-            else:
-                payloads[index] = payload
-        return 1
+            for position, index in enumerate(pending)
+        ]
+
+    def _dispatch(
+        self, items: List[WorkItem], writer: Optional[jrnl.JournalWriter]
+    ) -> Tuple[Dict[int, WorkResult], int, int, str]:
+        """Drive the transport to drain all items; the stealing loop.
+
+        Returns ``(results by job index, steals, workers used, transport
+        name)``.  Worker slots keep a home-shard affinity: a finished
+        slot refills from the shard of the item it just completed and
+        steals from the deepest backlog once that shard drains
+        (``job.stolen`` events).  Fail-fast stops refilling on the first
+        exhausted job but still collects everything in flight, so no
+        completed work is dropped.  A pool that cannot start (or dies
+        mid-run) degrades to inline execution for the uncollected
+        remainder — result-identical, re-executing only what never came
+        back.
+        """
+        session = tele.current()
+        transport = self._make_transport(len(items), writer)
+        is_inline = isinstance(transport, InlineTransport)
+        if not is_inline:
+            try:
+                transport.start()
+            except _POOL_FAILURES:
+                transport.close(cancel=True)
+                transport = InlineTransport(cache=self.cache, journal=writer)
+                is_inline = True
+        workers_used = 1 if is_inline else min(transport.slots, len(items))
+
+        backlog: Dict[int, Deque[WorkItem]] = {}
+        for item in items:
+            backlog.setdefault(item.shard, deque()).append(item)
+
+        stolen = 0
+        results: Dict[int, WorkResult] = {}
+        stop_refill = False
+
+        def take(home: int) -> Optional[WorkItem]:
+            nonlocal stolen
+            queue = backlog.get(home)
+            if queue:
+                return queue.popleft()
+            donors = [shard for shard, queue in backlog.items() if queue]
+            if not donors:
+                return None
+            # Steal from the deepest backlog (ties: lowest shard id),
+            # taking from the tail so the victim's head stays local.
+            donor = max(donors, key=lambda shard: (len(backlog[shard]), -shard))
+            item = backlog[donor].pop()
+            stolen += 1
+            if writer is not None:
+                writer.emit(
+                    "job.stolen",
+                    job=item.job.job_id,
+                    from_shard=item.shard,
+                    by_shard=home,
+                )
+            return item
+
+        with tele.span(
+            "campaign.pool",
+            transport=transport.name,
+            workers=workers_used,
+            jobs=len(items),
+        ) as pool_span:
+            try:
+                homes = sorted(shard for shard, queue in backlog.items() if queue)
+                for slot in range(min(max(1, transport.slots), len(items))):
+                    item = take(homes[slot % len(homes)])
+                    if item is None:
+                        break
+                    transport.submit(item)
+                while transport.outstanding():
+                    result = transport.next_result()
+                    results[result.index] = result
+                    if session is not None and result.spans:
+                        session.tracer.absorb(
+                            result.spans,
+                            parent_id=pool_span.span_id,
+                            offset_s=pool_span.t_start,
+                        )
+                    if session is not None and result.metrics:
+                        session.metrics.merge(result.metrics)
+                    if result.error is not None and not self.keep_going:
+                        stop_refill = True
+                    if not stop_refill:
+                        item = take(result.shard)
+                        if item is not None:
+                            transport.submit(item)
+                transport.close(cancel=stop_refill)
+            except _POOL_FAILURES:
+                # The pool died under us: abandon it and finish every
+                # uncollected item inline.
+                transport.close(cancel=True)
+                leftovers = [it for it in items if it.index not in results]
+                if tele.active() and leftovers:
+                    tele.count(
+                        "tgi_campaign_pool_fallback_total",
+                        resumed_jobs=len(leftovers),
+                    )
+                inline = InlineTransport(cache=self.cache, journal=writer)
+                for item in leftovers:
+                    if stop_refill:
+                        break
+                    inline.submit(item)
+                    result = inline.next_result()
+                    results[result.index] = result
+                    if result.error is not None and not self.keep_going:
+                        stop_refill = True
+        return results, stolen, workers_used, transport.name
+
+
+#: Alias of :class:`CampaignRunner` under the sharded executor's name, so
+#: callers that import ``ShardedCampaignScheduler`` keep working.
+ShardedCampaignScheduler = CampaignRunner
+
 
 def build_manifest(
     *,
@@ -884,13 +1271,10 @@ def build_manifest(
 ) -> Dict:
     """Assemble (and fingerprint) the run manifest from job outcomes.
 
-    The single manifest builder shared by :class:`CampaignRunner` and the
-    sharded scheduler: both executors describe a run in exactly the same
-    rows, so their fingerprints are directly comparable.  ``extra`` merges
-    additional top-level blocks (e.g. the scheduler's ``sharding`` block);
-    every extra key must be listed in
+    ``extra`` merges additional top-level blocks (e.g. the runner's
+    ``sharding`` block); every extra key must be listed in
     :data:`repro.campaign.manifest.VOLATILE_CAMPAIGN_FIELDS`, keeping
-    fingerprints invariant across executors.
+    fingerprints invariant however a campaign was executed.
     """
     from .. import __version__
     from .manifest import VOLATILE_CAMPAIGN_FIELDS

@@ -1,92 +1,25 @@
-"""Sharded, crash-resumable campaign execution.
+"""The deterministic shard plan behind campaign execution.
 
-:class:`ShardedCampaignScheduler` is the distributed-shape executor the
-ROADMAP's "distributed, resumable mega-campaigns" item calls for.  It
-builds on the same primitives as :class:`~repro.campaign.runner.CampaignRunner`
-(keyed jobs, the content-addressed :class:`~repro.campaign.cache.ResultCache`,
-the append-only run journal, :func:`~repro.campaign.runner.build_manifest`)
-and adds three things:
+Each pending job is assigned to a shard by :func:`shard_of` — a pure
+function of the job's content-addressed cache key — so shard membership is
+stable across runs, resumes, and hosts; no coordinator state needs to
+survive a crash for the plan to be reconstructible.  Shards are a
+*locality* hint, not a partition wall: :class:`~repro.campaign.runner.CampaignRunner`
+keeps each worker slot on a home shard and lets it steal from the deepest
+remaining backlog once its home runs dry.
 
-**Deterministic sharding.**  Each pending job is assigned to a shard by
-:func:`shard_of` — a pure function of the job's content-addressed cache
-key — so shard membership is stable across runs, resumes, and hosts; no
-coordinator state needs to survive a crash for the plan to be
-reconstructible.  Shards are a *locality* hint, not a partition wall:
-
-**Work stealing.**  Job durations are skewed (a 4096-rank HPL sweep and a
-small STREAM job can live in the same campaign), so worker slots keep a
-home-shard affinity and, once their home runs dry, steal from the deepest
-remaining backlog (``job.stolen`` journal events record each steal).  The
-scheduler stays busy until the global queue drains, not until the
-unluckiest shard finishes.
-
-**Crash resume.**  ``run(jobs, resume=True)`` replays the existing
-journal into per-job attempt state (:func:`repro.journal.replay`), skips
-every job that is terminal in the replayed state *and* recoverable from
-the shared result cache, re-schedules only the remainder, and extends the
-*same* journal file under the original run id (``run.resumed`` event).
-The resumed manifest is row-for-row equivalent to an uninterrupted run —
-same fingerprint — because recovery is just a cache hit and
-``cache_status``/``attempts`` are volatile manifest fields by design.
-A job that crashed *between* its ``job.completed`` event and its cache
-publication (``job.stored``) is simply re-executed: the journal is the
-witness, the cache is the payload store, and resume trusts payloads only
-from the cache.
-
-Execution is delegated to a :class:`WorkerTransport` — the seam where
-multi-host execution slots in later.  Two transports ship today:
-:class:`InlineTransport` (in-process, used for ``workers=1`` and as the
-degradation path when a pool cannot start) and
-:class:`ProcessPoolTransport` (one Python process per worker slot; each
-worker opens its own ``O_APPEND`` handle on the shared journal and its
-own view of the shared cache directory, so cache publication happens
-worker-side and concurrently — the access pattern the cache's unique-
-tmp-name atomic publish exists for).
-
-See ``docs/distributed_campaigns.md`` for the operational story.
+This module is deliberately pure (no execution, no I/O) so the runner can
+import it without a cycle.  See ``docs/distributed_campaigns.md``.
 """
 
 from __future__ import annotations
 
-import os
-import time
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Sequence, Tuple
 
-from .. import journal as jrnl
-from .. import telemetry as tele
-from ..exceptions import CampaignExecutionError, ReproError
-from .cache import ResultCache, cache_key
-from .jobs import CampaignJob
-from .runner import (
-    CampaignResult,
-    JobOutcome,
-    _attempt_job,
-    build_manifest,
-    check_jobs,
-)
+from ..exceptions import ReproError
 
-__all__ = [
-    "shard_of",
-    "ShardPlan",
-    "plan_shards",
-    "WorkItem",
-    "WorkResult",
-    "execute_work_item",
-    "WorkerTransport",
-    "InlineTransport",
-    "ProcessPoolTransport",
-    "ShardedCampaignScheduler",
-]
+__all__ = ["shard_of", "ShardPlan", "plan_shards"]
 
 
 def shard_of(key: str, num_shards: int) -> int:
@@ -134,836 +67,3 @@ def plan_shards(keys: Sequence[str], num_shards: int) -> ShardPlan:
         num_shards=num_shards,
         assignments=tuple(tuple(bucket) for bucket in buckets),
     )
-
-
-@dataclass(frozen=True)
-class WorkItem:
-    """One schedulable unit: a keyed job plus everything a worker needs.
-
-    Self-contained and picklable by design — a transport may hand it to
-    another process (or, later, another host), so it carries *paths* to
-    the shared journal and cache, never live handles.
-    """
-
-    index: int  # position in the campaign's job list (ordering contract)
-    shard: int  # shard the plan assigned it to (pre-steal)
-    job: CampaignJob
-    key: str
-    retries: int = 0
-    backoff_s: float = 0.0
-    backoff_seed: int = 0
-    with_telemetry: bool = False
-    journal_path: Optional[str] = None
-    run_id: Optional[str] = None
-    timeline_dir: Optional[str] = None
-    cache_dir: Optional[str] = None
-    code_version: Optional[str] = None
-
-
-@dataclass
-class WorkResult:
-    """What came back for one :class:`WorkItem`."""
-
-    index: int
-    shard: int
-    payload: Optional[Dict]
-    error: Optional[Dict]
-    attempts: int
-    wall_s: float
-    cache_status: str  # "hit" / "computed" / "uncached" / "failed"
-    spans: Optional[List[Dict]] = None
-    metrics: Optional[Dict] = None
-    cache_stats: Optional[Dict] = None  # per-item deltas from a worker-side cache
-
-
-def execute_work_item(
-    item: WorkItem,
-    *,
-    journal: Optional[jrnl.JournalWriter] = None,
-    cache: Optional[ResultCache] = None,
-) -> WorkResult:
-    """Probe → execute (contained, with retries) → publish, for one item.
-
-    The single worker-side execution path every transport funnels
-    through.  The cache probe runs *in the executing process* — in a
-    shared cache directory another worker, shard, or concurrent campaign
-    may have published the key since the parent's pre-dispatch probe.  On
-    success the payload is published to the shared cache *from the
-    worker* (atomic rename; unique staging name), and only then does the
-    ``job.stored`` event land — so a journal that contains ``job.stored``
-    implies a durable cache entry, which is exactly the order crash
-    resume relies on.
-    """
-    t0 = time.perf_counter()
-    if cache is not None:
-        cached = cache.get(item.key)
-        if cached is not None:
-            if journal is not None:
-                journal.emit(
-                    "job.cache_hit", job=item.job.job_id, key=item.key, attempt=0
-                )
-            return WorkResult(
-                index=item.index,
-                shard=item.shard,
-                payload=cached,
-                error=None,
-                attempts=0,
-                wall_s=time.perf_counter() - t0,
-                cache_status="hit",
-            )
-    timeline_dir = Path(item.timeline_dir) if item.timeline_dir is not None else None
-    payload, error, attempts, wall = _attempt_job(
-        item.job,
-        retries=item.retries,
-        backoff_s=item.backoff_s,
-        backoff_seed=item.backoff_seed,
-        journal=journal,
-        timeline_dir=timeline_dir,
-    )
-    if error is not None:
-        return WorkResult(
-            index=item.index,
-            shard=item.shard,
-            payload=None,
-            error=error,
-            attempts=attempts,
-            wall_s=wall,
-            cache_status="failed",
-        )
-    status = "uncached"
-    if cache is not None:
-        with tele.span("job.store", job=item.job.job_id, skipped=False):
-            cache.put(item.key, payload)
-        if journal is not None:
-            journal.emit("job.stored", job=item.job.job_id, key=item.key)
-        status = "computed"
-    return WorkResult(
-        index=item.index,
-        shard=item.shard,
-        payload=payload,
-        error=None,
-        attempts=attempts,
-        wall_s=wall,
-        cache_status=status,
-    )
-
-
-#: Jobs this worker process has finished — heartbeat payload (survives
-#: across submissions into one reused pool worker).
-_WORKER_JOBS_DONE = 0
-
-
-def _scheduler_worker(item: WorkItem) -> WorkResult:
-    """Pool-side shim: rebuild per-process handles, run one item.
-
-    Mirrors the runner's pool shim: the worker drops any fork-inherited
-    ambient journal/telemetry bindings, opens its *own* ``O_APPEND``
-    handle on the shared journal (same run id) and its own view of the
-    shared cache directory, emits a pickup heartbeat, and ships finished
-    telemetry spans/metric state plus its cache-stat deltas back with the
-    payload.
-    """
-    global _WORKER_JOBS_DONE
-    journal = None
-    if item.journal_path is not None:
-        jrnl.detach()
-        journal = jrnl.JournalWriter(
-            item.journal_path, run_id=item.run_id, process=f"worker-{os.getpid()}"
-        )
-        jrnl.attach(journal)
-        journal.emit(
-            "worker.heartbeat", jobs_done=_WORKER_JOBS_DONE, **jrnl.rusage_fields()
-        )
-    cache = None
-    if item.cache_dir is not None:
-        cache = ResultCache(item.cache_dir, code_version=item.code_version)
-    try:
-        if not item.with_telemetry:
-            result = execute_work_item(item, journal=journal, cache=cache)
-        else:
-            # Fork-started workers inherit a copy of the parent session;
-            # collect into a fresh one and ship it back instead.
-            tele.deactivate()
-            session = tele.TelemetrySession(
-                label=f"worker:{item.job.job_id}", process=f"worker-{os.getpid()}"
-            )
-            with tele.use(session):
-                result = execute_work_item(item, journal=journal, cache=cache)
-            result.spans = session.tracer.as_dicts()
-            result.metrics = session.metrics.state()
-        if cache is not None:
-            result.cache_stats = {
-                "hits": cache.stats.hits,
-                "misses": cache.stats.misses,
-                "invalidations": cache.stats.invalidations,
-                "puts": cache.stats.puts,
-            }
-        return result
-    finally:
-        if journal is not None:
-            _WORKER_JOBS_DONE += 1
-            jrnl.detach()
-            journal.close()
-
-
-class WorkerTransport:
-    """Where work items execute: the multi-host seam.
-
-    A transport owns a fixed number of worker ``slots`` and moves
-    :class:`WorkItem`\\ s to them.  The scheduler drives it with a strict
-    protocol — at most ``slots`` items outstanding, ``next_result()``
-    only while ``outstanding() > 0`` — and handles policy (stealing,
-    fail-fast, fallback) itself, so a transport implements mechanics
-    only.  Implementations today run inline or on a local process pool;
-    a multi-host transport needs nothing beyond this interface because
-    items carry paths (shared journal, shared cache), never live handles.
-    """
-
-    name = "abstract"
-    slots = 1
-
-    def start(self) -> None:
-        """Acquire execution resources (may raise; scheduler degrades)."""
-
-    def submit(self, item: WorkItem) -> None:
-        raise NotImplementedError
-
-    def next_result(self) -> WorkResult:
-        raise NotImplementedError
-
-    def outstanding(self) -> int:
-        raise NotImplementedError
-
-    def close(self, *, cancel: bool = False) -> None:
-        """Release resources; ``cancel`` abandons queued work (fail-fast)."""
-
-
-class InlineTransport(WorkerTransport):
-    """Executes items synchronously in the scheduling process.
-
-    Used for ``workers=1``, single-job campaigns, and as the degradation
-    target when a process pool cannot start or dies mid-run (result-
-    identical by construction).  Items run against the *live* cache and
-    journal writer, so telemetry spans land directly in the ambient
-    session and cache stats accrue in place — no shipping needed.
-    """
-
-    name = "inline"
-    slots = 1
-
-    def __init__(
-        self,
-        *,
-        cache: Optional[ResultCache] = None,
-        journal: Optional[jrnl.JournalWriter] = None,
-    ):
-        self.cache = cache
-        self.journal = journal
-        self._done: Deque[WorkResult] = deque()
-
-    def submit(self, item: WorkItem) -> None:
-        self._done.append(
-            execute_work_item(item, journal=self.journal, cache=self.cache)
-        )
-
-    def next_result(self) -> WorkResult:
-        return self._done.popleft()
-
-    def outstanding(self) -> int:
-        return len(self._done)
-
-    def close(self, *, cancel: bool = False) -> None:
-        self._done.clear()
-
-
-class ProcessPoolTransport(WorkerTransport):
-    """Executes items on a local ``ProcessPoolExecutor``.
-
-    ``submit`` feeds one item per call (the scheduler's stealing loop
-    decides what runs next, unlike the runner's batch ``pool.map``);
-    ``next_result`` blocks on the first completed future.  Pool-level
-    failures (``BrokenExecutor``) propagate to the scheduler, which
-    re-runs uncollected items inline.
-    """
-
-    name = "process-pool"
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ReproError(f"transport workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.slots = workers
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._futures: Set[Future] = set()
-
-    def start(self) -> None:
-        if self._pool is None:
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-            # Surface spawn failures now, not at first submit: submitting
-            # a no-op forces worker startup on platforms that lazily fork.
-            pool.submit(int).result()
-            self._pool = pool
-
-    def submit(self, item: WorkItem) -> None:
-        if self._pool is None:
-            self.start()
-        self._futures.add(self._pool.submit(_scheduler_worker, item))
-
-    def next_result(self) -> WorkResult:
-        if not self._futures:
-            raise ReproError("next_result() with no outstanding work")
-        done, self._futures = wait(self._futures, return_when=FIRST_COMPLETED)
-        first = done.pop()
-        self._futures |= done  # completed-but-unconsumed go back in the set
-        return first.result()
-
-    def outstanding(self) -> int:
-        return len(self._futures)
-
-    def close(self, *, cancel: bool = False) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=not cancel, cancel_futures=cancel)
-            self._pool = None
-        self._futures.clear()
-
-
-class ShardedCampaignScheduler:
-    """Sharded, work-stealing, crash-resumable campaign executor.
-
-    Accepts the :class:`~repro.campaign.runner.CampaignRunner` policy
-    surface (cache, retries, keep-going, backoff, journal, timeline) plus
-    the sharding knobs, and produces the same
-    :class:`~repro.campaign.runner.CampaignResult` — manifests from both
-    executors are fingerprint-identical for the same jobs.
-
-    Parameters
-    ----------
-    workers:
-        Worker-slot count.  ``1`` runs inline; more uses a process pool
-        (or the supplied ``transport``).
-    shards:
-        Shard count for the deterministic plan; ``0`` (default) means one
-        shard per worker slot.
-    cache:
-        The shared :class:`ResultCache`.  Optional for plain runs,
-        *required* for resume — the journal records what finished, the
-        cache holds the payloads.
-    journal:
-        Flight-recorder target: a path (scheduler-owned, finalized here)
-        or a caller-owned :class:`~repro.journal.JournalWriter`.
-        Required for resume.
-    transport:
-        A :class:`WorkerTransport` to execute on, overriding the
-        inline/process-pool choice (the multi-host hook).
-    retries / keep_going / backoff_s / backoff_seed / timeline:
-        Exactly as on :class:`~repro.campaign.runner.CampaignRunner`.
-    """
-
-    def __init__(
-        self,
-        *,
-        workers: int = 1,
-        shards: int = 0,
-        cache: Optional[ResultCache] = None,
-        retries: int = 0,
-        keep_going: bool = False,
-        backoff_s: float = 0.0,
-        backoff_seed: int = 0,
-        journal: Optional[Union[str, Path, jrnl.JournalWriter]] = None,
-        timeline: Optional[Union[str, Path]] = None,
-        transport: Optional[WorkerTransport] = None,
-    ):
-        if workers < 1:
-            raise ReproError(f"workers must be >= 1, got {workers}")
-        if shards < 0:
-            raise ReproError(f"shards must be >= 0 (0 = one per worker), got {shards}")
-        if retries < 0:
-            raise ReproError(f"retries must be >= 0, got {retries}")
-        if backoff_s < 0:
-            raise ReproError(f"backoff_s must be >= 0, got {backoff_s}")
-        self.workers = workers
-        self.shards = shards
-        self.cache = cache
-        self.retries = retries
-        self.keep_going = keep_going
-        self.backoff_s = backoff_s
-        self.backoff_seed = backoff_seed
-        self.journal = journal
-        self.timeline = Path(timeline) if timeline is not None else None
-        self.transport = transport
-        # The in-flight journal writer, visible to _work_items/_make_transport
-        # for the duration of one run() call only.
-        self._live_writer: Optional[jrnl.JournalWriter] = None
-
-    # ------------------------------------------------------------------
-    def _journal_path(self) -> Optional[Path]:
-        if self.journal is None:
-            return None
-        if isinstance(self.journal, jrnl.JournalWriter):
-            return self.journal.path
-        return Path(self.journal)
-
-    def _resume_state(
-        self, jobs: Sequence[CampaignJob], keys: Sequence[str]
-    ) -> jrnl.RunState:
-        """Replay the journal being resumed, guarding campaign identity."""
-        if self.journal is None:
-            raise ReproError(
-                "resume needs a journal: pass journal=<path of the run to resume>"
-            )
-        if self.cache is None:
-            raise ReproError(
-                "resume needs the shared result cache: the journal records what "
-                "finished; the cache holds the payloads"
-            )
-        path = self._journal_path()
-        if not path.exists():
-            raise ReproError(f"cannot resume: journal {path} does not exist")
-        state = jrnl.replay(jrnl.read_events(path))
-        if not state.started:
-            raise ReproError(
-                f"cannot resume: journal {path} has no run.start event"
-            )
-        by_id = {job.job_id: key for job, key in zip(jobs, keys)}
-        for job_id, job_state in state.jobs.items():
-            if job_id not in by_id:
-                raise ReproError(
-                    f"cannot resume: journal {path} schedules job {job_id!r}, "
-                    "which is not in this campaign's job list"
-                )
-            if job_state.key and job_state.key != by_id[job_id]:
-                raise ReproError(
-                    f"cannot resume: job {job_id!r} is keyed "
-                    f"{job_state.key[:12]}... in the journal but "
-                    f"{by_id[job_id][:12]}... now — the job definition changed "
-                    "between the crashed run and this one"
-                )
-        return state
-
-    def _journal_writer(
-        self, label: str, prior: Optional[jrnl.RunState]
-    ) -> Tuple[Optional[jrnl.JournalWriter], bool]:
-        """The run's writer plus ownership; resumes reuse the prior run id."""
-        if self.journal is None:
-            return None, False
-        if isinstance(self.journal, jrnl.JournalWriter):
-            return self.journal, False
-        run_id = prior.run_id if prior is not None and prior.run_id else None
-        return (
-            jrnl.JournalWriter(self._journal_path(), label=label, run_id=run_id),
-            True,
-        )
-
-    def _num_shards(self) -> int:
-        return self.shards if self.shards else max(1, self.workers)
-
-    def _make_transport(self, pending: int) -> WorkerTransport:
-        if self.transport is not None:
-            return self.transport
-        if self.workers > 1 and pending > 1:
-            return ProcessPoolTransport(min(self.workers, pending))
-        return InlineTransport(cache=self.cache, journal=self._live_writer)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        jobs: Sequence[CampaignJob],
-        *,
-        label: str = "campaign",
-        resume: bool = False,
-    ) -> CampaignResult:
-        """Execute (or resume) the campaign; returns outcomes plus manifest.
-
-        With ``resume=True`` the journal must already exist: its events
-        are replayed first, recovered jobs are served from the shared
-        cache without re-execution, and the remainder is re-sharded and
-        re-dispatched while the same journal file grows under the
-        original run id.  Failure policy matches the runner: fail-fast
-        raises :class:`~repro.exceptions.CampaignExecutionError` (after
-        finalizing a scheduler-owned journal as ``aborted``); keep-going
-        records the damage and returns.
-        """
-        jobs = check_jobs(jobs)
-        if self.timeline is not None:
-            self.timeline.mkdir(parents=True, exist_ok=True)
-
-        with tele.span("campaign.run", label=label, jobs=len(jobs)):
-            keys: List[str] = []
-            for job in jobs:
-                with tele.span("job.serialize", job=job.job_id):
-                    keys.append(cache_key(job))
-
-            prior = self._resume_state(jobs, keys) if resume else None
-            prior_terminal = set()
-            if prior is not None:
-                prior_terminal = {
-                    job_id
-                    for job_id, job_state in prior.jobs.items()
-                    if job_state.status in ("completed", "cached")
-                }
-
-            writer, owns_writer = self._journal_writer(label, prior)
-            self._live_writer = writer
-            num_shards = self._num_shards()
-            attached_ambient = False
-            if writer is not None and jrnl.ambient() is None:
-                jrnl.attach(writer)
-                attached_ambient = True
-
-            t_start = time.perf_counter()
-            invalidations_before = self.cache.stats.invalidations if self.cache is not None else 0
-            stolen = 0
-            recovered = 0
-            workers_used = 1
-            transport_name = "inline"
-            try:
-                if writer is not None and prior is None:
-                    writer.emit(
-                        "run.start",
-                        label=label,
-                        jobs=len(jobs),
-                        workers=self.workers,
-                        retries_allowed=self.retries,
-                        keep_going=self.keep_going,
-                        cache_enabled=self.cache is not None,
-                        shards=num_shards,
-                    )
-                if writer is not None:
-                    for index, (job, key) in enumerate(zip(jobs, keys)):
-                        writer.emit(
-                            "job.scheduled", job=job.job_id, key=key, index=index
-                        )
-
-                payloads: Dict[int, Dict] = {}
-                statuses: Dict[int, str] = {}
-                walls: Dict[int, float] = {}
-                errors: Dict[int, Dict] = {}
-                attempts: Dict[int, int] = {}
-
-                pending: List[int] = []
-                for index, key in enumerate(keys):
-                    job_id = jobs[index].job_id
-                    with tele.span(
-                        "job.cache_probe", job=job_id, skipped=self.cache is None
-                    ):
-                        if self.cache is not None:
-                            t0 = time.perf_counter()
-                            cached = self.cache.get(key)
-                            if cached is not None:
-                                payloads[index] = cached
-                                statuses[index] = "hit"
-                                walls[index] = time.perf_counter() - t0
-                                attempts[index] = 0
-                                if job_id in prior_terminal:
-                                    recovered += 1
-                                if writer is not None:
-                                    writer.emit(
-                                        "job.cache_hit",
-                                        job=job_id,
-                                        key=key,
-                                        attempt=0,
-                                    )
-                                continue
-                    pending.append(index)
-
-                if writer is not None and prior is not None:
-                    writer.emit(
-                        "run.resumed",
-                        jobs_recovered=recovered,
-                        jobs_pending=len(pending),
-                        shards=num_shards,
-                    )
-
-                plan = plan_shards([keys[i] for i in pending], num_shards)
-                if writer is not None:
-                    for shard, members in enumerate(plan.assignments):
-                        writer.emit("shard.planned", shard=shard, jobs=len(members))
-
-                if pending:
-                    items = self._work_items(jobs, keys, pending, plan)
-                    results, stolen, workers_used, transport_name = self._dispatch(
-                        items, writer
-                    )
-                    for result in results.values():
-                        index = result.index
-                        walls[index] = result.wall_s
-                        attempts[index] = result.attempts
-                        statuses[index] = result.cache_status
-                        if result.error is not None:
-                            errors[index] = result.error
-                        else:
-                            payloads[index] = result.payload
-                        if result.cache_stats and self.cache is not None:
-                            # Worker-side cache objects saw the traffic;
-                            # fold their deltas into the parent's books.
-                            self.cache.stats.hits += result.cache_stats["hits"]
-                            self.cache.stats.misses += result.cache_stats["misses"]
-                            self.cache.stats.invalidations += result.cache_stats[
-                                "invalidations"
-                            ]
-                            self.cache.stats.puts += result.cache_stats["puts"]
-
-                failed = [i for i in pending if i in errors]
-                # Jobs the fail-fast stop never dispatched: keep runner
-                # vocabulary — no payload, no error, zero attempts.
-                for index in pending:
-                    if index not in statuses:
-                        statuses[index] = "failed" if index in errors else "uncached"
-                        if index not in attempts:
-                            attempts[index] = 0
-                        if index not in walls:
-                            walls[index] = 0.0
-                if failed and not self.keep_going:
-                    failures = [
-                        {"job_id": jobs[i].job_id, "error": errors[i]} for i in failed
-                    ]
-                    first = failures[0]
-                    raise CampaignExecutionError(
-                        f"{len(failed)} of {len(jobs)} campaign job(s) failed "
-                        f"(first: {first['job_id']} — {first['error']['type']}: "
-                        f"{first['error']['message']}); rerun with keep_going=True "
-                        "to collect the surviving jobs",
-                        failures=failures,
-                    )
-
-                if tele.active():
-                    for index in range(len(jobs)):
-                        tele.count("tgi_campaign_jobs_total", status=statuses[index])
-                    retries_total = sum(
-                        max(0, attempts.get(i, 1) - 1) for i in pending
-                    )
-                    if failed:
-                        tele.count("tgi_campaign_jobs_failed_total", len(failed))
-                    if retries_total:
-                        tele.count("tgi_campaign_jobs_retried_total", retries_total)
-                    if stolen:
-                        tele.count("tgi_campaign_jobs_stolen_total", stolen)
-            except CampaignExecutionError as exc:
-                if writer is not None and owns_writer:
-                    writer.finalize(
-                        status="aborted",
-                        jobs_failed=len(exc.failures),
-                        total_wall_s=time.perf_counter() - t_start,
-                    )
-                raise
-            finally:
-                if attached_ambient:
-                    jrnl.detach()
-                self._live_writer = None
-
-        total_wall = time.perf_counter() - t_start
-        outcomes = [
-            JobOutcome(
-                job=jobs[i],
-                key=keys[i],
-                payload=payloads.get(i),
-                cache_status=statuses[i],
-                wall_s=walls.get(i, 0.0),
-                status="failed" if i in errors else "ok",
-                error=errors.get(i),
-                attempts=attempts.get(i, 1),
-            )
-            for i in range(len(jobs))
-        ]
-        invalidations = (
-            self.cache.stats.invalidations - invalidations_before if self.cache is not None else 0
-        )
-        journal_info = None
-        if writer is not None:
-            jobs_failed_total = sum(1 for o in outcomes if not o.ok)
-            journal_info = {
-                "path": str(writer.path),
-                "run_id": writer.run_id,
-                "events": writer.events_written,
-                "sha256": None,
-            }
-            if owns_writer:
-                summary = writer.finalize(
-                    status="ok" if not jobs_failed_total else "failed",
-                    jobs_failed=jobs_failed_total,
-                    total_wall_s=total_wall,
-                )
-                journal_info["events"] = summary["events"]
-                journal_info["sha256"] = summary["sha256"]
-        timeline_info = None
-        if self.timeline is not None:
-            from .. import timeline as tline
-
-            artifacts = sorted(self.timeline.glob("*.timeline.json"))
-            timeline_info = {
-                "dir": str(self.timeline),
-                "artifacts": len(artifacts),
-                "version": tline.TIMELINE_SCHEMA_VERSION,
-            }
-        manifest = build_manifest(
-            label=label,
-            outcomes=outcomes,
-            total_wall=total_wall,
-            workers_requested=self.workers,
-            workers_used=workers_used,
-            cache=self.cache,
-            retries_allowed=self.retries,
-            keep_going=self.keep_going,
-            invalidations=invalidations,
-            journal_info=journal_info,
-            timeline_info=timeline_info,
-            extra={
-                "sharding": {
-                    "shards": num_shards,
-                    "plan": [
-                        [jobs[pending[p]].job_id for p in members]
-                        for members in plan.assignments
-                    ],
-                    "transport": transport_name,
-                    "stolen": stolen,
-                    "resumed": prior is not None,
-                    "jobs_recovered": recovered,
-                }
-            },
-        )
-        return CampaignResult(outcomes, manifest)
-
-    # ------------------------------------------------------------------
-    def _work_items(
-        self,
-        jobs: Sequence[CampaignJob],
-        keys: Sequence[str],
-        pending: Sequence[int],
-        plan: ShardPlan,
-    ) -> List[WorkItem]:
-        """Materialize work items for the pending jobs, shard-annotated."""
-        writer = self._live_writer
-        journal_path = str(writer.path) if writer is not None else None
-        run_id = writer.run_id if writer is not None else None
-        shard_by_position = {}
-        for shard, members in enumerate(plan.assignments):
-            for position in members:
-                shard_by_position[position] = shard
-        return [
-            WorkItem(
-                index=index,
-                shard=shard_by_position[position],
-                job=jobs[index],
-                key=keys[index],
-                retries=self.retries,
-                backoff_s=self.backoff_s,
-                backoff_seed=self.backoff_seed,
-                with_telemetry=tele.current() is not None,
-                journal_path=journal_path,
-                run_id=run_id,
-                timeline_dir=str(self.timeline) if self.timeline else None,
-                cache_dir=str(self.cache.directory) if self.cache is not None else None,
-                code_version=self.cache.code_version if self.cache is not None else None,
-            )
-            for position, index in enumerate(pending)
-        ]
-
-    def _dispatch(
-        self, items: List[WorkItem], writer: Optional[jrnl.JournalWriter]
-    ) -> Tuple[Dict[int, WorkResult], int, int, str]:
-        """Drive the transport to drain all items; the stealing loop.
-
-        Returns ``(results by job index, steals, workers used, transport
-        name)``.  Worker slots keep a home-shard affinity: a finished
-        slot refills from the shard of the item it just completed and
-        steals from the deepest backlog once that shard drains
-        (``job.stolen`` events).  Fail-fast stops refilling on the first
-        exhausted job but still collects everything in flight, so no
-        completed work is dropped.  A pool that cannot start (or dies
-        mid-run) degrades to inline execution for the uncollected
-        remainder — result-identical, like the runner's fallback.
-        """
-        session = tele.current()
-        transport = self._make_transport(len(items))
-        is_inline = isinstance(transport, InlineTransport)
-        if not is_inline:
-            try:
-                transport.start()
-            except (OSError, PermissionError, ImportError, BrokenExecutor):
-                transport.close(cancel=True)
-                transport = InlineTransport(cache=self.cache, journal=writer)
-                is_inline = True
-        workers_used = 1 if is_inline else min(transport.slots, len(items))
-
-        backlog: Dict[int, Deque[WorkItem]] = {}
-        for item in items:
-            backlog.setdefault(item.shard, deque()).append(item)
-
-        stolen = 0
-        results: Dict[int, WorkResult] = {}
-        stop_refill = False
-
-        def take(home: int) -> Optional[WorkItem]:
-            nonlocal stolen
-            queue = backlog.get(home)
-            if queue:
-                return queue.popleft()
-            donors = [shard for shard, queue in backlog.items() if queue]
-            if not donors:
-                return None
-            # Steal from the deepest backlog (ties: lowest shard id),
-            # taking from the tail so the victim's head stays local.
-            donor = max(donors, key=lambda shard: (len(backlog[shard]), -shard))
-            item = backlog[donor].pop()
-            stolen += 1
-            if writer is not None:
-                writer.emit(
-                    "job.stolen",
-                    job=item.job.job_id,
-                    from_shard=item.shard,
-                    by_shard=home,
-                )
-            return item
-
-        with tele.span(
-            "campaign.shards",
-            transport=transport.name,
-            workers=workers_used,
-            jobs=len(items),
-        ) as shards_span:
-            try:
-                homes = sorted(shard for shard, queue in backlog.items() if queue)
-                for slot in range(min(max(1, transport.slots), len(items))):
-                    item = take(homes[slot % len(homes)])
-                    if item is None:
-                        break
-                    transport.submit(item)
-                while transport.outstanding():
-                    result = transport.next_result()
-                    results[result.index] = result
-                    if session is not None and result.spans:
-                        session.tracer.absorb(
-                            result.spans,
-                            parent_id=shards_span.span_id,
-                            offset_s=shards_span.t_start,
-                        )
-                    if session is not None and result.metrics:
-                        session.metrics.merge(result.metrics)
-                    if result.error is not None and not self.keep_going:
-                        stop_refill = True
-                    if not stop_refill:
-                        item = take(result.shard)
-                        if item is not None:
-                            transport.submit(item)
-                transport.close(cancel=stop_refill)
-            except BrokenExecutor:
-                # The pool died under us: abandon it and finish every
-                # uncollected item inline (the runner's degradation
-                # contract, re-executing only what never came back).
-                transport.close(cancel=True)
-                leftovers = [it for it in items if it.index not in results]
-                if tele.active() and leftovers:
-                    tele.count(
-                        "tgi_campaign_pool_fallback_total",
-                        resumed_jobs=len(leftovers),
-                    )
-                inline = InlineTransport(cache=self.cache, journal=writer)
-                for item in leftovers:
-                    if stop_refill:
-                        break
-                    inline.submit(item)
-                    result = inline.next_result()
-                    results[result.index] = result
-                    if result.error is not None and not self.keep_going:
-                        stop_refill = True
-        return results, stolen, workers_used, transport.name

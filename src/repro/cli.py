@@ -10,7 +10,7 @@
     tgi campaign --workers 4     # parallel, cached measurement campaign
     tgi campaign --journal r.jl  # ... with the flight recorder armed
     tgi campaign --timeline tl/  # ... with per-job power timelines captured
-    tgi campaign --shards 8 --cache-dir c/ --journal r.jl   # sharded scheduler
+    tgi campaign --shards 8 --cache-dir c/ --journal r.jl   # 8 work-stealing shards
     tgi campaign --resume r.jl --cache-dir c/   # crash-resume a journaled run
     tgi watch r.jl               # live progress of an in-flight journaled run
     tgi tail r.jl -f             # stream journal events as they arrive
@@ -285,9 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="run on the sharded work-stealing scheduler with N deterministic "
-        "shards (0 = plain runner unless --resume; resume defaults to one "
-        "shard per worker)",
+        help="split the campaign into N deterministic work-stealing shards "
+        "(0 = one shard per worker)",
     )
     campaign.add_argument(
         "--resume",
@@ -373,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="campaign leg on the sharded scheduler with N shards",
+        help="campaign-leg shard count (0 = one per worker)",
     )
     f_rank.add_argument(
         "--cache-dir",
@@ -1448,13 +1447,7 @@ def _cmd_campaign(
 ) -> int:
     import dataclasses
 
-    from .campaign import (
-        CampaignRunner,
-        ResultCache,
-        ShardedCampaignScheduler,
-        fleet_jobs,
-        paper_jobs,
-    )
+    from .campaign import CampaignRunner, ResultCache, fleet_jobs, paper_jobs
     from .telemetry import attribution_to_dicts, campaign_attribution, render_attribution
 
     jobs = paper_jobs(PAPER_CONFIG)
@@ -1492,30 +1485,17 @@ def _cmd_campaign(
             )
         journal = resume
     cache = ResultCache(cache_dir) if cache_dir else None
-    sharded = bool(shards) or resume is not None
-    if sharded:
-        runner = ShardedCampaignScheduler(
-            workers=workers,
-            shards=shards,
-            cache=cache,
-            retries=retries,
-            keep_going=keep_going,
-            backoff_s=retry_backoff,
-            backoff_seed=fault_seed,
-            journal=journal,
-            timeline=timeline,
-        )
-    else:
-        runner = CampaignRunner(
-            workers=workers,
-            cache=cache,
-            retries=retries,
-            keep_going=keep_going,
-            backoff_s=retry_backoff,
-            backoff_seed=fault_seed,
-            journal=journal,
-            timeline=timeline,
-        )
+    runner = CampaignRunner(
+        workers=workers,
+        shards=shards,
+        cache=cache,
+        retries=retries,
+        keep_going=keep_going,
+        backoff_s=retry_backoff,
+        backoff_seed=fault_seed,
+        journal=journal,
+        timeline=timeline,
+    )
     if resume is not None:
         _console.status(f"resuming campaign from journal: {resume}")
     if journal:
@@ -1528,9 +1508,7 @@ def _cmd_campaign(
             f"(render with `tgi dashboard --timeline {timeline}`)"
         )
 
-    run_kwargs = {"label": "cli-campaign"}
-    if sharded:
-        run_kwargs["resume"] = resume is not None
+    run_kwargs = {"label": "cli-campaign", "resume": resume is not None}
     session = None
     if telemetry:
         with tele.use(tele.TelemetrySession(label="cli-campaign")) as session:
@@ -1596,18 +1574,16 @@ def _cmd_campaign(
             f"timelines: {timeline_block['artifacts']} artifact(s) in "
             f"{timeline_block['dir']}"
         )
-    sharding_block = manifest.get("sharding")
-    if sharding_block:
-        _console.status(
-            f"sharding: {sharding_block['shards']} shard(s) over "
-            f"{sharding_block['transport']} transport, "
-            f"{sharding_block['stolen']} job(s) stolen"
-            + (
-                f", {sharding_block['jobs_recovered']} recovered on resume"
-                if sharding_block.get("resumed")
-                else ""
-            )
+    sharding = manifest["sharding"]
+    _console.status(
+        f"sharding: {sharding['shards']} shard(s) over "
+        f"{sharding['transport']} transport, {sharding['stolen']} job(s) stolen"
+        + (
+            f", {sharding['jobs_recovered']} recovered on resume"
+            if sharding["resumed"]
+            else ""
         )
+    )
     if manifest_path:
         result.write_manifest(manifest_path)
         _console.status(f"manifest written to {manifest_path}")

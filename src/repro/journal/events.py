@@ -31,8 +31,8 @@ Event types
 ``run.start`` / ``run.stop``
     Campaign lifecycle.  ``run.stop`` carries the terminal ``status``
     (``ok``/``failed``/``aborted``) — its *absence* is how a reader
-    detects a crashed or in-flight run.  Sharded runs add the optional
-    ``shards`` count.
+    detects a crashed or in-flight run.  ``run.start`` also carries the
+    run's ``shards`` count (optional in the schema).
 ``run.resumed``
     A crash-resumed campaign picked the journal back up: how many jobs
     were recovered (terminal in the replayed state *and* recoverable from
@@ -40,7 +40,7 @@ Event types
     the original ``run_id`` and extends the same file, so one journal
     tells the whole story.
 ``shard.planned``
-    One per shard of a sharded campaign: the shard ordinal and how many
+    One per shard of the campaign's plan: the shard ordinal and how many
     jobs the deterministic plan placed in it.
 ``job.scheduled``
     One per job, in submission order, with the content-addressed job key.

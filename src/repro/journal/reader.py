@@ -16,7 +16,7 @@ The journal is append-only JSONL, so reading it back is mostly
 :func:`replay` is the load-bearing piece: it folds a stream of events
 into a :class:`RunState` whose per-job attempt/outcome records match what
 the campaign manifest says happened — the substrate
-:class:`repro.campaign.scheduler.ShardedCampaignScheduler` replays on
+:class:`repro.campaign.runner.CampaignRunner` replays on
 ``--resume`` before re-scheduling the remainder.
 """
 

@@ -18,7 +18,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.campaign import CampaignJob, ClusterRef, ResultCache, cache_key, canonical_json
+from repro.campaign import (
+    CampaignJob,
+    ClusterRef,
+    ResultCache,
+    ShardedCampaignScheduler,
+    cache_key,
+    canonical_json,
+)
 from repro.exceptions import ReproError
 from repro.experiments import PAPER_CONFIG
 
@@ -225,6 +232,35 @@ def _stress_worker(cache_dir, keys, rounds):
             except Exception as exc:  # noqa: BLE001 - reported to the parent
                 errors.append(f"{type(exc).__name__}: {exc}")
     return cache.stats.as_dict(), errors
+
+
+class TestCampaignProbes:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cold_run_probes_each_job_once(self, tmp_path, workers):
+        """The parent's pre-dispatch probe is the only one a job gets."""
+        config = dataclasses.replace(
+            PAPER_CONFIG,
+            core_counts=(16,),
+            hpl_problem_size=2240,
+            hpl_rounds=1,
+            stream_target_seconds=2,
+            iozone_target_seconds=2,
+        )
+        jobs = [
+            CampaignJob(
+                job_id=f"j{i}",
+                cluster=ClusterRef(kind="preset", name="fire", num_nodes=2),
+                core_counts=(16,),
+                seed=i,
+                config=config,
+            )
+            for i in range(2)
+        ]
+        cache = ResultCache(tmp_path / "cache")
+        result = ShardedCampaignScheduler(workers=workers, cache=cache).run(jobs)
+        assert cache.stats.misses == len(jobs)
+        assert cache.stats.puts == len(jobs)
+        assert result.cache_stats["misses"] == len(jobs)
 
 
 class TestSharedCacheStress:

@@ -1,0 +1,155 @@
+"""Executor drills: end-to-end campaign plays, selected with ``-m drill``.
+
+Each drill drives :class:`~repro.campaign.CampaignRunner` the way an
+operator would: a fleet campaign through the Python API, then the same
+artifacts through the CLI (``repro.cli.main``), with the assertions the
+artifacts must satisfy.  They cost tens of seconds, so the default run
+skips them (``addopts`` deselects the ``drill`` marker); run them with
+``pytest -m drill``.  CI's ``resume-drill`` and ``dashboard-drill`` jobs
+add ``--basetemp artifacts/pytest`` so the drill outputs are uploaded.
+"""
+
+import dataclasses
+import json
+
+import pytest
+
+from repro import journal as jrnl
+from repro import timeline as tline
+from repro.campaign import CampaignRunner, ResultCache
+from repro.campaign.jobs import CampaignJob, ClusterRef
+from repro.cli import main
+from repro.experiments import PAPER_CONFIG
+from repro.faults import FaultPlan
+
+pytestmark = pytest.mark.drill
+
+QUICK_CONFIG = dataclasses.replace(
+    PAPER_CONFIG,
+    hpl_problem_size=2240,
+    hpl_rounds=1,
+    stream_target_seconds=2,
+    iozone_target_seconds=2,
+)
+
+#: The drill fleet's machine mix, repeated to the drill's size.
+MACHINES = [("fire", 1), ("fire", 2), ("system_g", 1), ("modern_cluster", 1), ("fire", 4)]
+
+
+def fleet(repeats, *, faulty_every=0):
+    """Quick one-point jobs over :data:`MACHINES`; every ``faulty_every``-th
+    job takes simulated node-crash faults."""
+    return [
+        CampaignJob(
+            job_id=f"fleet-{i:03d}",
+            cluster=ClusterRef(kind="preset", name=name, num_nodes=nodes),
+            core_counts=(8,),
+            seed=i,
+            config=QUICK_CONFIG,
+            faults=FaultPlan(node_crash_probability=0.4, seed=i)
+            if faulty_every and i % faulty_every == 0
+            else None,
+        )
+        for i, (name, nodes) in enumerate(MACHINES * repeats)
+    ]
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_ambient():
+    jrnl.detach()
+    yield
+    assert jrnl.ambient() is None, "drill leaked an ambient journal writer"
+
+
+class TestResumeDrill:
+    def test_fleet_campaign_killed_mid_run_then_resumed(self, tmp_path):
+        """Node-crash faults, a kill mid-run, a pooled resume: same fingerprint."""
+        jobs = fleet(3, faulty_every=3)
+        reference = CampaignRunner(workers=1, retries=3, keep_going=True).run(
+            jobs, label="resume-drill"
+        )
+        # Leg 1: a sharded run killed mid-campaign by the drill writer.
+        # Inline (workers=1) so every event funnels through the crashing
+        # parent writer; pool workers would journal via their own handles.
+        cache = ResultCache(tmp_path / "cache")
+        path = tmp_path / "run.jsonl"
+        crasher = jrnl.CrashingJournalWriter(path, crash_after=40, label="resume-drill")
+        with pytest.raises(jrnl.SimulatedCrash):
+            CampaignRunner(
+                workers=1, shards=4, cache=cache, journal=crasher,
+                retries=3, keep_going=True,
+            ).run(jobs, label="resume-drill")
+        state = jrnl.replay_journal(path)
+        assert state.started and not state.stopped  # the crash signature
+
+        # Leg 2: resume the same journal against the same cache, pooled.
+        result = CampaignRunner(
+            workers=2, shards=4, cache=cache, journal=path,
+            retries=3, keep_going=True,
+        ).run(jobs, label="resume-drill", resume=True)
+        result.write_manifest(tmp_path / "manifest.json")
+        assert result.manifest["fingerprint"] == reference.manifest["fingerprint"], (
+            "resumed manifest diverged from the uninterrupted reference"
+        )
+        final = jrnl.replay_journal(path)
+        assert final.stopped and final.resumes == 1
+        assert final.run_id == state.run_id, "resume minted a new run id"
+        sharding = result.manifest["sharding"]
+        assert sharding["resumed"] and sharding["jobs_recovered"] > 0
+        assert final.faults, "node-crash faults never journaled"
+
+        # The extended journal validates event for event.
+        assert main(["journal", "validate", str(path)]) == 0
+
+    def test_cli_shards_then_resume_keeps_the_fingerprint(self, tmp_path):
+        cache_dir = str(tmp_path / "cli-cache")
+        journal = str(tmp_path / "cli.jsonl")
+        sharded_path = tmp_path / "cli-sharded.json"
+        resumed_path = tmp_path / "cli-resumed.json"
+        assert main([
+            "campaign", "--workers", "2", "--shards", "4",
+            "--cache-dir", cache_dir, "--journal", journal,
+            "--manifest", str(sharded_path),
+        ]) == 0
+        assert main([
+            "campaign", "--resume", journal, "--cache-dir", cache_dir,
+            "--manifest", str(resumed_path),
+        ]) == 0
+        sharded = json.loads(sharded_path.read_text())
+        resumed = json.loads(resumed_path.read_text())
+        assert sharded["fingerprint"] == resumed["fingerprint"]
+        assert resumed["sharding"]["resumed"] is True
+        assert resumed["sharding"]["jobs_recovered"] == len(resumed["jobs"])
+
+
+class TestDashboardDrill:
+    def test_fleet_campaign_timelines_render_a_green_dashboard(self, tmp_path):
+        jobs = fleet(10)
+        assert len(jobs) >= 50
+        timelines = tmp_path / "timelines"
+        journal = tmp_path / "fleet.jsonl"
+        manifest = tmp_path / "manifest.json"
+        result = CampaignRunner(workers=2, journal=journal, timeline=timelines).run(
+            jobs, label="dashboard-drill"
+        )
+        result.write_manifest(manifest)
+        assert not result.failed, result.failed
+        block = result.manifest["timeline"]
+        assert block["artifacts"] == len(jobs), block
+
+        html_path = tmp_path / "fleet.html"
+        assert main([
+            "dashboard", "--timeline", str(timelines), "--manifest", str(manifest),
+            "--journal", str(journal), "-o", str(html_path),
+        ]) == 0
+        html = html_path.read_text()
+        assert html.startswith("<!DOCTYPE html>")
+        assert "http://" not in html and "https://" not in html, "network fetch"
+        assert "<script" not in html, "scripts in a static dashboard"
+        for section in ("Fleet ranking", "Per-system power timelines", "Journal summary"):
+            assert section in html, f"missing section: {section}"
+
+        agg = tline.FleetAggregator()
+        agg.add_directory(timelines)
+        assert agg.runs_total >= 50, agg.runs_total
+        assert agg.audits_failed == 0, f"{agg.audits_failed} audits failed"

@@ -294,25 +294,32 @@ class TestRetries:
 
 
 # ---------------------------------------------------------------------------
-class _DyingPool:
-    """A ProcessPoolExecutor stand-in that dies after the first result."""
+class _DyingPool(runner_module.WorkerTransport):
+    """A ProcessPoolTransport stand-in that dies after its first result.
 
-    def __init__(self, max_workers=None):
-        self.max_workers = max_workers
+    Submitted items queue up unexecuted, like work a real pool has not
+    reached yet; the first result runs through the real worker shim, and
+    the pool then fails with the ``OSError`` a dead pool can raise.
+    """
 
-    def __enter__(self):
-        return self
+    name = "process-pool"
 
-    def __exit__(self, *exc):
-        return False
+    def __init__(self, workers):
+        self.slots = workers
+        self.queued = []
+        self.delivered = False
 
-    def shutdown(self, **kwargs):
-        pass
+    def submit(self, item):
+        self.queued.append(item)
 
-    def map(self, fn, iterable):
-        items = list(iterable)
-        yield fn(items[0])
-        raise OSError("simulated pool death after one result")
+    def next_result(self):
+        if self.delivered:
+            raise OSError("simulated pool death after one result")
+        self.delivered = True
+        return runner_module._pool_worker(self.queued.pop(0))
+
+    def outstanding(self):
+        return len(self.queued)
 
 
 class TestPoolDeath:
@@ -324,11 +331,11 @@ class TestPoolDeath:
             calls.append(job.job_id)
             return real_attempt(job, **kwargs)
 
-        monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _DyingPool)
+        monkeypatch.setattr(runner_module, "ProcessPoolTransport", _DyingPool)
         monkeypatch.setattr(runner_module, "_attempt_job", counting_attempt)
         result = CampaignRunner(workers=WORKERS).run(quick_jobs())
         # Job 0 ran inside the fake pool (inline, so it was counted once);
-        # only job 1 may run again on the serial fallback — the bug was
+        # only job 1 may run again on the inline fallback — the bug was
         # re-executing *everything* still marked pending.
         assert calls.count("reference") == 1
         assert calls.count("fire-sweep") == 1
