@@ -1,9 +1,10 @@
 """Interconnect topologies.
 
-A :class:`Topology` wraps a :class:`networkx.Graph` whose nodes are compute
-nodes (integers ``0..n-1``) and switches (strings ``"sw..."``), and exposes
-the two quantities the communication model needs: hop counts between compute
-nodes and the bisection bandwidth (in links) of the fabric.
+A :class:`Topology` is a frozen value — fabric kind, compute-endpoint count
+and (for fat trees) leaf radix — that answers the two quantities the
+communication model needs: hop counts between compute nodes (integers
+``0..n-1``) and the bisection bandwidth (in links) of the fabric.  Every
+answer is a closed form, exact for the switch graph each kind describes.
 
 Three constructors cover the systems modelled:
 
@@ -16,49 +17,45 @@ Three constructors cover the systems modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import Optional
 
 from ..exceptions import SpecError
 from ..validation import check_positive_int
 
 __all__ = ["Topology", "star_topology", "fat_tree_topology", "ring_topology"]
 
+_KINDS = ("star", "fat-tree", "ring")
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True)
 class Topology:
     """A named interconnect fabric over ``num_nodes`` compute endpoints.
 
-    Equality is by *value* (name, endpoint count, edge set) rather than by
-    graph identity — two independently-built star topologies over the same
-    nodes compare equal, which keeps :class:`~repro.cluster.cluster.ClusterSpec`
-    equality intuitive.
+    ``kind`` is ``"star"``, ``"fat-tree"`` or ``"ring"``.  ``leaf_radix`` is
+    the number of consecutive compute nodes per fat-tree leaf switch and is
+    ``None`` for the other kinds.  Equality and hash are by these fields, so
+    two independently built fabrics with the same parameters compare equal.
     """
 
-    name: str
+    kind: str
     num_nodes: int
-    graph: nx.Graph
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Topology):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.num_nodes == other.num_nodes
-            and set(map(frozenset, self.graph.edges)) == set(map(frozenset, other.graph.edges))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.num_nodes))
+    leaf_radix: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise SpecError(f"topology kind must be one of {_KINDS}, got {self.kind!r}")
         check_positive_int(self.num_nodes, "num_nodes", exc=SpecError)
-        for i in range(self.num_nodes):
-            if i not in self.graph:
-                raise SpecError(f"compute node {i} missing from topology graph")
-        # Per-instance memo for hop queries: figure sweeps ask for the same
-        # pairs thousands of times.
-        object.__setattr__(self, "_hop_cache", {})
+        if self.kind == "fat-tree":
+            check_positive_int(self.leaf_radix, "leaf_radix", exc=SpecError)
+        elif self.leaf_radix is not None:
+            raise SpecError(f"leaf_radix applies only to fat trees, not {self.kind}")
+
+    @property
+    def name(self) -> str:
+        """Display name, e.g. ``star(8)`` or ``fat-tree(32,radix=16)``."""
+        if self.kind == "fat-tree":
+            return f"fat-tree({self.num_nodes},radix={self.leaf_radix})"
+        return f"{self.kind}({self.num_nodes})"
 
     def hops(self, a: int, b: int) -> int:
         """Number of links on the shortest path between compute nodes."""
@@ -66,54 +63,67 @@ class Topology:
         self._check_endpoint(b)
         if a == b:
             return 0
-        key = (a, b) if a < b else (b, a)
-        hit = self._hop_cache.get(key)
-        if hit is None:
-            hit = nx.shortest_path_length(self.graph, a, b)
-            self._hop_cache[key] = hit
-        return hit
+        if self.kind == "star":
+            return 2
+        if self.kind == "ring":
+            d = abs(a - b)
+            return min(d, self.num_nodes - d)
+        return 2 if a // self.leaf_radix == b // self.leaf_radix else 4
 
     def max_hops(self) -> int:
         """Diameter restricted to compute endpoints."""
-        worst = 0
-        for a in range(self.num_nodes):
-            for b in range(a + 1, self.num_nodes):
-                worst = max(worst, self.hops(a, b))
-        return worst
+        n = self.num_nodes
+        if n == 1:
+            return 0
+        if self.kind == "star":
+            return 2
+        if self.kind == "ring":
+            return n // 2
+        return 4 if n > self.leaf_radix else 2
 
     def mean_hops(self) -> float:
-        """Mean pairwise hop count over distinct compute endpoints."""
-        if self.num_nodes == 1:
+        """Mean pairwise hop count over distinct compute endpoints.
+
+        Each mean is a ratio of integers divided last, so the float is the
+        correctly rounded mean: the same bits as summing every pair's hops.
+        """
+        n = self.num_nodes
+        if n == 1:
             return 0.0
-        total = 0
-        pairs = 0
-        for a in range(self.num_nodes):
-            for b in range(a + 1, self.num_nodes):
-                total += self.hops(a, b)
-                pairs += 1
-        return total / pairs
+        if self.kind == "star":
+            return 2.0
+        if self.kind == "ring":
+            # every node's distances to the others sum to floor(n^2 / 4)
+            return (n * n // 4) / (n - 1)
+        r = self.leaf_radix
+        same_leaf = (n // r) * (r * (r - 1) // 2) + (n % r) * (n % r - 1) // 2
+        pairs = n * (n - 1) // 2
+        return (2 * same_leaf + 4 * (pairs - same_leaf)) / pairs
 
     def bisection_links(self) -> int:
-        """Minimum number of links cut to split compute nodes in half.
-
-        Computed exactly via max-flow between the two halves of the
-        endpoint set, which upper-bounds all-to-all throughput.
-        """
-        if self.num_nodes == 1:
-            return 0
-        g = self.graph.copy()
-        half = self.num_nodes // 2
-        src, dst = "_bisect_src", "_bisect_dst"
-        g.add_node(src)
-        g.add_node(dst)
-        for i in range(half):
-            g.add_edge(src, i, capacity=float("inf"))
-        for i in range(half, self.num_nodes):
-            g.add_edge(i, dst, capacity=float("inf"))
-        for u, v, data in self.graph.edges(data=True):
-            g[u][v]["capacity"] = float(data.get("multiplicity", 1))
-        value, _ = nx.maximum_flow(g, src, dst)
-        return int(value)
+        """Minimum number of links cut to split nodes ``[0, n//2)`` from
+        ``[n//2, n)`` — the max-flow between the halves, which upper-bounds
+        all-to-all throughput."""
+        n = self.num_nodes
+        half = n // 2
+        if self.kind == "star":
+            return half
+        if self.kind == "ring":
+            return min(n - 1, 2)
+        # Fat tree: each leaf pairs its own first-half and second-half nodes
+        # locally; the surplus of either side crosses the spine through at
+        # most ``uplinks`` links per leaf.
+        r = self.leaf_radix
+        uplinks = max(1, r // 2)
+        local = up = down = 0
+        for lo in range(0, n, r):
+            size = min(r, n - lo)
+            first = min(max(half - lo, 0), size)
+            second = size - first
+            local += min(first, second)
+            up += min(max(first - second, 0), uplinks)
+            down += min(max(second - first, 0), uplinks)
+        return local + min(up, down)
 
     def _check_endpoint(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
@@ -124,14 +134,7 @@ class Topology:
 
 def star_topology(num_nodes: int) -> Topology:
     """All compute nodes attached to one crossbar switch (2 hops pairwise)."""
-    check_positive_int(num_nodes, "num_nodes", exc=SpecError)
-    g = nx.Graph()
-    g.add_nodes_from(range(num_nodes))
-    if num_nodes > 1:
-        g.add_node("sw0")
-        for i in range(num_nodes):
-            g.add_edge(i, "sw0")
-    return Topology(name=f"star({num_nodes})", num_nodes=num_nodes, graph=g)
+    return Topology("star", num_nodes)
 
 
 def fat_tree_topology(num_nodes: int, *, leaf_radix: int = 16) -> Topology:
@@ -141,36 +144,9 @@ def fat_tree_topology(num_nodes: int, *, leaf_radix: int = 16) -> Topology:
     leaf gets ``leaf_radix // 2`` uplinks (2:1 oversubscription, typical of
     the era) — this shapes :meth:`Topology.bisection_links`.
     """
-    check_positive_int(num_nodes, "num_nodes", exc=SpecError)
-    check_positive_int(leaf_radix, "leaf_radix", exc=SpecError)
-    g = nx.Graph()
-    g.add_nodes_from(range(num_nodes))
-    num_leaves = (num_nodes + leaf_radix - 1) // leaf_radix
-    if num_nodes > 1:
-        uplinks = max(1, leaf_radix // 2)
-        g.add_node("spine0")
-        for leaf in range(num_leaves):
-            sw = f"leaf{leaf}"
-            g.add_node(sw)
-            lo = leaf * leaf_radix
-            hi = min(lo + leaf_radix, num_nodes)
-            for i in range(lo, hi):
-                g.add_edge(i, sw)
-            if num_leaves > 1:
-                # parallel uplinks collapse to capacity in bisection; model as
-                # a single multigraph-free edge with recorded multiplicity
-                g.add_edge(sw, "spine0", multiplicity=uplinks)
-    return Topology(name=f"fat-tree({num_nodes},radix={leaf_radix})", num_nodes=num_nodes, graph=g)
+    return Topology("fat-tree", num_nodes, leaf_radix)
 
 
 def ring_topology(num_nodes: int) -> Topology:
     """1-D torus: node ``i`` linked to ``(i +/- 1) mod n``."""
-    check_positive_int(num_nodes, "num_nodes", exc=SpecError)
-    g = nx.Graph()
-    g.add_nodes_from(range(num_nodes))
-    if num_nodes == 2:
-        g.add_edge(0, 1)
-    elif num_nodes > 2:
-        for i in range(num_nodes):
-            g.add_edge(i, (i + 1) % num_nodes)
-    return Topology(name=f"ring({num_nodes})", num_nodes=num_nodes, graph=g)
+    return Topology("ring", num_nodes)

@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import SimulationError
 from ..validation import check_non_negative, check_positive_int
@@ -108,72 +106,6 @@ class CommunicationModel:
         alpha = self.effective_latency()
         beta = self.cluster.node.nic.bandwidth
         return (num_ranks - 1) * (alpha + message_bytes_per_pair / beta)
-
-    # ------------------------------------------------------------------
-    # Batch (vectorized) forms — used when compiling programs for
-    # thousands of ranks, where per-message Python calls would dominate.
-    # Each is elementwise identical to its scalar counterpart.
-    # ------------------------------------------------------------------
-    #: Collective ops accepted by :meth:`collective_times`.
-    COLLECTIVE_OPS = ("broadcast", "allreduce", "allgather", "alltoall")
-
-    def collective_times(self, op: str, message_bytes, num_ranks: int) -> np.ndarray:
-        """Vectorized collective cost for an array of message sizes.
-
-        ``collective_times(op, m, p)[i] == <op>_time(m[i], p)`` exactly:
-        the same alpha-beta formulas evaluated as array expressions.
-        """
-        if op not in self.COLLECTIVE_OPS:
-            raise SimulationError(
-                f"op must be one of {self.COLLECTIVE_OPS}, got {op!r}"
-            )
-        m = np.asarray(message_bytes, dtype=float)
-        if m.size and not (m >= 0).all():
-            raise SimulationError("message_bytes must be >= 0")
-        check_positive_int(num_ranks, "num_ranks", exc=SimulationError)
-        if num_ranks == 1:
-            return np.zeros(m.shape)
-        alpha = self.effective_latency()
-        beta = self.cluster.node.nic.bandwidth
-        p = num_ranks
-        if op == "broadcast":
-            return math.ceil(math.log2(p)) * (alpha + m / beta)
-        if op == "allreduce":
-            return 2 * math.log2(p) * alpha + 2 * m * (p - 1) / (p * beta)
-        if op == "allgather":
-            return (p - 1) * alpha + (p - 1) / p * (m * p) / beta
-        # alltoall
-        return (p - 1) * (alpha + m / beta)
-
-    def p2p_times(self, message_bytes, node_a, node_b) -> np.ndarray:
-        """Vectorized :meth:`p2p_time` over arrays of messages/endpoints.
-
-        ``message_bytes``, ``node_a`` and ``node_b`` broadcast together;
-        hop counts are looked up once per distinct node pair.
-        """
-        m, a, b = np.broadcast_arrays(
-            np.asarray(message_bytes, dtype=float),
-            np.asarray(node_a, dtype=np.intp),
-            np.asarray(node_b, dtype=np.intp),
-        )
-        if m.size and not (m >= 0).all():
-            raise SimulationError("message_bytes must be >= 0")
-        nic = self.cluster.node.nic
-        out = np.empty(m.shape)
-        intra = a == b
-        out[intra] = _INTRA_NODE_LATENCY_S + m[intra] / _INTRA_NODE_BANDWIDTH
-        inter = ~intra
-        if inter.any():
-            lo = np.minimum(a[inter], b[inter])
-            hi = np.maximum(a[inter], b[inter])
-            pairs, inv = np.unique(np.stack([lo, hi]), axis=1, return_inverse=True)
-            hops_of_pair = np.fromiter(
-                (self.cluster.topology.hops(int(x), int(y)) for x, y in pairs.T),
-                float,
-                pairs.shape[1],
-            )
-            out[inter] = hops_of_pair[inv] * nic.latency_s + m[inter] / nic.bandwidth
-        return out
 
     def barrier_time(self, num_ranks: int) -> float:
         """Dissemination barrier: ``ceil(log2 p)`` latency rounds."""

@@ -1,12 +1,13 @@
 """Executor drills: end-to-end campaign plays, selected with ``-m drill``.
 
-Each drill drives :class:`~repro.campaign.CampaignRunner` the way an
-operator would: a fleet campaign through the Python API, then the same
-artifacts through the CLI (``repro.cli.main``), with the assertions the
-artifacts must satisfy.  They cost tens of seconds, so the default run
-skips them (``addopts`` deselects the ``drill`` marker); run them with
-``pytest -m drill``.  CI's ``resume-drill`` and ``dashboard-drill`` jobs
-add ``--basetemp artifacts/pytest`` so the drill outputs are uploaded.
+Each drill drives :class:`~repro.campaign.CampaignRunner` or
+:class:`~repro.fleet.FleetRankingPipeline` the way an operator would: a
+fleet run through the Python API, then the same artifacts through the CLI
+(``repro.cli.main``), with the assertions the artifacts must satisfy.
+They cost tens of seconds, so the default run skips them (``addopts``
+deselects the ``drill`` marker); run them with ``pytest -m drill``.  CI's
+``resume-drill``, ``dashboard-drill`` and ``fleet-rank-drill`` jobs add
+``--basetemp artifacts/pytest`` so the drill outputs are uploaded.
 """
 
 import dataclasses
@@ -21,6 +22,12 @@ from repro.campaign.jobs import CampaignJob, ClusterRef
 from repro.cli import main
 from repro.experiments import PAPER_CONFIG
 from repro.faults import FaultPlan
+from repro.fleet import (
+    FLEET_BENCHMARKS,
+    FleetRankingPipeline,
+    evaluate_system,
+    generated_fleet_members,
+)
 
 pytestmark = pytest.mark.drill
 
@@ -153,3 +160,44 @@ class TestDashboardDrill:
         agg.add_directory(timelines)
         assert agg.runs_total >= 50, agg.runs_total
         assert agg.audits_failed == 0, f"{agg.audits_failed} audits failed"
+
+
+class TestFleetRankDrill:
+    def test_thousand_systems_match_the_scalar_oracle(self, tmp_path):
+        """A 1,000-system batched rank, spot-checked member by member."""
+        members = generated_fleet_members(1000, era="2011", fleet_seed=20110615)
+        journal = tmp_path / "fleet-rank.jsonl"
+        ranking = FleetRankingPipeline(config=QUICK_CONFIG, journal=journal).rank(
+            members, label="fleet-rank-drill"
+        )
+        assert len(ranking) == 1000
+        assert ranking.stats["batched"] == 1000
+        assert ranking.stats["simulated"] == 0
+        assert [r.tgi_rank for r in ranking.rows] == list(range(1, 1001))
+        for member in members[::197]:
+            row = ranking.row(member.name)
+            oracle = evaluate_system(member.cluster.resolve(), QUICK_CONFIG)
+            for b in FLEET_BENCHMARKS:
+                got, want = row.efficiencies[b], oracle[b]["efficiency"]
+                assert abs(got - want) <= 1e-9 * abs(want), (member.name, b)
+
+        # The fleet journal validates event for event.
+        assert main(["journal", "validate", str(journal)]) == 0
+
+    def test_cli_fleet_rank_table_and_json(self, tmp_path, capsys):
+        assert main(["fleet", "rank", "--count", "50", "--top", "10"]) == 0
+        table = capsys.readouterr().out
+        (tmp_path / "fleet-rank.txt").write_text(table)
+        assert "TGI rank" in table and "MFLOPS/W" in table
+
+        assert main([
+            "fleet", "rank", "--count", "50", "--weights", "HPL=2,STREAM=1,IOzone=1",
+            "--json",
+        ]) == 0
+        out = capsys.readouterr().out
+        (tmp_path / "fleet-rank.json").write_text(out)
+        payload = json.loads(out)
+        assert len(payload["rows"]) == 50
+        assert payload["rows"][0]["tgi_rank"] == 1
+        assert payload["weights"]["HPL"] == 0.5
+        assert payload["stats"]["batched"] == 50

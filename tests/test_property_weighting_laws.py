@@ -13,7 +13,7 @@ them, not just at the paper's operating point.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.benchmarks.base import BenchmarkResult
@@ -171,11 +171,34 @@ class TestEnergyAndPowerWeightsLoseIt:
         assert redistributed == pytest.approx(base, rel=1e-9)
 
     @given(params=suite_params(), reference=references(), k=st.floats(min_value=1.5, max_value=10.0))
+    # Draws on the curve where the two ratios meet (they differ by <1e-6).
+    @example(
+        params={"HPL": (1.0, 1.0, 1.0), "STREAM": (16.0, 14.0, 11.0), "IOzone": (1.0, 16.0, 24.0)},
+        reference=ReferenceSet({"HPL": 26.0, "STREAM": 2.0, "IOzone": 4.0}, system_name="synthetic-ref"),
+        k=2.0,
+    )
+    @example(
+        params={"HPL": (1.0, 0.03125, 0.015625), "STREAM": (1.0, 3.0, 6.0), "IOzone": (19.0, 39.0, 0.015625)},
+        reference=ReferenceSet({"HPL": 1.0, "STREAM": 1.0, "IOzone": 1.0}, system_name="synthetic-ref"),
+        k=1.5,
+    )
+    @example(
+        params={"HPL": (47.0, 0.0625, 5.25), "STREAM": (7.0, 42.0, 39.0), "IOzone": (1.0, 34.0, 49.0)},
+        reference=ReferenceSet({"HPL": 3.0, "STREAM": 0.01, "IOzone": 1.0}, system_name="synthetic-ref"),
+        k=2.5,
+    )
     @settings(max_examples=100, deadline=None)
     def test_energy_weighted_fails_inverse_proportionality(self, params, reference, k):
         """Scaling only ONE benchmark's energy by k does NOT scale the
         energy-weighted TGI by the Eq. 13 amount — the property the paper
-        wants is genuinely absent, not just rescaled."""
+        wants is genuinely absent, not just rescaled.
+
+        Both ratios are closed forms in the victim's shares: Eq. 13 gives
+        ``1 - (1 - 1/k) s_T`` with ``s_T`` its share of the time-weighted
+        sum, Eq. 14 gives ``1 / (1 + (k - 1) s_E)`` with ``s_E`` its share of
+        the energy.  They coincide near ``s_T = k s_E``, so the two ratios
+        are compared with each other only off that curve.
+        """
         time_based = TimeWeights()
         energy_based = EnergyWeights()
         victim = BENCHES[0]
@@ -188,9 +211,19 @@ class TestEnergyAndPowerWeightsLoseIt:
         ratio_energy = tgi(make_suite(worse), reference, energy_based) / tgi(
             make_suite(params), reference, energy_based
         )
+        # Eq. 13's per-benchmark term t^2 M / (e EE_ref) with e = p t
+        time_terms = {n: t * m / (p * reference.efficiency(n)) for n, (m, t, p) in params.items()}
+        energies = {n: p * t for n, (_, t, p) in params.items()}
+        s_time = time_terms[victim] / sum(time_terms.values())
+        s_energy = energies[victim] / sum(energies.values())
+        predicted_time = 1 - (1 - 1 / k) * s_time
+        predicted_energy = 1 / (1 + (k - 1) * s_energy)
         # time weights strictly punish the waste; energy weights punish it
-        # by a different (weaker, possibly zero) amount
+        # by a different amount
         assert ratio_time < 1.0
+        assert ratio_time == pytest.approx(predicted_time, rel=1e-9)
+        assert ratio_energy == pytest.approx(predicted_energy, rel=1e-9)
+        assume(abs(predicted_energy - predicted_time) > 1e-5 * predicted_time)
         assert ratio_energy != pytest.approx(ratio_time, rel=1e-6)
 
     @given(params=suite_params(), reference=references(), share=st.floats(min_value=0.1, max_value=0.9))

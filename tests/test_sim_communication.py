@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
@@ -82,49 +81,3 @@ class TestCollectives:
         comm = CommunicationModel(cluster=single)
         assert comm.effective_latency() < 1e-6  # shared-memory latency
 
-
-class TestBatchForms:
-    """The vectorized batch methods must match the scalars elementwise."""
-
-    sizes = [0.0, 1.0, 512.0, 1e5, 1e6, 3.7e8]
-
-    @pytest.mark.parametrize("op", CommunicationModel.COLLECTIVE_OPS)
-    @pytest.mark.parametrize("num_ranks", [1, 2, 7, 64])
-    def test_collective_times_match_scalars(self, comm, op, num_ranks):
-        scalar = getattr(comm, f"{op}_time")
-        batch = comm.collective_times(op, self.sizes, num_ranks)
-        assert batch.shape == (len(self.sizes),)
-        for got, m in zip(batch, self.sizes):
-            assert got == pytest.approx(scalar(m, num_ranks), rel=1e-12, abs=0.0)
-
-    def test_collective_times_unknown_op(self, comm):
-        with pytest.raises(SimulationError, match="op must be one of"):
-            comm.collective_times("gossip", [1.0], 4)
-
-    def test_collective_times_negative_bytes(self, comm):
-        with pytest.raises(SimulationError):
-            comm.collective_times("broadcast", [1.0, -2.0], 4)
-
-    def test_p2p_times_match_scalars(self, comm, fire):
-        nodes = fire.num_nodes
-        m = np.array(self.sizes)
-        a = np.arange(len(self.sizes)) % nodes
-        b = (np.arange(len(self.sizes)) * 3 + 1) % nodes
-        batch = comm.p2p_times(m, a, b)
-        for k in range(len(self.sizes)):
-            assert batch[k] == pytest.approx(
-                comm.p2p_time(float(m[k]), int(a[k]), int(b[k])), rel=1e-12, abs=0.0
-            )
-
-    def test_p2p_times_broadcasts_scalar_endpoints(self, comm):
-        batch = comm.p2p_times(self.sizes, 0, 1)
-        assert batch.shape == (len(self.sizes),)
-        assert batch[0] == pytest.approx(comm.p2p_time(0.0, 0, 1))
-
-    def test_p2p_times_intra_node(self, comm):
-        batch = comm.p2p_times([1e6], 2, 2)
-        assert batch[0] == pytest.approx(comm.p2p_time(1e6, 2, 2))
-
-    def test_p2p_times_negative_bytes(self, comm):
-        with pytest.raises(SimulationError):
-            comm.p2p_times([-1.0], 0, 1)
