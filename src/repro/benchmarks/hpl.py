@@ -25,7 +25,7 @@ from ..exceptions import BenchmarkError
 from ..perfmodels.hpl import HPLModel
 from ..sim.executor import ClusterExecutor
 from ..sim.placement import breadth_first_placement
-from ..sim.workload import RankProgram, barrier, comm_phase, compute_phase
+from ..sim.workload import Phase, RankProgram, barrier, comm_phase, compute_phase
 from .base import Benchmark, BuiltRun
 
 __all__ = ["HPLBenchmark"]
@@ -118,30 +118,22 @@ class HPLBenchmark(Benchmark):
         acc_share = 0.0
         if cluster.node.accelerators:
             acc_share = min(1.0, 1.0 / ranks_per_node)
-        programs = []
-        for rank in range(scale):
-            program = RankProgram(rank=rank)
-            for _ in range(rounds):
-                program.append(
-                    compute_phase(
-                        comp_slice,
-                        intensity=self.compute_intensity,
-                        memory=self.memory_per_rank,
-                        accelerator=acc_share,
-                        label="hpl-update",
-                    )
-                )
-                if comm_slice > 0:
-                    program.append(
-                        comm_phase(
-                            comm_slice,
-                            nic=_HPL_NIC_UTIL,
-                            intensity=self.comm_intensity,
-                            label="hpl-bcast",
-                        )
-                    )
-                program.append(barrier())
-            programs.append(program)
+        update = compute_phase(
+            comp_slice,
+            intensity=self.compute_intensity,
+            memory=self.memory_per_rank,
+            accelerator=acc_share,
+            label="hpl-update",
+        )
+        step: Tuple[Phase, ...] = (update,)
+        if comm_slice > 0:
+            bcast = comm_phase(
+                comm_slice, nic=_HPL_NIC_UTIL, intensity=self.comm_intensity, label="hpl-bcast"
+            )
+            step += (bcast,)
+        # Every rank runs the same super-steps, so all ranks share one template.
+        template = (*step, barrier()) * rounds
+        programs = tuple(RankProgram(rank=rank, phases=template) for rank in range(scale))
 
         details: Dict[str, float] = {
             "problem_size": float(n),
@@ -153,7 +145,7 @@ class HPLBenchmark(Benchmark):
         }
         return BuiltRun(
             placement=placement,
-            programs=tuple(programs),
+            programs=programs,
             performance=prediction.performance_flops,
             details=details,
         )

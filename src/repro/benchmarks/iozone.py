@@ -86,9 +86,8 @@ class IOzoneBenchmark(Benchmark):
             storage=1.0,
             label="iozone-write",
         )
-        programs = tuple(
-            RankProgram(rank=rank, phases=[write]) for rank in range(scale)
-        )
+        template = (write,)
+        programs = tuple(RankProgram(rank=rank, phases=template) for rank in range(scale))
         details: Dict[str, float] = {
             "file_bytes": float(file_bytes),
             "per_node_bandwidth": prediction.per_node_bandwidth,

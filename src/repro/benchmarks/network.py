@@ -55,19 +55,11 @@ class EffectiveBandwidthBenchmark(Benchmark):
             )
         prediction = model.predict(scale, rounds=rounds, ranks_per_node=ranks_per_node)
         slice_s = prediction.time_s / self.phases
-        programs = []
-        for rank in range(scale):
-            program = RankProgram(rank=rank)
-            for _ in range(self.phases):
-                program.append(
-                    comm_phase(
-                        slice_s,
-                        nic=min(1.0, 1.0 / ranks_per_node),
-                        label="beff-exchange",
-                    )
-                )
-                program.append(barrier())
-            programs.append(program)
+        exchange = comm_phase(
+            slice_s, nic=min(1.0, 1.0 / ranks_per_node), label="beff-exchange"
+        )
+        template = (exchange, barrier()) * self.phases
+        programs = tuple(RankProgram(rank=rank, phases=template) for rank in range(scale))
         details: Dict[str, float] = {
             "rounds": float(rounds),
             "per_rank_bandwidth": prediction.per_rank_bandwidth,
@@ -75,7 +67,7 @@ class EffectiveBandwidthBenchmark(Benchmark):
         }
         return BuiltRun(
             placement=placement,
-            programs=tuple(programs),
+            programs=programs,
             performance=prediction.aggregate_bandwidth,
             details=details,
         )

@@ -85,13 +85,8 @@ class RandomAccessBenchmark(Benchmark):
             nic=min(1.0, nic_util / ranks_per_node),
             label="gups-update",
         )
-        programs = []
-        for rank in range(scale):
-            program = RankProgram(rank=rank)
-            for _ in range(self.rounds):
-                program.append(update_phase)
-                program.append(barrier())
-            programs.append(program)
+        template = (update_phase, barrier()) * self.rounds
+        programs = tuple(RankProgram(rank=rank, phases=template) for rank in range(scale))
         details: Dict[str, float] = {
             "updates_per_rank": float(updates),
             "gups": prediction.gups,
@@ -100,7 +95,7 @@ class RandomAccessBenchmark(Benchmark):
         }
         return BuiltRun(
             placement=placement,
-            programs=tuple(programs),
+            programs=programs,
             performance=prediction.updates_per_second,
             details=details,
         )

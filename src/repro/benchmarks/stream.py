@@ -97,20 +97,11 @@ class StreamBenchmark(Benchmark):
         per_rank_fraction = min(1.0, prediction.per_rank_bandwidth / node_sustained)
 
         slice_s = prediction.time_s / self.rounds
-        programs = []
-        for rank in range(scale):
-            program = RankProgram(rank=rank)
-            for _ in range(self.rounds):
-                program.append(
-                    memory_phase(
-                        slice_s,
-                        memory=per_rank_fraction,
-                        intensity=self.intensity,
-                        label="triad",
-                    )
-                )
-                program.append(barrier())
-            programs.append(program)
+        triad = memory_phase(
+            slice_s, memory=per_rank_fraction, intensity=self.intensity, label="triad"
+        )
+        template = (triad, barrier()) * self.rounds
+        programs = tuple(RankProgram(rank=rank, phases=template) for rank in range(scale))
 
         details: Dict[str, float] = {
             "iterations": float(iterations),
@@ -120,7 +111,7 @@ class StreamBenchmark(Benchmark):
         }
         return BuiltRun(
             placement=placement,
-            programs=tuple(programs),
+            programs=programs,
             performance=prediction.aggregate_bandwidth,
             details=details,
         )

@@ -239,7 +239,10 @@ class SimulationEngine:
         ranks = sorted(p.rank for p in programs)
         if ranks != list(range(len(programs))):
             raise SimulationError(f"rank ids must be 0..{len(programs) - 1}, got {ranks}")
-        barrier_counts = {p.barrier_count for p in programs}
+        # Ranks built from one template share its tuple: count each
+        # distinct sequence's barriers once.
+        distinct = {id(p.phases): p for p in programs}
+        barrier_counts = {p.barrier_count for p in distinct.values()}
         if len(barrier_counts) != 1:
             raise SimulationError(
                 f"all ranks must have the same number of barriers, got {sorted(barrier_counts)}"
@@ -314,32 +317,32 @@ class SimulationEngine:
         num_ranks = self._num_ranks
         num_barriers = self._num_barriers
 
-        # 1. One flat pass over the programs.  The only per-phase Python
-        # work is the flattening list comprehension and an ``id()`` map:
-        # object identities are deduplicated with a single ``np.unique``
-        # and attributes are then read once per *unique* phase, so shared
-        # phases cost nothing extra and a 500k-phase program stays in
-        # bulk operations.  (``flat`` keeps every phase alive, so ids are
-        # unique per object for the duration.)
-        per_rank_phases = [self._programs[r].phases for r in range(num_ranks)]
-        counts = np.fromiter(map(len, per_rank_phases), np.intp, num_ranks)
-        flat = [phase for phases in per_rank_phases for phase in phases]
-        total = len(flat)
-        rank_all = np.repeat(np.arange(num_ranks, dtype=np.intp), counts)
-        ids = np.fromiter(map(id, flat), np.int64, total)
-        _, first_idx, inverse = np.unique(ids, return_index=True, return_inverse=True)
+        # 1. One flat pass over the *distinct* phase sequences.  Ranks
+        # built from one template share its tuple, so one ``np.unique``
+        # over sequence ids finds the distinct sequences, only those are
+        # flattened, a second ``np.unique`` deduplicates their phases by
+        # identity (attributes are read once per unique phase), and one
+        # offset gather expands the phase rows back to per-rank rows:
+        # O(distinct phases + ranks) Python work.  (``per_rank`` and
+        # ``flat`` keep every object alive, so ids stay unique.)
+        per_rank = [self._programs[r].phases for r in range(num_ranks)]
+        seq_ids = np.fromiter(map(id, per_rank), np.int64, num_ranks)
+        _, seq_first, seq_of_rank = np.unique(seq_ids, return_index=True, return_inverse=True)
+        sequences = [per_rank[i] for i in seq_first]
+        seq_len = np.fromiter(map(len, sequences), np.intp, len(sequences))
+        flat = [phase for phases in sequences for phase in phases]
+        ids = np.fromiter(map(id, flat), np.int64, len(flat))
+        _, first_idx, flat_row = np.unique(ids, return_index=True, return_inverse=True)
         table: List[Phase] = [flat[i] for i in first_idx]
-        n_uniq = len(table)
-        if n_uniq:
-            barrier_u = np.fromiter(
-                (p.kind is PhaseKind.BARRIER for p in table), bool, n_uniq
-            )
-            dur_u = np.fromiter((p.duration_s for p in table), float, n_uniq)
-            barrier_all = barrier_u[inverse]
-            dur_all = dur_u[inverse]
-        else:
-            barrier_all = np.zeros(0, dtype=bool)
-            dur_all = np.zeros(0)
+        # Rank r's k-th row is flat row (start of r's sequence) + k.
+        counts = seq_len[seq_of_rank]
+        rank_all = np.repeat(np.arange(num_ranks, dtype=np.intp), counts)
+        seq_start = np.cumsum(seq_len) - seq_len
+        shift = np.repeat(seq_start[seq_of_rank] - (np.cumsum(counts) - counts), counts)
+        inverse = flat_row[shift + np.arange(shift.size, dtype=np.intp)]
+        is_barrier = (p.kind is PhaseKind.BARRIER for p in table)
+        barrier_all = np.fromiter(is_barrier, bool, len(table))[inverse]
+        dur_all = np.fromiter((p.duration_s for p in table), float, len(table))[inverse]
         # Segment ordinal = barriers seen so far in the owning program.
         # Every rank holds exactly `num_barriers` barriers (validated in
         # __init__), so the global running barrier count folds back to a

@@ -1,9 +1,9 @@
 """Phase-based workload description.
 
-A rank's program is a list of :class:`Phase` objects executed in order.
-Each phase has a fixed duration (computed upstream by the performance
-models) and declares what the rank demands from its node while the phase
-runs:
+A rank's program is an immutable tuple of :class:`Phase` objects executed
+in order.  Each phase has a fixed duration (computed upstream by the
+performance models) and declares what the rank demands from its node while
+the phase runs:
 
 * ``cpu_intensity`` — how power-hungry the busy core is (1.0 = dense
   compute, ~0.6 = bandwidth-bound, ~0.15 = blocked on I/O or messages);
@@ -14,13 +14,18 @@ runs:
 
 :data:`PhaseKind.BARRIER` phases have zero duration and synchronize all
 ranks; the engine inserts explicit wait intervals for early arrivers.
+
+Every rank of a benchmark run executes the same sequence, so the builders
+compose one template tuple per run and hand that same object to every
+:class:`RankProgram`; the engine then works once per distinct sequence,
+not once per rank.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 from ..exceptions import SimulationError
 from ..validation import check_fraction, check_non_negative
@@ -112,23 +117,30 @@ class Phase:
 
 @dataclass
 class RankProgram:
-    """The ordered phases of one MPI rank."""
+    """The ordered phases of one MPI rank.
+
+    ``phases`` is normalized to a tuple; a tuple passed in is kept as the
+    same object, so ranks built from one template share it.  ``append``
+    and ``extend`` rebind ``phases`` to a new tuple, which leaves every
+    other rank sharing the old one unchanged.
+    """
 
     rank: int
-    phases: List[Phase] = field(default_factory=list)
+    phases: Tuple[Phase, ...] = ()
 
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise SimulationError(f"rank must be >= 0, got {self.rank}")
+        self.phases = tuple(self.phases)
 
     def append(self, phase: Phase) -> "RankProgram":
         """Append a phase (returns self for chaining)."""
-        self.phases.append(phase)
+        self.phases += (phase,)
         return self
 
     def extend(self, phases: Sequence[Phase]) -> "RankProgram":
         """Append several phases (returns self for chaining)."""
-        self.phases.extend(phases)
+        self.phases += tuple(phases)
         return self
 
     @property
@@ -145,9 +157,14 @@ class RankProgram:
 # ----------------------------------------------------------------------
 # Phase constructors
 # ----------------------------------------------------------------------
+# Interned once, like the engine's barrier-wait phase: every barrier of
+# every program is this one Phase object.
+_BARRIER = Phase(kind=PhaseKind.BARRIER, duration_s=0.0, label="barrier")
+
+
 def barrier() -> Phase:
-    """A synchronization point across all ranks."""
-    return Phase(kind=PhaseKind.BARRIER, duration_s=0.0, label="barrier")
+    """A synchronization point across all ranks (one shared object)."""
+    return _BARRIER
 
 
 def compute_phase(

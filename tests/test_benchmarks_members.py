@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.benchmarks import HPLBenchmark, IOzoneBenchmark, StreamBenchmark
+from repro.benchmarks import (
+    EffectiveBandwidthBenchmark,
+    HPLBenchmark,
+    IOzoneBenchmark,
+    RandomAccessBenchmark,
+    StreamBenchmark,
+)
 from repro.exceptions import BenchmarkError
 
 
@@ -157,3 +163,29 @@ class TestRenderingInvariance:
         a, b = results
         assert a.performance == pytest.approx(b.performance, rel=1e-9)
         assert a.record.true_energy_j == pytest.approx(b.record.true_energy_j, rel=1e-9)
+
+
+class TestSharedRankPrograms:
+    @pytest.mark.parametrize(
+        "bench, distinct",
+        [
+            (HPLBenchmark(), 3),  # update, bcast, barrier
+            (StreamBenchmark(), 2),  # triad, barrier
+            (IOzoneBenchmark(), 1),  # write
+            (EffectiveBandwidthBenchmark(), 2),  # exchange, barrier
+            (RandomAccessBenchmark(), 2),  # update, barrier
+        ],
+        ids=lambda v: getattr(v, "name", None),
+    )
+    def test_every_rank_shares_one_template(self, executor, bench, distinct):
+        """At Fire's full scale every rank holds the same phase tuple, and
+        the whole build holds only the template's distinct phases."""
+        fire = executor.cluster
+        scale = fire.num_nodes if bench.name == "IOzone" else fire.total_cores
+        built = bench.build(executor, scale)
+        assert len(built.programs) == scale
+        template = built.programs[0].phases
+        assert isinstance(template, tuple)
+        assert all(program.phases is template for program in built.programs)
+        phase_ids = {id(p) for program in built.programs for p in program.phases}
+        assert len(phase_ids) == distinct

@@ -6,8 +6,9 @@ fleet run through the Python API, then the same artifacts through the CLI
 (``repro.cli.main``), with the assertions the artifacts must satisfy.
 They cost tens of seconds, so the default run skips them (``addopts``
 deselects the ``drill`` marker); run them with ``pytest -m drill``.  CI's
-``resume-drill``, ``dashboard-drill`` and ``fleet-rank-drill`` jobs add
-``--basetemp artifacts/pytest`` so the drill outputs are uploaded.
+``fault-injection``, ``resume-drill``, ``dashboard-drill`` and
+``fleet-rank-drill`` jobs add ``--basetemp artifacts/pytest`` so the drill
+outputs land under ``artifacts/``.
 """
 
 import dataclasses
@@ -66,6 +67,45 @@ def _no_leaked_ambient():
     jrnl.detach()
     yield
     assert jrnl.ambient() is None, "drill leaked an ambient journal writer"
+
+
+class TestFaultInjectionDrill:
+    """``tgi campaign`` under injected faults: retries heal a transient
+    fault, ``--keep-going`` lands the survivors, and contained benchmark
+    crashes yield a coverage-annotated TGI."""
+
+    def test_transient_fault_healed_by_retries(self, tmp_path):
+        manifest = tmp_path / "retry-manifest.json"
+        assert main([
+            "campaign", "--workers", "2", "--retries", "2",
+            "--inject", "reference:transient:1", "--manifest", str(manifest),
+        ]) == 0
+        failures = json.loads(manifest.read_text())["failures"]
+        assert failures["jobs_retried"] == 1, failures
+        assert failures["retries_total"] == 1, failures
+        assert failures["jobs_failed"] == 0, failures
+
+    def test_permanent_fault_under_keep_going_exits_3(self, tmp_path):
+        manifest = tmp_path / "keepgoing-manifest.json"
+        assert main([
+            "campaign", "--workers", "2", "--retries", "1", "--keep-going",
+            "--inject", "fire-sweep:flaky:1.0", "--manifest", str(manifest),
+        ]) == 3
+        payload = json.loads(manifest.read_text())
+        statuses = {j["job_id"]: j["status"] for j in payload["jobs"]}
+        assert statuses == {"reference": "ok", "fire-sweep": "failed"}, statuses
+        assert payload["failures"]["jobs_failed"] == 1
+
+    def test_benchmark_crashes_yield_coverage_annotated_tgi(self, tmp_path, capsys):
+        assert main([
+            "campaign", "--keep-going",
+            "--inject", "fire-sweep:benchmark-crash:0.2", "--fault-seed", "42",
+        ]) == 0
+        captured = capsys.readouterr()
+        (tmp_path / "degraded.out").write_text(captured.out)
+        (tmp_path / "degraded.err").write_text(captured.err)
+        assert "degraded" in captured.err
+        assert "coverage" in captured.out
 
 
 class TestResumeDrill:

@@ -53,24 +53,49 @@ def _build_phase(spec, scale=1.0):
     return idle_phase(duration)
 
 
+def _draw_sequence(draw, num_barriers, scale=1.0):
+    """One rank's phases: 0-3 random phases per segment, barrier-separated."""
+    program = RankProgram(rank=0)
+    for segment in range(num_barriers + 1):
+        for spec in draw(st.lists(phase_specs, min_size=0, max_size=3)):
+            program.append(_build_phase(spec, scale))
+        if segment < num_barriers:
+            program.append(barrier())
+    return program.phases
+
+
 @st.composite
 def random_programs(draw):
     """Random rank programs: mixed phase kinds, zero-duration phases, a
     shared barrier count, and optionally one skewed straggler rank whose
-    phases run 32x longer (scaling by 32 preserves binary exactness)."""
+    phases run 32x longer (scaling by 32 preserves binary exactness).
+    Each other rank either reuses one of up to two template tuples by
+    reference (as the benchmark builders do) or builds its own, so runs
+    are shared, unshared or mixed."""
     num_ranks = draw(st.integers(min_value=1, max_value=8))
     num_barriers = draw(st.integers(min_value=0, max_value=4))
     straggler = draw(st.integers(min_value=-1, max_value=num_ranks - 1))
+    templates = [
+        _draw_sequence(draw, num_barriers)
+        for _ in range(draw(st.integers(min_value=0, max_value=2)))
+    ]
+    # -1: the rank builds its own sequence; k >= 0: it shares template k.
+    picks = draw(
+        st.lists(
+            st.integers(min_value=-1, max_value=len(templates) - 1),
+            min_size=num_ranks,
+            max_size=num_ranks,
+        )
+    )
     programs = []
-    for rank in range(num_ranks):
-        scale = 32.0 if rank == straggler else 1.0
-        program = RankProgram(rank=rank)
-        for segment in range(num_barriers + 1):
-            for spec in draw(st.lists(phase_specs, min_size=0, max_size=3)):
-                program.append(_build_phase(spec, scale))
-            if segment < num_barriers:
-                program.append(barrier())
-        programs.append(program)
+    for rank, pick in enumerate(picks):
+        if rank == straggler:
+            phases = _draw_sequence(draw, num_barriers, scale=32.0)
+        elif pick >= 0:
+            phases = templates[pick]
+        else:
+            phases = _draw_sequence(draw, num_barriers)
+        programs.append(RankProgram(rank=rank, phases=phases))
     return programs
 
 

@@ -190,6 +190,17 @@ class TestEngineEdgeCases:
                 engine=engine,
             )
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_one_odd_sequence_among_sharers_rejected(self, engine):
+        """Barrier counts are validated per distinct sequence: 63 ranks
+        sharing a 3-barrier template cannot hide rank 63's 2-barrier one."""
+        template = (compute_phase(1.0), barrier()) * 3
+        odd = (compute_phase(1.0), barrier()) * 2
+        programs = [RankProgram(rank=r, phases=template) for r in range(63)]
+        programs.append(RankProgram(rank=63, phases=odd))
+        with pytest.raises(SimulationError, match="same number of barriers"):
+            SimulationEngine(programs, engine=engine)
+
     def test_unknown_engine_mode_rejected(self):
         with pytest.raises(SimulationError, match="engine must be one of"):
             SimulationEngine(programs_of([compute_phase(1.0)]), engine="quantum")

@@ -80,3 +80,27 @@ class TestRankProgram:
     def test_negative_rank_rejected(self):
         with pytest.raises(SimulationError):
             RankProgram(rank=-1)
+
+    def test_list_is_stored_as_tuple(self):
+        phases = [compute_phase(1.0), barrier()]
+        template = RankProgram(rank=0, phases=phases).phases
+        assert isinstance(template, tuple) and list(template) == phases
+        assert RankProgram(rank=1, phases=template).phases is template
+
+    @pytest.mark.parametrize(
+        "grow",
+        [
+            lambda program: program.append(compute_phase(2.0)),
+            lambda program: program.extend([idle_phase(1.0), barrier()]),
+        ],
+        ids=["append", "extend"],
+    )
+    def test_growing_one_sharer_leaves_the_other_on_the_template(self, grow):
+        template = (compute_phase(1.0), barrier())
+        grown, other = (RankProgram(rank=r, phases=template) for r in (0, 1))
+        grow(grown)
+        assert other.phases is template and len(template) == 2
+        assert grown.phases[:2] == template and len(grown.phases) > 2
+
+    def test_barrier_is_interned(self):
+        assert barrier() is barrier()
