@@ -3,9 +3,12 @@
 Paper (Section IV-B): PCC between arithmetic-mean TGI and the EE of
 IOzone / STREAM / HPL is .99 / .96 / .58; time weights behave like the
 arithmetic mean; energy and power weights correlate higher with HPL.
+``table2.uncertainty`` times the bootstrap CIs and jackknife ranges that
+``tgi run table2ci`` adds to the arithmetic-mean column.
 """
 
 from repro.experiments.tables import run_table2_pcc
+from repro.experiments.uncertainty import run_table2_uncertainty
 from repro.perfwatch import HIGHER_IS_BETTER, MetricSpec, scenario, shared_context
 
 
@@ -24,6 +27,15 @@ from repro.perfwatch import HIGHER_IS_BETTER, MetricSpec, scenario, shared_conte
 def table2_scenario(context):
     result = run_table2_pcc(context)
     return {"pcc_iozone_am": result.pcc("IOzone", "arithmetic-mean")}
+
+
+@scenario(
+    "table2.uncertainty",
+    description="Table II's AM column: 3 bootstrap CIs (2,000 resamples) and jackknifes",
+    setup=shared_context,
+)
+def table2_uncertainty_scenario(context):
+    run_table2_uncertainty(context)
 
 
 def test_table2_pcc(benchmark, context):

@@ -13,6 +13,12 @@ paper does not quantify; these tools do:
   mean, the baseline statistic behind perf-watch's regression verdicts
   (:mod:`repro.perfwatch.baseline`).
 
+Resamples are drawn in blocks of about :data:`_BLOCK_ELEMENTS` indices and
+each block is evaluated in one call, which bounds memory at any resample
+count.  The blocks' rows are, in order, exactly the one-resample draws
+``gen.integers(0, n, size=n)`` from the same generator stream, so the
+intervals and the generator's end state do not depend on the block size.
+
 Used by ``tests/test_analysis_bootstrap.py`` and the Table II discussion in
 EXPERIMENTS.md; everything is seeded and deterministic.
 """
@@ -26,7 +32,7 @@ import numpy as np
 
 from ..exceptions import MetricError
 from ..rng import RandomState, ensure_rng
-from .correlation import pearson
+from .correlation import _pearson_rows, pearson
 
 __all__ = [
     "BootstrapCI",
@@ -37,6 +43,10 @@ __all__ = [
 
 #: Give up after this many redraws of a degenerate (constant) resample.
 _MAX_REDRAWS = 1000
+
+#: Indices per resample block: each (rows, n) temporary is at most 512 KB,
+#: whatever the resample count.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,12 @@ class BootstrapCI:
         return self.low <= value <= self.high
 
 
+def _draw_block(gen: np.random.Generator, n: int, need: int) -> np.ndarray:
+    """The next ``min(need, block)`` resamples' indices, one row each."""
+    block = max(1, _BLOCK_ELEMENTS // n)
+    return gen.integers(0, n, size=(min(need, block), n))
+
+
 def bootstrap_pearson_ci(
     x: Sequence[float],
     y: Sequence[float],
@@ -76,22 +92,26 @@ def bootstrap_pearson_ci(
         raise MetricError(f"resamples must be >= 10, got {resamples}")
     estimate = pearson(x_arr, y_arr)  # validates inputs
     gen = ensure_rng(rng)
-    n = x_arr.size
-    stats: List[float] = []
+    stats: List[np.ndarray] = []
+    need = resamples
     redraws = 0
-    while len(stats) < resamples:
-        idx = gen.integers(0, n, size=n)
+    while need:
+        idx = _draw_block(gen, x_arr.size, need)
         xs, ys = x_arr[idx], y_arr[idx]
-        if np.ptp(xs) == 0 or np.ptp(ys) == 0:
-            redraws += 1
-            if redraws > _MAX_REDRAWS:
-                raise MetricError(
-                    "too many degenerate bootstrap resamples; series nearly constant"
-                )
-            continue
-        stats.append(pearson(xs, ys))
+        # A resample with a constant series is redrawn.  A block holds at
+        # most ``need`` rows, all of which a one-at-a-time loop would draw.
+        kept = (np.ptp(xs, axis=1) != 0) & (np.ptp(ys, axis=1) != 0)
+        redraws += kept.size - int(kept.sum())
+        if redraws > _MAX_REDRAWS:
+            raise MetricError(
+                "too many degenerate bootstrap resamples; series nearly constant"
+            )
+        if not kept.all():  # boolean indexing copies; most blocks keep all
+            xs, ys = xs[kept], ys[kept]
+        stats.append(_pearson_rows(xs, ys))
+        need -= stats[-1].size
     alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(stats, [alpha, 1.0 - alpha])
+    low, high = np.quantile(np.concatenate(stats), [alpha, 1.0 - alpha])
     return BootstrapCI(
         estimate=estimate,
         low=float(low),
@@ -136,10 +156,13 @@ def bootstrap_mean_ci(
             resamples=resamples,
         )
     gen = ensure_rng(rng)
-    idx = gen.integers(0, arr.size, size=(resamples, arr.size))
-    means = arr[idx].mean(axis=1)
+    means: List[np.ndarray] = []
+    need = resamples
+    while need:
+        means.append(arr[_draw_block(gen, arr.size, need)].mean(axis=1))
+        need -= means[-1].size
     alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(means, [alpha, 1.0 - alpha])
+    low, high = np.quantile(np.concatenate(means), [alpha, 1.0 - alpha])
     return BootstrapCI(
         estimate=estimate,
         low=float(low),
@@ -158,10 +181,13 @@ def jackknife_pearson(x: Sequence[float], y: Sequence[float]) -> List[Tuple[int,
     x_arr = np.asarray(x, dtype=float)
     y_arr = np.asarray(y, dtype=float)
     pearson(x_arr, y_arr)  # validates
-    if x_arr.size < 3:
+    n = x_arr.size
+    if n < 3:
         raise MetricError("jackknife needs at least 3 samples")
-    out: List[Tuple[int, float]] = []
-    for i in range(x_arr.size):
-        mask = np.arange(x_arr.size) != i
-        out.append((i, pearson(x_arr[mask], y_arr[mask])))
-    return out
+    # Row i of the (n, n - 1) gathers is the series without point i.
+    others = ~np.eye(n, dtype=bool)
+    xs = np.broadcast_to(x_arr, (n, n))[others].reshape(n, n - 1)
+    ys = np.broadcast_to(y_arr, (n, n))[others].reshape(n, n - 1)
+    if (np.ptp(xs, axis=1) == 0).any() or (np.ptp(ys, axis=1) == 0).any():
+        raise MetricError("PCC undefined for a constant series")
+    return list(enumerate(_pearson_rows(xs, ys).tolist()))

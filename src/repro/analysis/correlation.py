@@ -2,15 +2,16 @@
 
 The paper quantifies how well each TGI variant tracks the individual
 benchmarks' energy-efficiency curves with the Pearson correlation
-coefficient (PCC, Eq. 17).  :func:`pearson` implements it directly (with the
-sample standard deviation, matching Eq. 17's ``n-1``); :func:`spearman` is
-provided for rank-robustness checks, and :func:`correlation_matrix` builds
-Table-II-style grids.
+coefficient (PCC, Eq. 17).  One row-wise kernel, :func:`_pearson_rows`,
+evaluates it for every row of two ``(B, n)`` arrays; :func:`pearson` runs it
+on one row, and the bootstrap and jackknife (:mod:`.bootstrap`) on all their
+resamples at once.  The ``n-1`` of Eq. 17's sample standard deviations
+cancels in the ratio.  :func:`spearman` is provided for rank-robustness
+checks, and :func:`correlation_matrix` builds Table-II-style grids.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Mapping, Sequence
 
 import numpy as np
@@ -34,6 +35,45 @@ def _validate_pair(x: Sequence[float], y: Sequence[float]):
     return x_arr, y_arr
 
 
+def _unit_deviations(a: np.ndarray) -> np.ndarray:
+    """Each row's deviations from its mean, scaled by a power of two so the
+    largest lies in [0.5, 1).
+
+    The scaling is exact, so it changes no ordinary result; it keeps the
+    kernel's squares and cross products from underflowing (spreads under
+    ~1e-154) or overflowing (over ~1e154).
+    """
+    d = a - a.mean(axis=-1, keepdims=True)
+    # In place, with max|d| from two reductions: fewer fresh (B, n)
+    # temporaries means fewer page faults per bootstrap block.
+    peak = np.maximum(d.max(axis=-1, keepdims=True), -d.min(axis=-1, keepdims=True))
+    return np.ldexp(d, -np.frexp(peak)[1], out=d)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Stacked (1, n) @ (n, 1) products: each row goes through the same BLAS
+    # dot as a 1-D ``a @ b``, so a row's sum is bit-identical to it
+    # (``einsum``/``(a * b).sum(-1)`` round differently).
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _pearson_rows(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Eq. 17 for every row of two ``(B, n)`` float arrays, clipped to [-1, 1].
+
+    A row whose deviations are all zero gives NaN.  Callers screen exactly
+    constant rows first: the mean of equal values need not be exactly that
+    value in float64, and the scaling would blow its residue up into a
+    meaningless coefficient.
+    """
+    dx = _unit_deviations(xs)
+    dy = _unit_deviations(ys)
+    with np.errstate(invalid="ignore"):
+        r = _row_dots(dx, dy) / (
+            np.sqrt(_row_dots(dx, dx)) * np.sqrt(_row_dots(dy, dy))
+        )
+    return np.clip(r, -1.0, 1.0)
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Eq. 17: sample Pearson correlation coefficient in [-1, 1].
 
@@ -42,20 +82,16 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """
     x_arr, y_arr = _validate_pair(x, y)
     # An exactly-constant series is degenerate regardless of roundoff: the
-    # mean subtraction below can leave nonzero residue (mean of n equal
-    # values need not be exactly that value in float64), which would slip
-    # past the sx/sy check and return a meaningless coefficient.
+    # mean subtraction can leave nonzero residue (mean of n equal values
+    # need not be exactly that value in float64), which the kernel would
+    # scale into a meaningless coefficient.
     if np.all(x_arr == x_arr[0]) or np.all(y_arr == y_arr[0]):
         raise MetricError("PCC undefined for a constant series")
-    dx = x_arr - x_arr.mean()
-    dy = y_arr - y_arr.mean()
-    sx = math.sqrt(float(dx @ dx))
-    sy = math.sqrt(float(dy @ dy))
-    if sx == 0 or sy == 0:
-        raise MetricError("PCC undefined for a constant series")
-    r = float(dx @ dy) / (sx * sy)
-    # guard tiny numerical overshoot
-    return max(-1.0, min(1.0, r))
+    r = _pearson_rows(x_arr[None, :], y_arr[None, :])[0]
+    if np.isnan(r):
+        # Finite inputs whose sum overflows float64 leave no finite mean.
+        raise MetricError("PCC undefined: the series overflow float64")
+    return float(r)
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:

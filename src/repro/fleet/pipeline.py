@@ -588,17 +588,17 @@ class FleetRankingPipeline:
         notes: List[str] = []
         rho = r = pearson_ci = mean_ci = None
         try:
-            rho = spearman(tgi_rank.tolist(), flops_rank.tolist())
+            rho = spearman(tgi_rank, flops_rank)
         except MetricError as exc:
             notes.append(f"spearman degenerate: {exc}")
         try:
-            r = pearson(tgi.tolist(), flops_per_watt.tolist())
+            r = pearson(tgi, flops_per_watt)
         except MetricError as exc:
             notes.append(f"pearson degenerate: {exc}")
         try:
             pearson_ci = bootstrap_pearson_ci(
-                tgi.tolist(),
-                flops_per_watt.tolist(),
+                tgi,
+                flops_per_watt,
                 confidence=self.confidence,
                 resamples=self.bootstrap_resamples,
                 rng=ensure_rng(self.bootstrap_seed),
@@ -607,7 +607,7 @@ class FleetRankingPipeline:
             notes.append(f"pearson CI degenerate: {exc}")
         try:
             mean_ci = bootstrap_mean_ci(
-                tgi.tolist(),
+                tgi,
                 confidence=self.confidence,
                 resamples=self.bootstrap_resamples,
                 rng=ensure_rng(self.bootstrap_seed),

@@ -1,5 +1,7 @@
 """Correlation tests (Eq. 17)."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -48,6 +50,15 @@ class TestPearson:
     def test_clamped_to_unit_interval(self):
         x = np.linspace(0, 1, 10)
         assert -1.0 <= pearson(x, x) <= 1.0
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_full_precision_at_any_spread(self, scale):
+        # Squared deviations of 1e-160 underflow and of 1e160 overflow
+        # float64; the coefficient must not notice.
+        x = np.array([1.0, 2.0, 4.0, 3.0])
+        y = [1.0, 2.0, 3.0, 4.0]
+        expected = pearson(x, y)
+        assert abs(pearson(scale * x, y) - expected) <= 4 * math.ulp(expected)
 
 
 class TestSpearman:

@@ -1,8 +1,9 @@
 """Documentation-drift tests.
 
 Cheap guards that keep the prose honest: every module the architecture
-docs name must exist, the calibration constants quoted in EXPERIMENTS.md
-must match the code, and the repo ships the documents the README promises.
+docs name must exist, the calibration constants and uncertainty table
+quoted in EXPERIMENTS.md must match the code, and the repo ships the
+documents the README promises.
 """
 
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import PAPER_CONFIG
+from repro.experiments.uncertainty import run_table2_uncertainty
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,6 +68,23 @@ class TestCalibrationConstantsMatch:
         assert str(PAPER_CONFIG.hpl_comm_volume_factor) in text
         assert f"{PAPER_CONFIG.hpl_contention_threshold} / {PAPER_CONFIG.hpl_contention_slope}" in text
         assert str(PAPER_CONFIG.stream_intensity) in text
+
+    def test_uncertainty_table_quotes_the_live_values(self, paper_context):
+        """Every row of EXPERIMENTS.md's bootstrap/jackknife table matches
+        ``tgi run table2ci``, in the doc's number style."""
+
+        def doc(value):  # three decimals, no leading zero, U+2212 minus
+            return ("\u2212" if value < 0 else "") + f"{abs(value):.3f}".removeprefix("0")
+
+        result = run_table2_uncertainty(paper_context)
+        text = (ROOT / "EXPERIMENTS.md").read_text().replace("**", "")
+        for name, ci in result.intervals.items():
+            lo, hi = result.jackknife_ranges[name]
+            row = (
+                f"| {name} | {doc(ci.estimate)} | [{doc(ci.low)}, {doc(ci.high)}]"
+                f" | [{doc(lo)}, {doc(hi)}] |"
+            )
+            assert row in text, row
 
     def test_fire_preset_values_quoted(self):
         from repro.cluster import presets

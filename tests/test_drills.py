@@ -6,9 +6,9 @@ fleet run through the Python API, then the same artifacts through the CLI
 (``repro.cli.main``), with the assertions the artifacts must satisfy.
 They cost tens of seconds, so the default run skips them (``addopts``
 deselects the ``drill`` marker); run them with ``pytest -m drill``.  CI's
-``fault-injection``, ``resume-drill``, ``dashboard-drill`` and
-``fleet-rank-drill`` jobs add ``--basetemp artifacts/pytest`` so the drill
-outputs land under ``artifacts/``.
+``fault-injection``, ``journal-drill``, ``resume-drill``,
+``dashboard-drill`` and ``fleet-rank-drill`` jobs add ``--basetemp
+artifacts/pytest`` so the drill outputs land under ``artifacts/``.
 """
 
 import dataclasses
@@ -106,6 +106,51 @@ class TestFaultInjectionDrill:
         (tmp_path / "degraded.err").write_text(captured.err)
         assert "degraded" in captured.err
         assert "coverage" in captured.out
+
+
+class TestJournalDrill:
+    """The flight recorder armed on a fault-injected campaign: the journal
+    validates, its replay matches the manifest row for row, and its
+    Perfetto export validates."""
+
+    def test_fault_injected_campaign_replays_and_exports(self, tmp_path, capsys):
+        journal = str(tmp_path / "run.jsonl")
+        manifest_path = tmp_path / "manifest.json"
+        assert main([
+            "campaign", "--workers", "2", "--retries", "2",
+            "--inject", "reference:transient:1",
+            "--journal", journal, "--manifest", str(manifest_path),
+        ]) == 0
+        (tmp_path / "campaign.txt").write_text(capsys.readouterr().out)
+
+        assert main(["journal", "validate", journal]) == 0
+        assert main(["journal", "summary", journal]) == 0
+        (tmp_path / "summary.txt").write_text(capsys.readouterr().out)
+        assert main(["journal", "report", journal, "--json"]) == 0
+        report = capsys.readouterr().out
+        (tmp_path / "report.json").write_text(report)
+        json.loads(report)
+
+        # The replayed attempt state matches the manifest row for row.
+        manifest = json.loads(manifest_path.read_text())
+        state = jrnl.replay_journal(journal)
+        assert state.complete and state.stop_status == "ok", state.stop_status
+        table = jrnl.attempt_table(state)
+        for row in manifest["jobs"]:
+            replayed = table[row["job_id"]]
+            for field in ("status", "attempts", "cache_status"):
+                assert replayed[field] == row[field], (row["job_id"], field)
+        assert manifest["journal"]["sha256"] == jrnl.journal_digest(journal)
+        assert state.faults, "injected fault never journaled"
+
+        trace_path = tmp_path / "trace.json"
+        assert main([
+            "trace", "export", "--journal", journal, "-o", str(trace_path),
+        ]) == 0
+        trace = json.loads(trace_path.read_text())
+        problems = jrnl.validate_trace(trace)
+        assert not problems, problems
+        assert any(e["ph"] == "X" for e in trace["traceEvents"])
 
 
 class TestResumeDrill:

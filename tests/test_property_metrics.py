@@ -1,7 +1,7 @@
 """Property-based tests on the metric layer (hypothesis)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
@@ -143,6 +143,7 @@ class TestPearsonProperties:
         a=st.floats(min_value=0.01, max_value=100),
         b=st.floats(min_value=-100, max_value=100),
     )
+    @example(x=[1.42e-159, 0.0, 0.0], a=0.03125, b=0.0)
     @settings(max_examples=100, deadline=None)
     def test_invariant_under_positive_affine_maps(self, x, a, b):
         try:
