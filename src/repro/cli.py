@@ -170,13 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument(
         "--breakdown", action="store_true", help="also print the energy attribution"
     )
-    suite.add_argument(
-        "--engine",
-        choices=ClusterExecutor.ENGINE_MODES,
-        default="vectorized",
-        help="discrete-event engine: the struct-of-arrays sweep (default) "
-        "or the event-heap reference oracle",
-    )
 
     sub.add_parser(
         "sensitivity", help="weight-simplex sensitivity of TGI at full scale"
@@ -343,13 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=20,
         help="list rows to print (0 = the whole fleet)",
-    )
-    f_rank.add_argument(
-        "--path",
-        choices=("batched", "reference"),
-        default="batched",
-        help="analytic leg: vectorized (default) or the scalar oracle "
-        "(slow, for cross-checks)",
     )
     f_rank.add_argument(
         "--chunk-size",
@@ -651,12 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--top", type=int, default=10, help="how many slowest spans to list"
     )
-    trace.add_argument(
-        "--engine",
-        choices=ClusterExecutor.ENGINE_MODES,
-        default="vectorized",
-        help="discrete-event engine for the live run (ignored with --input)",
-    )
     # Optional subcommands under `trace`; plain `tgi trace [--input ...]`
     # keeps its historical behaviour (trace_command stays None).
     trace_sub = trace.add_subparsers(dest="trace_command")
@@ -812,7 +792,7 @@ def _chart_for(result) -> Optional[str]:
     return None
 
 
-def _preset_suite_run(system: str, cores: int, engine: str = "vectorized"):
+def _preset_suite_run(system: str, cores: int):
     """Run the capability-view suite on one preset; returns (cluster, n, result)."""
     from .benchmarks import (
         BenchmarkSuite,
@@ -822,7 +802,7 @@ def _preset_suite_run(system: str, cores: int, engine: str = "vectorized"):
     )
 
     cluster = getattr(presets, system)()
-    executor = ClusterExecutor(cluster, rng=PAPER_CONFIG.fire_seed, engine=engine)
+    executor = ClusterExecutor(cluster, rng=PAPER_CONFIG.fire_seed)
     # capability view: memory-sized HPL with the calibrated comm/contention
     # parameters (consistent with `tgi run capability`)
     suite = BenchmarkSuite(
@@ -845,11 +825,11 @@ def _preset_suite_run(system: str, cores: int, engine: str = "vectorized"):
     return cluster, n, suite.run(executor, n)
 
 
-def _cmd_suite(system: str, cores: int, breakdown: bool, engine: str = "vectorized") -> int:
+def _cmd_suite(system: str, cores: int, breakdown: bool) -> int:
     from .core import format_suite_result
     from .units import format_energy
 
-    cluster, n, result = _preset_suite_run(system, cores, engine)
+    cluster, n, result = _preset_suite_run(system, cores)
     _console.out(format_suite_result(result, title=f"{cluster.name} @ {n} cores"))
     if breakdown:
         _console.out()
@@ -868,7 +848,6 @@ def _cmd_trace(
     system: str,
     cores: int,
     top: int,
-    engine: str = "vectorized",
 ) -> int:
     from .telemetry import (
         AttributionRow,
@@ -900,7 +879,7 @@ def _cmd_trace(
 
     _console.status(f"tracing a live suite run on {system} ...")
     with tele.use(tele.TelemetrySession(label=f"trace:{system}")) as session:
-        cluster, n, result = _preset_suite_run(system, cores, engine)
+        cluster, n, result = _preset_suite_run(system, cores)
     _console.out(render_span_tree(session.spans))
     _console.out()
     _console.out(render_slowest(session.spans, top))
@@ -1630,7 +1609,6 @@ def _cmd_fleet_rank(args) -> int:
         reference=_parse_reference_spec(args.reference),
         reference_suite=args.reference_suite,
         weights=weights,
-        path=args.path,
         full_sim=args.full_sim,
         chunk_size=args.chunk_size,
         workers=args.workers,
@@ -1880,7 +1858,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "specs":
         return _cmd_specs()
     if args.command == "suite":
-        return _cmd_suite(args.system, args.cores, args.breakdown, args.engine)
+        return _cmd_suite(args.system, args.cores, args.breakdown)
     if args.command == "sensitivity":
         return _cmd_sensitivity()
     if args.command == "archive":
@@ -1911,7 +1889,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "trace":
         if getattr(args, "trace_command", None) == "export":
             return _cmd_trace_export(args)
-        return _cmd_trace(args.input, args.system, args.cores, args.top, args.engine)
+        return _cmd_trace(args.input, args.system, args.cores, args.top)
     if args.command == "watch":
         return _cmd_watch(args)
     if args.command == "tail":

@@ -5,7 +5,7 @@ The sub-modules split along the data flow:
 * :mod:`repro.fleet.columns` — struct-of-arrays packing of ``ClusterSpec``
   fleets (one column per subsystem knob, one row per system);
 * :mod:`repro.fleet.evaluate` — the vectorized full-machine suite scorer
-  plus its scalar per-system oracle and the content-keyed memoizer;
+  and its content-keyed memoizer;
 * :mod:`repro.fleet.pipeline` — chunked ranking pipeline: batchable
   systems take the analytic path inline, the rest fall back to the
   (sharded) campaign scheduler; output is a Green500-style TGI list.
@@ -17,7 +17,6 @@ from .evaluate import (
     FleetEvaluation,
     FleetScores,
     evaluate_fleet,
-    evaluate_system,
 )
 from .pipeline import (
     FleetDiagnostics,
@@ -40,7 +39,6 @@ __all__ = [
     "FleetRankingRow",
     "FleetScores",
     "evaluate_fleet",
-    "evaluate_system",
     "generated_fleet_members",
     "is_batchable",
     "parse_weight_spec",

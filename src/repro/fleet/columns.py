@@ -19,7 +19,7 @@ route to the full simulator via the campaign fallback in
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -117,7 +117,7 @@ class FleetColumns:
         """STREAM-sustainable bytes/s per node (all sockets)."""
         return self.sockets * self.mem_sustained_bw
 
-    # -- construction / slicing ----------------------------------------
+    # -- construction --------------------------------------------------
     @classmethod
     def pack(cls, specs: Sequence[ClusterSpec]) -> "FleetColumns":
         """Pack resolved specs into columns (rejects non-batchable systems)."""
@@ -158,18 +158,3 @@ class FleetColumns:
             base_watts=col([n.base_watts for n in nodes]),
             psu_rated_w=col([_PSU_SIZING_FACTOR * n.nominal_max_watts for n in nodes]),
         )
-
-    def take(self, start: int, stop: int) -> "FleetColumns":
-        """The contiguous row slice ``[start, stop)`` as a new instance."""
-        kwargs = {"names": self.names[start:stop]}
-        for f in fields(self):
-            if f.name != "names":
-                kwargs[f.name] = getattr(self, f.name)[start:stop]
-        return FleetColumns(**kwargs)
-
-    def chunks(self, chunk_size: int) -> Iterator["FleetColumns"]:
-        """Yield row chunks of at most ``chunk_size`` systems."""
-        if chunk_size < 1:
-            raise FleetError(f"chunk_size must be >= 1, got {chunk_size}")
-        for start in range(0, len(self), chunk_size):
-            yield self.take(start, min(start + chunk_size, len(self)))

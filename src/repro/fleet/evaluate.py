@@ -1,20 +1,15 @@
 """Cross-system batched evaluation of the full-machine benchmark suite.
 
-Two paths produce identical numbers (within float associativity):
-
-* :func:`evaluate_system` — the scalar **oracle**: one system at a time,
-  through the very model objects the simulator compiles
-  (:class:`~repro.perfmodels.hpl.HPLModel`,
-  :class:`~repro.perfmodels.stream.StreamModel`,
-  :class:`~repro.perfmodels.iozone.IOzoneModel`,
-  :class:`~repro.power.node_power.NodePowerModel`);
-* :func:`evaluate_fleet` with ``path="batched"`` — the same formulas
-  vectorized over :class:`~repro.fleet.columns.FleetColumns`, one NumPy
-  pass per benchmark for the whole fleet.
-
-This mirrors the ``integration="reference"`` / ``engine="reference"``
-pattern of the sim layer: the slow scalar path is the semantic definition;
-the fast path is pinned to it by the hypothesis equivalence suite.
+:func:`evaluate_fleet` scores every system's HPL, STREAM and IOzone runs
+with the formulas of the very model objects the simulator compiles
+(:class:`~repro.perfmodels.hpl.HPLModel`,
+:class:`~repro.perfmodels.stream.StreamModel`,
+:class:`~repro.perfmodels.iozone.IOzoneModel`,
+:class:`~repro.power.node_power.NodePowerModel`), vectorized over
+:class:`~repro.fleet.columns.FleetColumns`: one NumPy pass per benchmark
+for the whole fleet.  A scalar oracle that calls those model objects one
+system at a time lives in the test tree (``tests/oracles.py``); the
+hypothesis equivalence suite pins the batched path to it.
 
 Why an *analytic* path is exact here: a full-machine fleet job packs every
 node identically (ranks = total cores, breadth-first), runs rank-uniform
@@ -33,7 +28,7 @@ presets, duplicated era draws) are computed once and scattered back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,30 +39,21 @@ from ..benchmarks.hpl import (
     _HPL_NIC_UTIL,
 )
 from ..benchmarks.iozone import _IOZONE_INTENSITY, _IOZONE_MEMORY
-from ..cluster.cluster import ClusterSpec
 from ..exceptions import FleetError
 from ..experiments.config import PAPER_CONFIG, ExperimentConfig
 from ..perfmodels.hpl import HPLModel
-from ..perfmodels.iozone import IOzoneModel
-from ..perfmodels.stream import StreamModel
-from ..power.components import NodeUtilization
-from ..power.node_power import NodePowerModel
 from ..power.psu import DEFAULT_EFFICIENCY_CURVE
-from .columns import FleetColumns, require_batchable
+from .columns import FleetColumns
 
 __all__ = [
     "FLEET_BENCHMARKS",
     "FleetScores",
     "FleetEvaluation",
-    "evaluate_system",
     "evaluate_fleet",
 ]
 
 #: Suite members the fleet path scores, in suite order.
 FLEET_BENCHMARKS: Tuple[str, ...] = ("HPL", "STREAM", "IOzone")
-
-#: Evaluation paths (mirrors the sim layer's engine/integration switches).
-_PATHS = ("batched", "reference")
 
 # Constants mirrored from the scalar stack (single source where importable).
 _CPU_AWAKE_FLOOR = 0.45  # NodePowerModel.cpu_awake_floor default
@@ -105,7 +91,6 @@ class FleetEvaluation:
     names: Tuple[str, ...]
     scores: Dict[str, FleetScores]
     memo_unique: Dict[str, int]
-    path: str
 
     def __len__(self) -> int:
         return len(self.names)
@@ -131,134 +116,6 @@ class FleetEvaluation:
             for b, s in self.scores.items()
         }
 
-
-# ----------------------------------------------------------------------
-# Scalar oracle
-# ----------------------------------------------------------------------
-
-def _hpl_model(spec: ClusterSpec, config: ExperimentConfig, reference: bool) -> HPLModel:
-    if reference:
-        # build_suite(reference=True): capability sizing, default model knobs.
-        return HPLModel(cluster=spec)
-    return HPLModel(
-        cluster=spec,
-        comm_volume_factor=config.hpl_comm_volume_factor,
-        contention_threshold=config.hpl_contention_threshold,
-        contention_slope=config.hpl_contention_slope,
-    )
-
-
-def _pack_scores(performance: float, time_s: float, power_w: float) -> Dict[str, float]:
-    return {
-        "performance": performance,
-        "time_s": time_s,
-        "power_w": power_w,
-        "energy_j": power_w * time_s,
-        "efficiency": performance / power_w,
-    }
-
-
-def evaluate_system(
-    spec: ClusterSpec,
-    config: ExperimentConfig = PAPER_CONFIG,
-    *,
-    reference: bool = False,
-) -> Dict[str, Dict[str, float]]:
-    """Score one system's full-machine suite through the scalar models.
-
-    This is the equivalence oracle for the batched path; it is also
-    value-identical (to float associativity) to the *true* — unmetered —
-    numbers of a full simulation job on the same spec, because a
-    fully-packed uniform run has piecewise-constant utilization (see
-    module docstring).
-
-    ``reference=True`` selects the capability-sized HPL used for
-    reference-system runs (``build_suite(reference=True)`` semantics).
-    """
-    require_batchable(spec)
-    node = spec.node
-    power = NodePowerModel(node=node)
-    k = node.cores  # ranks per node at full pack
-    ranks = spec.total_cores
-
-    # --- HPL ----------------------------------------------------------
-    model = _hpl_model(spec, config, reference)
-    if reference:
-        n = model.problem_size_from_memory(
-            memory_fraction=config.hpl_reference_memory_fraction
-        )
-    else:
-        n = config.hpl_problem_size
-        if n < model.block_size:
-            raise FleetError(
-                f"hpl_problem_size {n} below block size {model.block_size}"
-            )
-    pred = model.predict(n, ranks, ranks_per_node=k)
-    w_compute = power.wall_power(
-        NodeUtilization(
-            cpu_active_fraction=1.0,
-            cpu_intensity=_HPL_COMPUTE_INTENSITY,
-            memory=min(1.0, k * _HPL_MEMORY_PER_RANK),
-        )
-    )
-    w_comm = 0.0
-    if pred.comm_time_s > 0:
-        w_comm = power.wall_power(
-            NodeUtilization(
-                cpu_active_fraction=1.0,
-                cpu_intensity=_HPL_COMM_INTENSITY,
-                nic=min(1.0, k * _HPL_NIC_UTIL),
-            )
-        )
-    node_mean = (
-        w_compute * pred.compute_time_s + w_comm * pred.comm_time_s
-    ) / pred.total_time_s
-    hpl = _pack_scores(
-        pred.performance_flops, pred.total_time_s, spec.num_nodes * node_mean
-    )
-
-    # --- STREAM -------------------------------------------------------
-    stream = StreamModel(cluster=spec)
-    iterations = stream.iterations_for_time(
-        config.stream_target_seconds, ranks, ranks_per_node=k
-    )
-    spred = stream.predict(ranks, iterations=iterations, ranks_per_node=k)
-    per_rank_fraction = min(
-        1.0, spred.per_rank_bandwidth / node.sustained_memory_bandwidth
-    )
-    w_stream = power.wall_power(
-        NodeUtilization(
-            cpu_active_fraction=1.0,
-            cpu_intensity=config.stream_intensity,
-            memory=min(1.0, k * per_rank_fraction),
-        )
-    )
-    stream_scores = _pack_scores(
-        spred.aggregate_bandwidth, spred.time_s, spec.num_nodes * w_stream
-    )
-
-    # --- IOzone (one writer per node, all nodes) ----------------------
-    iozone = IOzoneModel(cluster=spec)
-    file_bytes = iozone.file_size_for_time(config.iozone_target_seconds)
-    ipred = iozone.predict(spec.num_nodes, file_bytes=file_bytes)
-    w_iozone = power.wall_power(
-        NodeUtilization(
-            cpu_active_fraction=min(1.0, 1.0 / k),
-            cpu_intensity=_IOZONE_INTENSITY,
-            memory=_IOZONE_MEMORY,
-            storage=1.0,
-        )
-    )
-    iozone_scores = _pack_scores(
-        ipred.aggregate_bandwidth, ipred.time_s, spec.num_nodes * w_iozone
-    )
-
-    return {"HPL": hpl, "STREAM": stream_scores, "IOzone": iozone_scores}
-
-
-# ----------------------------------------------------------------------
-# Batched path
-# ----------------------------------------------------------------------
 
 def _wall_watts(
     cols: FleetColumns,
@@ -300,7 +157,6 @@ def _memoized(
     key_columns: Sequence[np.ndarray],
     compute: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]],
     n: int,
-    memoize: bool,
 ) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], int]:
     """Run ``compute`` once per distinct content key, scatter to all rows.
 
@@ -309,8 +165,6 @@ def _memoized(
     ``(performance, time_s, power_w)`` arrays aligned with ``idx``.
     """
     everyone = np.arange(n)
-    if not memoize:
-        return compute(everyone), n
     key = np.column_stack(key_columns)
     _, representatives, inverse = np.unique(
         key, axis=0, return_index=True, return_inverse=True
@@ -343,7 +197,6 @@ def _hpl_batched(
     cols: FleetColumns,
     config: ExperimentConfig,
     reference: bool,
-    memoize: bool,
 ):
     n_systems = len(cols)
     key = _power_key(cols) + [
@@ -432,10 +285,10 @@ def _hpl_batched(
         node_mean = (w_compute * compute_t + w_comm * comm_t) / total_t
         return perf, total_t, cols.num_nodes[idx] * node_mean
 
-    return _memoized(key, compute, n_systems, memoize)
+    return _memoized(key, compute, n_systems)
 
 
-def _stream_batched(cols: FleetColumns, config: ExperimentConfig, memoize: bool):
+def _stream_batched(cols: FleetColumns, config: ExperimentConfig):
     n_systems = len(cols)
     key = _power_key(cols) + [
         cols.num_nodes,
@@ -478,10 +331,10 @@ def _stream_batched(cols: FleetColumns, config: ExperimentConfig, memoize: bool)
         )
         return perf, time_s, cols.num_nodes[idx] * w
 
-    return _memoized(key, compute, n_systems, memoize)
+    return _memoized(key, compute, n_systems)
 
 
-def _iozone_batched(cols: FleetColumns, config: ExperimentConfig, memoize: bool):
+def _iozone_batched(cols: FleetColumns, config: ExperimentConfig):
     n_systems = len(cols)
     key = _power_key(cols) + [
         cols.num_nodes,
@@ -517,16 +370,14 @@ def _iozone_batched(cols: FleetColumns, config: ExperimentConfig, memoize: bool)
         )
         return perf, time_s, cols.num_nodes[idx] * w
 
-    return _memoized(key, compute, n_systems, memoize)
+    return _memoized(key, compute, n_systems)
 
 
 def evaluate_fleet(
     fleet,
     config: ExperimentConfig = PAPER_CONFIG,
     *,
-    path: str = "batched",
     reference: bool = False,
-    memoize: bool = True,
 ) -> FleetEvaluation:
     """Score every system's full-machine suite in one pass.
 
@@ -535,57 +386,24 @@ def evaluate_fleet(
     fleet:
         A sequence of :class:`~repro.cluster.cluster.ClusterSpec` or an
         already-packed :class:`~repro.fleet.columns.FleetColumns`.
-    path:
-        ``"batched"`` (vectorized over the system axis) or ``"reference"``
-        (the scalar oracle applied per system — slow, definitional).
     reference:
         Capability-sized HPL (reference-system semantics) for *every*
         member; used when scoring reference machines.
-    memoize:
-        Content-keyed sub-result sharing: systems with identical
-        benchmark-relevant spec columns compute once.
-    """
-    if path not in _PATHS:
-        raise FleetError(f"path must be one of {_PATHS}, got {path!r}")
 
+    Systems with identical benchmark-relevant spec columns are computed
+    once (content-keyed memoization; see module docstring).
+    """
     if isinstance(fleet, FleetColumns):
-        cols: Optional[FleetColumns] = fleet
-        specs: Optional[Sequence[ClusterSpec]] = None
+        cols = fleet
     else:
         specs = list(fleet)
         if not specs:
             raise FleetError("cannot evaluate an empty fleet")
-        cols = None
-
-    if path == "reference":
-        if specs is None:
-            raise FleetError(
-                "the reference path scores ClusterSpec sequences, not "
-                "pre-packed columns"
-            )
-        rows = [evaluate_system(spec, config, reference=reference) for spec in specs]
-        scores = {
-            b: FleetScores(
-                **{
-                    field: np.array([row[b][field] for row in rows], dtype=float)
-                    for field in ("performance", "time_s", "power_w", "energy_j", "efficiency")
-                }
-            )
-            for b in FLEET_BENCHMARKS
-        }
-        return FleetEvaluation(
-            names=tuple(spec.name for spec in specs),
-            scores=scores,
-            memo_unique={b: len(rows) for b in FLEET_BENCHMARKS},
-            path=path,
-        )
-
-    if cols is None:
         cols = FleetColumns.pack(specs)
     results = {
-        "HPL": _hpl_batched(cols, config, reference, memoize),
-        "STREAM": _stream_batched(cols, config, memoize),
-        "IOzone": _iozone_batched(cols, config, memoize),
+        "HPL": _hpl_batched(cols, config, reference),
+        "STREAM": _stream_batched(cols, config),
+        "IOzone": _iozone_batched(cols, config),
     }
     scores = {}
     memo_unique = {}
@@ -599,6 +417,4 @@ def evaluate_fleet(
             efficiency=perf / power,
         )
         memo_unique[b] = unique
-    return FleetEvaluation(
-        names=cols.names, scores=scores, memo_unique=memo_unique, path=path
-    )
+    return FleetEvaluation(names=cols.names, scores=scores, memo_unique=memo_unique)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -251,16 +251,11 @@ class FleetRankingPipeline:
     weights:
         Benchmark weight mapping (normalized to sum to one); default is
         the paper's arithmetic mean over the suite.
-    path:
-        Analytic leg implementation: ``"batched"`` (vectorized, default)
-        or ``"reference"`` (scalar oracle — slow, for cross-checks).
     full_sim:
         Force *every* system through the campaign executor (the
         pre-batched behaviour; meter noise included).
     chunk_size:
         Systems per vectorized evaluation chunk (bounds peak memory).
-    memoize:
-        Content-keyed sub-result sharing on the batched leg.
     workers / shards / cache_dir / retries / keep_going:
         Campaign-leg execution policy (``shards=0`` means one shard per
         worker).  All idle when everything batches.
@@ -282,10 +277,8 @@ class FleetRankingPipeline:
         reference_suite: bool = False,
         reference_seed: int = 1,
         weights: Optional[Mapping[str, float]] = None,
-        path: str = "batched",
         full_sim: bool = False,
         chunk_size: int = 1024,
-        memoize: bool = True,
         workers: int = 1,
         shards: int = 0,
         cache_dir: Optional[Union[str, Path]] = None,
@@ -312,10 +305,8 @@ class FleetRankingPipeline:
                 f"weights name unknown benchmarks {unknown}; the fleet suite "
                 f"is {list(FLEET_BENCHMARKS)}"
             )
-        self.path = path
         self.full_sim = full_sim
         self.chunk_size = chunk_size
-        self.memoize = memoize
         self.workers = workers
         self.shards = shards
         self.cache_dir = cache_dir
@@ -404,6 +395,7 @@ class FleetRankingPipeline:
         started: float,
     ) -> FleetRanking:
         names: List[str] = []
+        seen: Set[str] = set()
         batched: List[Tuple[int, ClusterSpec]] = []  # (fleet index, spec)
         simulated: List[Tuple[int, FleetMember]] = []
         with tele.span("fleet.pack", systems=len(fleet)):
@@ -414,8 +406,9 @@ class FleetRankingPipeline:
                         f"system name {_REFERENCE_ID!r} is reserved for the "
                         "reference machine"
                     )
-                if name in names:
+                if name in seen:
                     raise FleetError(f"duplicate system name {name!r}")
+                seen.add(name)
                 names.append(name)
                 if spec is None:
                     spec = member.cluster.resolve()
@@ -442,12 +435,7 @@ class FleetRankingPipeline:
             for start in range(0, len(batched), self.chunk_size):
                 chunk = batched[start : start + self.chunk_size]
                 idx = np.array([i for i, _ in chunk])
-                evaluation = evaluate_fleet(
-                    [spec for _, spec in chunk],
-                    self.config,
-                    path=self.path,
-                    memoize=self.memoize,
-                )
+                evaluation = evaluate_fleet([spec for _, spec in chunk], self.config)
                 for b in FLEET_BENCHMARKS:
                     scores = evaluation.scores[b]
                     efficiencies[b][idx] = scores.efficiency
@@ -506,11 +494,7 @@ class FleetRankingPipeline:
                 }
         if reference_inline:
             ref_rows = evaluate_fleet(
-                [reference_spec],
-                self.config,
-                path=self.path,
-                reference=self.reference_suite,
-                memoize=False,
+                [reference_spec], self.config, reference=self.reference_suite
             )
             ref_efficiencies = {
                 b: float(ref_rows.scores[b].efficiency[0]) for b in FLEET_BENCHMARKS

@@ -15,7 +15,7 @@ paper Figure 1), and meters the result.
 from .workload import Phase, PhaseKind, RankProgram, barrier, compute_phase, memory_phase, io_phase, comm_phase, idle_phase
 from .placement import Placement, breadth_first_placement, packed_placement
 from .communication import CommunicationModel
-from .engine import SimulationEngine, RankInterval, IntervalArrays
+from .engine import SimulationEngine, IntervalArrays
 from .executor import ClusterExecutor, RunRecord
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "packed_placement",
     "CommunicationModel",
     "SimulationEngine",
-    "RankInterval",
     "IntervalArrays",
     "ClusterExecutor",
     "RunRecord",

@@ -13,34 +13,27 @@ The output is, per rank, a gap-free timeline from t=0 to that rank's
 completion.  Ranks may finish at different times; the run ends at the
 latest completion.
 
-Engine implementations
-----------------------
+The engine is a struct-of-arrays sweep.  Because every rank holds the
+same number of barriers (validated up front) and a barrier releases *all*
+ranks at the latest arrival, the schedule is computable
+segment-by-segment without an event heap: one flat pass extracts
+per-phase durations and segment ids, one cumulative sum yields every
+phase's offset inside its segment, one ``max`` per barrier column
+resolves the release times, and the barrier-wait intervals fall out of
+the arrival/release deltas in a single comparison.  The result is a
+columnar :class:`IntervalArrays` that feeds the executor's sweep-line
+power integrator directly — no per-interval Python objects.
 
-Two implementations coexist, selected by ``SimulationEngine(engine=...)``:
-
-* ``engine="vectorized"`` (default) — a struct-of-arrays sweep.  Because
-  every rank holds the same number of barriers (validated up front) and a
-  barrier releases *all* ranks at the latest arrival, the schedule is
-  computable segment-by-segment without an event heap: one flat pass
-  extracts per-phase durations and segment ids, one cumulative sum yields
-  every phase's offset inside its segment, one ``max`` per barrier column
-  resolves the release times, and the barrier-wait intervals fall out of
-  the arrival/release deltas in a single comparison.  The result is a
-  columnar :class:`IntervalArrays` that feeds the executor's sweep-line
-  power integrator directly — no per-interval Python objects on the fast
-  path.
-* ``engine="reference"`` — the original event-heap loop, kept as the
-  independently simple oracle.  Property tests
-  (``tests/test_engine_equivalence.py``) pin the two engines to
-  interval-exact agreement.
+The original event-heap loop is kept in the test tree
+(``tests/oracles.py``) as the independently simple oracle; property
+tests (``tests/test_engine_equivalence.py``) pin the two to
+interval-exact agreement.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -48,30 +41,10 @@ from .. import telemetry as tele
 from ..exceptions import SimulationError
 from .workload import Phase, PhaseKind, RankProgram, WAIT_INTENSITY
 
-__all__ = ["RankInterval", "IntervalArrays", "SimulationEngine"]
+__all__ = ["IntervalArrays", "SimulationEngine"]
 
 #: Numerical slack when validating interval continuity.
 _EPS = 1e-9
-
-
-@dataclass(frozen=True, slots=True)
-class RankInterval:
-    """One contiguous span of one rank's execution.
-
-    ``slots=True`` because a 1k-rank run materializes hundreds of
-    thousands of these; dropping the per-instance ``__dict__`` cuts both
-    memory and attribute-access time in the integration hot loops.
-    """
-
-    rank: int
-    t_start: float
-    t_end: float
-    phase: Phase
-
-    @property
-    def duration(self) -> float:
-        """Seconds spanned."""
-        return self.t_end - self.t_start
 
 
 # Interned once: every barrier-wait interval across every rank shares this
@@ -88,9 +61,9 @@ _WAIT_PHASE = Phase(
 class IntervalArrays:
     """A run's intervals in columnar (struct-of-arrays) form.
 
-    The vectorized engine emits this directly and the executor's
-    sweep-line power integrator consumes it directly, so a 100k-rank run
-    never materializes per-interval Python objects on the fast path.
+    The engine emits this directly and the executor's sweep-line power
+    integrator consumes it directly, so a 100k-rank run never
+    materializes per-interval Python objects.
     Phases are deduplicated by object identity into ``phases``;
     ``phase_row[i]`` is interval ``i``'s row in that table.
 
@@ -110,16 +83,6 @@ class IntervalArrays:
     def __len__(self) -> int:
         return self.rank.size
 
-    @property
-    def intensity(self) -> np.ndarray:
-        """Per-interval CPU intensity, gathered through the phase table."""
-        if not self.phases:
-            return np.zeros(0)
-        per_row = np.fromiter(
-            (p.cpu_intensity for p in self.phases), float, len(self.phases)
-        )
-        return per_row[self.phase_row]
-
     def demand_table(self) -> np.ndarray:
         """``(len(phases), 6)`` demand vectors (see ``Phase.demand_vector``)."""
         if not self.phases:
@@ -128,68 +91,12 @@ class IntervalArrays:
             len(self.phases), 6
         )
 
-    def counts_per_rank(self) -> np.ndarray:
-        """Interval count per rank id."""
-        return np.bincount(self.rank, minlength=self.num_ranks)
-
-    # -- compatibility with the object form ----------------------------
-    def to_interval_lists(self) -> List[List[RankInterval]]:
-        """Materialize the per-rank ``RankInterval`` lists (the view every
-        pre-columnar consumer expects)."""
-        out: List[List[RankInterval]] = [[] for _ in range(self.num_ranks)]
-        phases = self.phases
-        for r, t0, t1, row in zip(
-            self.rank.tolist(),
-            self.t_start.tolist(),
-            self.t_end.tolist(),
-            self.phase_row.tolist(),
-        ):
-            out[r].append(RankInterval(rank=r, t_start=t0, t_end=t1, phase=phases[row]))
-        return out
-
-    @classmethod
-    def from_interval_lists(
-        cls,
-        intervals: Sequence[Sequence[RankInterval]],
-        *,
-        makespan: Optional[float] = None,
-    ) -> "IntervalArrays":
-        """Flatten per-rank interval lists into columnar form."""
-        flat = [iv for per_rank in intervals for iv in per_rank]
-        n = len(flat)
-        rank = np.fromiter((iv.rank for iv in flat), np.intp, n)
-        t_start = np.fromiter((iv.t_start for iv in flat), float, n)
-        t_end = np.fromiter((iv.t_end for iv in flat), float, n)
-        phase_row = np.empty(n, dtype=np.intp)
-        phases: List[Phase] = []
-        row_of: Dict[int, int] = {}
-        for k, iv in enumerate(flat):
-            row = row_of.get(id(iv.phase))
-            if row is None:
-                row = len(phases)
-                row_of[id(iv.phase)] = row
-                phases.append(iv.phase)
-            phase_row[k] = row
-        if makespan is None:
-            makespan = max(
-                (per_rank[-1].t_end if per_rank else 0.0) for per_rank in intervals
-            )
-        return cls(
-            num_ranks=len(intervals),
-            rank=rank,
-            t_start=t_start,
-            t_end=t_end,
-            phase_row=phase_row,
-            phases=phases,
-            makespan=makespan,
-        )
-
     def validate(self) -> None:
-        """Continuity validation on the columnar path.
+        """Continuity validation.
 
-        Mirrors the reference engine's per-rank scan: within each rank,
-        every interval must start where the previous one ended (no gaps,
-        no overlaps, first interval at t=0), to within ``_EPS``.
+        Within each rank, every interval must start where the previous one
+        ended (no gaps, no overlaps, first interval at t=0), to within
+        ``_EPS``.
         """
         n = self.rank.size
         if n == 0:
@@ -224,16 +131,9 @@ class SimulationEngine:
     programs:
         One :class:`~repro.sim.workload.RankProgram` per rank, with dense
         rank ids ``0..n-1`` and identical barrier counts.
-    engine:
-        ``"vectorized"`` (default) for the struct-of-arrays sweep or
-        ``"reference"`` for the original event-heap oracle.  Both produce
-        the same intervals; the property suite pins them to each other.
     """
 
-    #: Valid engine implementations.
-    ENGINE_MODES = ("vectorized", "reference")
-
-    def __init__(self, programs: Sequence[RankProgram], *, engine: str = "vectorized"):
+    def __init__(self, programs: Sequence[RankProgram]):
         if not programs:
             raise SimulationError("need at least one rank program")
         ranks = sorted(p.rank for p in programs)
@@ -247,61 +147,17 @@ class SimulationEngine:
             raise SimulationError(
                 f"all ranks must have the same number of barriers, got {sorted(barrier_counts)}"
             )
-        if engine not in self.ENGINE_MODES:
-            raise SimulationError(
-                f"engine must be one of {self.ENGINE_MODES}, got {engine!r}"
-            )
-        self.engine = engine
         self._programs: Dict[int, RankProgram] = {p.rank: p for p in programs}
         self._num_ranks = len(programs)
         self._num_barriers = barrier_counts.pop()
 
     # ------------------------------------------------------------------
-    def run(self) -> List[List[RankInterval]]:
-        """Execute and return per-rank interval lists (index = rank id).
-
-        Compatibility entry point: the vectorized engine computes the
-        columnar form and materializes the view.  Fast-path consumers
-        (the executor) use :meth:`run_arrays` instead.
-        """
-        with tele.span(
-            "sim.engine.run", ranks=self._num_ranks, engine=self.engine
-        ) as trace:
-            if self.engine == "reference":
-                intervals = self._run_reference()
-                self._validate_continuity(intervals)
-                trace.set(intervals=sum(len(per_rank) for per_rank in intervals))
-                return intervals
+    def run_arrays(self) -> IntervalArrays:
+        """Execute and return the columnar :class:`IntervalArrays`."""
+        with tele.span("sim.engine.run", ranks=self._num_ranks) as trace:
             arrays = self._run_vectorized()
             trace.set(intervals=len(arrays))
-            return arrays.to_interval_lists()
-
-    def run_arrays(self) -> IntervalArrays:
-        """Execute and return the columnar :class:`IntervalArrays`.
-
-        The fast path: with ``engine="vectorized"`` no per-interval
-        Python objects are created.  With ``engine="reference"`` the heap
-        engine runs and its interval lists are flattened.
-        """
-        with tele.span(
-            "sim.engine.run", ranks=self._num_ranks, engine=self.engine
-        ) as trace:
-            if self.engine == "reference":
-                intervals = self._run_reference()
-                self._validate_continuity(intervals)
-                arrays = IntervalArrays.from_interval_lists(intervals)
-            else:
-                arrays = self._run_vectorized()
-            trace.set(intervals=len(arrays))
         return arrays
-
-    def makespan(
-        self, intervals: Union[IntervalArrays, List[List[RankInterval]]]
-    ) -> float:
-        """Completion time of the slowest rank."""
-        if isinstance(intervals, IntervalArrays):
-            return intervals.makespan
-        return max((per_rank[-1].t_end if per_rank else 0.0) for per_rank in intervals)
 
     # -- vectorized sweep ----------------------------------------------
     def _run_vectorized(self) -> IntervalArrays:
@@ -449,85 +305,3 @@ class SimulationEngine:
         )
         arrays.validate()
         return arrays
-
-    # -- reference event-heap oracle -----------------------------------
-    def _run_reference(self) -> List[List[RankInterval]]:
-        """The original event-heap loop, kept as the oracle.
-
-        An event queue keyed on (time, sequence number) drives rank
-        progress; barriers collect arrivals and release all ranks at the
-        max arrival time.
-        """
-        intervals: List[List[RankInterval]] = [[] for _ in range(self._num_ranks)]
-        # Per-rank cursor into its phase list and local clock.
-        cursor = [0] * self._num_ranks
-        clock = [0.0] * self._num_ranks
-        # Barrier bookkeeping: ordinal -> list of (arrival_time, rank).
-        barrier_arrivals: Dict[int, List] = {}
-        barrier_ordinal = [0] * self._num_ranks
-
-        counter = itertools.count()
-        heap: List = [(0.0, next(counter), r) for r in range(self._num_ranks)]
-        heapq.heapify(heap)
-        blocked: Dict[int, float] = {}  # rank -> arrival time at its barrier
-
-        while heap:
-            t, _, rank = heapq.heappop(heap)
-            program = self._programs[rank].phases
-            i = cursor[rank]
-            if i >= len(program):
-                continue  # rank already finished
-            phase = program[i]
-            if phase.kind is PhaseKind.BARRIER:
-                ordinal = barrier_ordinal[rank]
-                barrier_ordinal[rank] += 1
-                cursor[rank] += 1
-                arrivals = barrier_arrivals.setdefault(ordinal, [])
-                arrivals.append((t, rank))
-                blocked[rank] = t
-                if len(arrivals) == self._num_ranks:
-                    release = max(at for at, _ in arrivals)
-                    for at, r in arrivals:
-                        if release > at + _EPS:
-                            intervals[r].append(
-                                RankInterval(rank=r, t_start=at, t_end=release, phase=_WAIT_PHASE)
-                            )
-                        clock[r] = release
-                        del blocked[r]
-                        heapq.heappush(heap, (release, next(counter), r))
-                    # Released ordinals never collect another arrival;
-                    # dropping them keeps barrier bookkeeping O(ranks)
-                    # instead of O(ranks x barriers) over a long program.
-                    del barrier_arrivals[ordinal]
-                continue
-            # Ordinary phase: record its interval and schedule its end.
-            t_end = t + phase.duration_s
-            if phase.duration_s > 0:
-                intervals[rank].append(
-                    RankInterval(rank=rank, t_start=t, t_end=t_end, phase=phase)
-                )
-            cursor[rank] += 1
-            clock[rank] = t_end
-            heapq.heappush(heap, (t_end, next(counter), rank))
-
-        if blocked:
-            stuck = sorted(blocked)
-            raise SimulationError(
-                f"deadlock: ranks {stuck} blocked at a barrier no other rank reaches"
-            )
-        return intervals
-
-    @staticmethod
-    def _validate_continuity(intervals: List[List[RankInterval]]) -> None:
-        for per_rank in intervals:
-            t = 0.0
-            for iv in per_rank:
-                if iv.t_start < t - _EPS:
-                    raise SimulationError(
-                        f"overlapping intervals for rank {iv.rank} at t={iv.t_start}"
-                    )
-                if iv.t_start > t + _EPS:
-                    raise SimulationError(
-                        f"gap in rank {iv.rank}'s timeline at t={t}..{iv.t_start}"
-                    )
-                t = iv.t_end

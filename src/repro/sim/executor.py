@@ -17,37 +17,32 @@ The result is a :class:`RunRecord` carrying both the exact and the measured
 power/energy, so callers can use the measured values (as the paper does) and
 tests can bound the measurement error.
 
-Integration paths
+Power integration
 -----------------
 
-Two implementations of step 1–3 coexist:
+Steps 1–3 are a sweep-line pipeline.  Per node, interval start/end events
+become difference arrays whose prefix sums give every component's demand
+per timeline slice in O(n log n); the slices are priced in a handful of
+NumPy calls through the power stack's struct-of-arrays API
+(:meth:`~repro.power.node_power.NodePowerModel.wall_power_many`).  The
+cross-node merge ``searchsorted``\\ s every node curve onto the global cut
+grid, sums a nodes x cuts watts matrix, compacts runs of equal watts, and
+hands the arrays to :meth:`~repro.power.trace.PiecewisePower.from_arrays`.
 
-* ``integration="vectorized"`` (default) — a sweep-line pipeline.  Per
-  node, interval start/end events become difference arrays whose prefix
-  sums give every component's demand per timeline slice in O(n log n);
-  the slices are priced in a handful of NumPy calls through the power
-  stack's struct-of-arrays API
-  (:meth:`~repro.power.node_power.NodePowerModel.wall_power_many`).  The
-  cross-node merge ``searchsorted``\\ s every node curve onto the global
-  cut grid, sums a nodes x cuts watts matrix, compacts runs of equal
-  watts, and hands the arrays to
-  :meth:`~repro.power.trace.PiecewisePower.from_arrays`.
-* ``integration="reference"`` — the original midpoint-scan implementation,
-  kept as the scalar oracle: per slice, per node, a Python rescan of every
-  rank interval.  O(slices x intervals), but independently simple.
-
-Both paths snap breakpoints that float noise has pushed within ``_EPS`` of
-each other onto a single representative *before* slicing, so no slice —
-and none of its joules — is ever dropped, and both assert that the final
-segments tile ``[0, makespan]`` exactly.  Property tests
-(``tests/test_power_integration.py``) pin the two paths to each other on
+Breakpoints that float noise has pushed within ``_EPS`` of each other are
+snapped onto a single representative *before* slicing, so no slice — and
+none of its joules — is ever dropped, and the final segments must tile
+``[0, makespan]`` exactly.  The original midpoint-scan integrator (per
+slice, per node, a Python rescan of every rank interval) is kept in the
+test tree (``tests/oracles.py``) as the scalar oracle; property tests
+(``tests/test_power_integration.py``) pin the two to each other on
 energy, attribution, and the power curve itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,13 +56,9 @@ from ..power.meter import WATTS_UP_PRO, WallPlugMeter
 from ..power.node_power import NodePowerModel
 from ..power.trace import PiecewisePower, PowerTrace
 from ..rng import RandomState
-from .engine import IntervalArrays, RankInterval, SimulationEngine
+from .engine import IntervalArrays, SimulationEngine
 from .placement import Placement
 from .workload import RankProgram
-
-#: Either the columnar fast-path form or the per-rank object view — every
-#: integration entry point accepts both.
-Intervals = Union["IntervalArrays", List[List[RankInterval]]]
 
 __all__ = ["ClusterExecutor", "RunRecord"]
 
@@ -188,30 +179,10 @@ class ClusterExecutor:
         * ``"active-nodes"``: only nodes hosting at least one rank are
           metered (a common lab shortcut).  Kept for the metering-boundary
           ablation; it visibly reshapes every EE curve.
-    integration:
-        Which power-integration pipeline folds rank intervals into the
-        cluster power curve:
-
-        * ``"vectorized"`` (default): the sweep-line pipeline (see module
-          docstring) — the fast path every campaign and curve runs on;
-        * ``"reference"``: the scalar midpoint-scan oracle, kept for
-          equivalence testing and as executable documentation.
-    engine:
-        Which discrete-event engine produces the rank intervals:
-
-        * ``"vectorized"`` (default): the struct-of-arrays sweep engine —
-          emits columnar :class:`~repro.sim.engine.IntervalArrays` that
-          feed the vectorized integrator with no per-interval objects;
-        * ``"reference"``: the original event-heap loop, kept as the
-          equivalence-tested oracle.
     """
 
     #: Valid metering boundaries.
     METERING_MODES = ("system", "active-nodes")
-    #: Valid power-integration pipelines.
-    INTEGRATION_MODES = ("vectorized", "reference")
-    #: Valid discrete-event engine implementations.
-    ENGINE_MODES = SimulationEngine.ENGINE_MODES
 
     def __init__(
         self,
@@ -222,21 +193,10 @@ class ClusterExecutor:
         rng: RandomState = None,
         faults: Optional[FaultInjector] = None,
         metering: str = "system",
-        integration: str = "vectorized",
-        engine: str = "vectorized",
     ):
         if metering not in self.METERING_MODES:
             raise SimulationError(
                 f"metering must be one of {self.METERING_MODES}, got {metering!r}"
-            )
-        if integration not in self.INTEGRATION_MODES:
-            raise SimulationError(
-                f"integration must be one of {self.INTEGRATION_MODES}, "
-                f"got {integration!r}"
-            )
-        if engine not in self.ENGINE_MODES:
-            raise SimulationError(
-                f"engine must be one of {self.ENGINE_MODES}, got {engine!r}"
             )
         self.cluster = cluster
         self.node_power = node_power or NodePowerModel(node=cluster.node)
@@ -246,8 +206,6 @@ class ClusterExecutor:
             meter = WallPlugMeter(spec, rng=rng)
         self.meter = meter
         self.metering = metering
-        self.integration = integration
-        self.engine = engine
 
     # ------------------------------------------------------------------
     def execute(
@@ -264,8 +222,7 @@ class ClusterExecutor:
             raise SimulationError(
                 f"placement has {placement.num_ranks} ranks, got {len(programs)} programs"
             )
-        engine = SimulationEngine(programs, engine=self.engine)
-        intervals = engine.run_arrays()
+        intervals = SimulationEngine(programs).run_arrays()
         makespan = intervals.makespan
         if makespan <= 0:
             raise SimulationError("run has zero duration; no phases with time in any program")
@@ -294,8 +251,6 @@ class ClusterExecutor:
                     cluster_name=self.cluster.name,
                     num_ranks=placement.num_ranks,
                     num_nodes=self.cluster.num_nodes,
-                    engine=self.engine,
-                    integration=self.integration,
                     metering=self.metering,
                     idle_wall_w=self.node_power.idle_wall_power(),
                     max_node_wall_w=self.node_power.max_wall_power(),
@@ -325,89 +280,47 @@ class ClusterExecutor:
     def integrate_power(
         self,
         placement: Placement,
-        intervals: Intervals,
+        intervals: IntervalArrays,
         makespan: float,
         *,
         capture: Optional[tline.TimelineCapture] = None,
     ) -> Tuple[PiecewisePower, Dict[str, float], Dict[str, object]]:
-        """Fold rank intervals into the cluster wall-power curve.
-
-        ``intervals`` may be the engine's columnar
-        :class:`~repro.sim.engine.IntervalArrays` (the fast path — no
-        per-interval objects are ever materialized) or the per-rank
-        ``RankInterval`` lists (flattened on entry).
+        """Fold the engine's columnar intervals into the cluster wall-power curve.
 
         Returns ``(truth, breakdown, stats)``: the ground-truth
         :class:`~repro.power.trace.PiecewisePower`, the component
-        DC-energy attribution, and the integration-path statistics that
+        DC-energy attribution, and the integration statistics that
         :meth:`execute` attaches to the ``sim.power.integrate`` span
-        (``integration``, ``segments_in``, ``segments_out``,
-        ``compaction_ratio``).
-
-        With ``capture`` set, the integrator also stashes its columnar
-        slice table (start/end/node/wall watts plus per-component DC
-        watts) into the :class:`~repro.timeline.TimelineCapture` — on the
-        vectorized path these are references to arrays already computed,
-        so armed capture adds no meaningful work here.
-
-        Public so perf-watch scenarios can time the integration phase in
-        isolation (the engine run happens in their setup).
-        """
-        if self.integration == "reference":
-            return self._integrate_reference(
-                placement, intervals, makespan, capture=capture
-            )
-        return self._integrate_vectorized(
-            placement, intervals, makespan, capture=capture
-        )
-
-    # -- shared pieces -------------------------------------------------
-    def _idle_node_count(self, used: int) -> int:
-        if self.metering == "system":
-            return self.cluster.num_nodes - used
-        return 0  # active-nodes: unused nodes sit outside the meter
-
-    def _add_idle_breakdown(self, breakdown: Dict[str, float], idle_nodes: int, makespan: float) -> None:
-        if not idle_nodes:
-            return
-        idle_parts = self.node_power.component_breakdown(NodeUtilization.idle())
-        for component, watts in idle_parts.items():
-            breakdown[component] = (
-                breakdown.get(component, 0.0) + idle_nodes * watts * makespan
-            )
-
-    # -- vectorized sweep-line pipeline --------------------------------
-    def _integrate_vectorized(
-        self,
-        placement: Placement,
-        intervals: Intervals,
-        makespan: float,
-        capture: Optional[tline.TimelineCapture] = None,
-    ) -> Tuple[PiecewisePower, Dict[str, float], Dict[str, object]]:
-        """Sweep-line integration over flat per-node regions.
+        (``segments_in``, ``segments_out``, ``compaction_ratio``).
 
         All active nodes are processed as contiguous *regions* of shared
-        flat arrays rather than one node at a time: the engine's columnar
-        :class:`~repro.sim.engine.IntervalArrays` provides the interval
-        endpoints and deduplicated phase-demand rows directly (per-rank
-        object lists are flattened once on entry), a single lexsort
-        builds every node's snapped cut grid, one ``np.add.at``/``cumsum``
-        pair folds every component's demand onto every slice of every
-        node, and one
+        flat arrays rather than one node at a time: the
+        :class:`~repro.sim.engine.IntervalArrays` provide the interval
+        endpoints and deduplicated phase-demand rows directly, a single
+        lexsort builds every node's snapped cut grid, one
+        ``np.add.at``/``cumsum`` pair folds every component's demand onto
+        every slice of every node, and one
         :meth:`~repro.power.node_power.NodePowerModel.wall_power_many`
         call prices the whole cluster.  Because every interval's +demand
         and -demand both land inside its node's region, the running
         prefix sum returns to zero at each region boundary, so one flat
         ``cumsum`` is safe across regions — there is no per-node Python
         loop anywhere on this path.
+
+        With ``capture`` set, the integrator also stashes its columnar
+        slice table (start/end/node/wall watts plus per-component DC
+        watts) into the :class:`~repro.timeline.TimelineCapture` — these
+        are references to arrays already computed, so armed capture adds
+        no meaningful work here.
+
+        Public so perf-watch scenarios can time the integration phase in
+        isolation (the engine run happens in their setup).
         """
         # 1. The columnar form: interval endpoints plus per-interval rows
         # into the deduplicated phase-demand table.  Phases are heavily
         # shared across intervals (and interned for barrier waits), so
         # their demand vectors are gathered through the row-index table
         # instead of being re-read per interval.
-        if not isinstance(intervals, IntervalArrays):
-            intervals = IntervalArrays.from_interval_lists(intervals)
         n_iv = len(intervals)
         iv_start = np.asarray(intervals.t_start, dtype=float)
         iv_end = np.asarray(intervals.t_end, dtype=float)
@@ -559,140 +472,23 @@ class ClusterExecutor:
         # Whatever the wall saw beyond the summed DC is conversion loss.
         breakdown["psu_loss"] = truth.energy() - sum(breakdown.values())
         stats = {
-            "integration": "vectorized",
             "segments_in": int(total.size),
             "segments_out": int(seg_watts.size),
             "compaction_ratio": float(seg_watts.size / total.size) if total.size else 1.0,
         }
         return truth, breakdown, stats
 
-    # -- scalar reference oracle ---------------------------------------
-    def _integrate_reference(
-        self,
-        placement: Placement,
-        intervals: Intervals,
-        makespan: float,
-        capture: Optional[tline.TimelineCapture] = None,
-    ) -> Tuple[PiecewisePower, Dict[str, float], Dict[str, object]]:
-        """The original midpoint-scan integration, kept as the oracle."""
-        if isinstance(intervals, IntervalArrays):
-            intervals = intervals.to_interval_lists()
-        idle_wall = self.node_power.idle_wall_power()
-        # Per-node piecewise wall power as (breakpoints, watts-per-slice),
-        # accumulating component DC joules along the way.
-        breakdown: Dict[str, float] = {}
-        node_curves: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        for node_row, node in enumerate(placement.nodes_used):
-            node_curves[node] = self._node_power_curve(
-                placement,
-                node,
-                intervals,
-                makespan,
-                breakdown,
-                capture=capture,
-                node_row=node_row,
+    # -- idle-node accounting (shared with the midpoint-scan oracle) ------
+    def _idle_node_count(self, used: int) -> int:
+        if self.metering == "system":
+            return self.cluster.num_nodes - used
+        return 0  # active-nodes: unused nodes sit outside the meter
+
+    def _add_idle_breakdown(self, breakdown: Dict[str, float], idle_nodes: int, makespan: float) -> None:
+        if not idle_nodes:
+            return
+        idle_parts = self.node_power.component_breakdown(NodeUtilization.idle())
+        for component, watts in idle_parts.items():
+            breakdown[component] = (
+                breakdown.get(component, 0.0) + idle_nodes * watts * makespan
             )
-        # Global breakpoints (snapped, so no sliver is silently dropped).
-        cut_arrays = [np.array([0.0, makespan])]
-        for starts, _ in node_curves.values():
-            cut_arrays.append(starts)
-        cut_list = _snap_cuts(np.concatenate(cut_arrays), makespan).tolist()
-        idle_nodes = self._idle_node_count(len(node_curves))
-        self._add_idle_breakdown(breakdown, idle_nodes, makespan)
-        if capture is not None:
-            capture.makespan = makespan
-            capture.nodes_used = tuple(placement.nodes_used)
-            capture.idle_nodes = idle_nodes
-            capture.finalize_reference()
-        seg_starts: List[float] = []
-        seg_watts: List[float] = []
-        for t0, t1 in zip(cut_list, cut_list[1:]):
-            mid = 0.5 * (t0 + t1)
-            watts = idle_nodes * idle_wall
-            for starts, node_watts in node_curves.values():
-                idx = int(np.searchsorted(starts, mid, side="right") - 1)
-                watts += float(node_watts[max(idx, 0)])
-            seg_starts.append(t0)
-            seg_watts.append(watts)
-        starts_arr = np.array(seg_starts)
-        ends_arr = np.array(cut_list[1:])
-        _assert_tiling(starts_arr, ends_arr, makespan)
-        truth = PiecewisePower.from_arrays(starts_arr, ends_arr, np.array(seg_watts))
-        # Whatever the wall saw beyond the summed DC is conversion loss.
-        breakdown["psu_loss"] = truth.energy() - sum(breakdown.values())
-        n_segments = len(seg_watts)
-        stats = {
-            "integration": "reference",
-            "segments_in": n_segments,
-            "segments_out": n_segments,
-            "compaction_ratio": 1.0,
-        }
-        return truth, breakdown, stats
-
-    def _node_power_curve(
-        self,
-        placement: Placement,
-        node: int,
-        intervals: List[List[RankInterval]],
-        makespan: float,
-        breakdown: Dict[str, float],
-        capture: Optional[tline.TimelineCapture] = None,
-        node_row: int = 0,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(slice starts, wall watts per slice) for one node over [0, makespan].
-
-        Side effect: adds the node's per-component DC joules to ``breakdown``
-        (and, with ``capture`` set, appends every slice to the timeline
-        capture under dense row ``node_row``).
-        """
-        node_intervals: List[RankInterval] = []
-        for rank in placement.ranks_on_node(node):
-            node_intervals.extend(intervals[rank])
-        cuts = [0.0, makespan]
-        for iv in node_intervals:
-            cuts.append(iv.t_start)
-            cuts.append(iv.t_end)
-        cut_list = _snap_cuts(np.array(cuts), makespan).tolist()
-        starts: List[float] = []
-        watts: List[float] = []
-        cores = self.cluster.node.cores
-        for t0, t1 in zip(cut_list, cut_list[1:]):
-            mid = 0.5 * (t0 + t1)
-            util = self._slice_utilization(node_intervals, mid, cores)
-            starts.append(t0)
-            watts.append(self.node_power.wall_power(util))
-            parts = self.node_power.component_breakdown(util)
-            for component, dc_watts in parts.items():
-                breakdown[component] = breakdown.get(component, 0.0) + dc_watts * (t1 - t0)
-            if capture is not None:
-                capture.add_slice(t0, t1, node_row, watts[-1], parts)
-        return np.array(starts), np.array(watts)
-
-    @staticmethod
-    def _slice_utilization(
-        node_intervals: List[RankInterval], t: float, cores: int
-    ) -> NodeUtilization:
-        """Aggregate the demands of all ranks active on a node at time ``t``."""
-        busy = 0
-        intensity_sum = 0.0
-        memory = storage = nic = accelerator = 0.0
-        for iv in node_intervals:
-            if iv.t_start - _EPS <= t < iv.t_end - _EPS:
-                phase = iv.phase
-                if phase.occupies_core:
-                    busy += 1
-                    intensity_sum += phase.cpu_intensity
-                memory += phase.memory
-                storage += phase.storage
-                nic += phase.nic
-                accelerator += phase.accelerator
-        if busy == 0:
-            return NodeUtilization.idle()
-        return NodeUtilization(
-            cpu_active_fraction=min(1.0, busy / cores),
-            cpu_intensity=min(1.0, intensity_sum / busy),
-            memory=min(1.0, memory),
-            storage=min(1.0, storage),
-            nic=min(1.0, nic),
-            accelerator=min(1.0, accelerator),
-        )

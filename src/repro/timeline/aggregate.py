@@ -83,8 +83,6 @@ def run_summary(
         "nodes_active": timeline.nodes_active,
         "idle_nodes": timeline.idle_nodes,
         "makespan_s": timeline.makespan_s,
-        "engine": timeline.engine,
-        "integration": timeline.integration,
         "metering": timeline.metering,
         "segments": timeline.segments,
         "energy_j": timeline.energy_j,

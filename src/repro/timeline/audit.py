@@ -16,9 +16,9 @@ error against the run's true energy, plus the downsampling bound:
 5. **downsample closure** — the min-max binning's energy-preserving means
    must re-integrate to the total.
 
-All five hold within ``1e-9`` relative for every engine × integration
-mode (property-tested in ``tests/test_timeline.py``); in practice the
-errors are float-association noise around ``1e-13``.
+All five hold within ``1e-9`` relative under both metering boundaries
+(property-tested in ``tests/test_timeline.py``); in practice the errors
+are float-association noise around ``1e-13``.
 """
 
 from __future__ import annotations

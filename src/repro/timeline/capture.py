@@ -8,7 +8,7 @@ events and :mod:`repro.telemetry` uses for spans:
   module-level global against ``None`` — the executor skips every capture
   branch.  Nothing is allocated, nothing is copied.
 * **Armed** (a sink attached via :func:`attach_sink` or the
-  :func:`collecting` context manager): the integrators stash *references*
+  :func:`collecting` context manager): the integrator stashes *references*
   to the columnar arrays they already computed into a
   :class:`TimelineCapture`, and :meth:`~repro.sim.executor.ClusterExecutor.execute`
   wraps them into a :class:`~repro.timeline.model.RunTimeline` handed to
@@ -44,11 +44,10 @@ __all__ = [
 class TimelineCapture:
     """Raw columnar arrays stashed by one power integration.
 
-    The vectorized integrator fills it with references to arrays it
-    already owns (O(1) per field); the reference oracle appends per-slice
-    scalars and converts on :meth:`finalize_reference`.  Either way the
-    result is one flat slice table — ``(start, end, node_row, wall_w)``
-    plus one DC-watts column per component — ordered by node row.
+    The integrator fills it with references to arrays it already owns
+    (O(1) per field): one flat slice table — ``(start, end, node_row,
+    wall_w)`` plus one DC-watts column per component — ordered by node
+    row.
     """
 
     __slots__ = (
@@ -60,7 +59,6 @@ class TimelineCapture:
         "slice_node",
         "slice_wall_w",
         "components",
-        "_ref_rows",
     )
 
     def __init__(self) -> None:
@@ -72,9 +70,7 @@ class TimelineCapture:
         self.slice_node: Optional[np.ndarray] = None
         self.slice_wall_w: Optional[np.ndarray] = None
         self.components: Dict[str, np.ndarray] = {}
-        self._ref_rows: List[Tuple[float, float, int, float, Dict[str, float]]] = []
 
-    # -- vectorized fill: reference stashes, no copies ------------------
     def set_slices(
         self,
         *,
@@ -89,31 +85,6 @@ class TimelineCapture:
         self.slice_node = node_row
         self.slice_wall_w = wall_w
         self.components = components
-
-    # -- reference fill: one row per slice ------------------------------
-    def add_slice(
-        self,
-        t0: float,
-        t1: float,
-        node_row: int,
-        wall_w: float,
-        parts: Dict[str, float],
-    ) -> None:
-        self._ref_rows.append((t0, t1, node_row, wall_w, dict(parts)))
-
-    def finalize_reference(self) -> None:
-        """Convert the oracle's appended rows into the columnar form."""
-        if not self._ref_rows:
-            raise TimelineError("reference capture saw no slices")
-        self.slice_start = np.array([r[0] for r in self._ref_rows])
-        self.slice_end = np.array([r[1] for r in self._ref_rows])
-        self.slice_node = np.array([r[2] for r in self._ref_rows], dtype=np.intp)
-        self.slice_wall_w = np.array([r[3] for r in self._ref_rows])
-        names = sorted(self._ref_rows[0][4])
-        self.components = {
-            name: np.array([r[4][name] for r in self._ref_rows]) for name in names
-        }
-        self._ref_rows = []
 
     @property
     def filled(self) -> bool:

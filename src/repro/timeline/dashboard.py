@@ -170,8 +170,7 @@ def _run_card(run: Dict) -> str:
     return (
         '<div class="card">'
         f"<h3>{label} <span class=\"meta\">{run['num_ranks']} ranks, "
-        f"{run['segments']} segments, {run['engine']}/{run['integration']}"
-        f"</span></h3>"
+        f"{run['segments']} segments</span></h3>"
         f"{_band_sparkline(run['total'])} {meter_svg}"
         f'<div class="meta">{_fmt_energy(run["energy_j"])} over '
         f"{run['makespan_s']:.1f} s &middot; mean "

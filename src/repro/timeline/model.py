@@ -45,8 +45,6 @@ class RunTimeline:
         nodes_active: int,
         idle_nodes: int,
         makespan_s: float,
-        engine: str,
-        integration: str,
         metering: str,
         total_starts: np.ndarray,
         total_ends: np.ndarray,
@@ -72,8 +70,6 @@ class RunTimeline:
         self.nodes_active = nodes_active
         self.idle_nodes = idle_nodes
         self.makespan_s = makespan_s
-        self.engine = engine
-        self.integration = integration
         self.metering = metering
         self.total_starts = total_starts
         self.total_ends = total_ends
@@ -224,8 +220,6 @@ def build_run_timeline(
     cluster_name: str,
     num_ranks: int,
     num_nodes: int,
-    engine: str,
-    integration: str,
     metering: str,
     idle_wall_w: float,
     max_node_wall_w: float,
@@ -247,8 +241,6 @@ def build_run_timeline(
         nodes_active=len(capture.nodes_used),
         idle_nodes=capture.idle_nodes,
         makespan_s=capture.makespan,
-        engine=engine,
-        integration=integration,
         metering=metering,
         total_starts=truth.starts_array,
         total_ends=truth.ends_array,

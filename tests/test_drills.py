@@ -23,12 +23,9 @@ from repro.campaign.jobs import CampaignJob, ClusterRef
 from repro.cli import main
 from repro.experiments import PAPER_CONFIG
 from repro.faults import FaultPlan
-from repro.fleet import (
-    FLEET_BENCHMARKS,
-    FleetRankingPipeline,
-    evaluate_system,
-    generated_fleet_members,
-)
+from repro.fleet import FLEET_BENCHMARKS, FleetRankingPipeline, generated_fleet_members
+
+from .oracles import evaluate_system
 
 pytestmark = pytest.mark.drill
 

@@ -1,7 +1,7 @@
-"""Vectorized-vs-reference engine equivalence (hypothesis).
+"""Sweep-engine vs event-heap-oracle equivalence (hypothesis).
 
 The vectorized sweep engine must be indistinguishable from the event-heap
-oracle.  Two strategies probe it:
+oracle in ``tests/oracles.py``.  Two strategies probe it:
 
 * *Binary-fraction programs*: durations are multiples of 1/256, so every
   prefix sum both engines compute is exact in float64 and agreement must
@@ -12,6 +12,8 @@ oracle.  Two strategies probe it:
   energy through the full executor pipeline.
 """
 
+import time
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from repro.cluster import presets
 from repro.sim import (
     ClusterExecutor,
     RankProgram,
+    RunRecord,
     SimulationEngine,
     barrier,
     breadth_first_placement,
@@ -29,6 +32,8 @@ from repro.sim import (
     io_phase,
     memory_phase,
 )
+
+from .oracles import interval_arrays, interval_lists, list_makespan, run_event_heap
 
 #: Multiples of 1/256 are exact binary fractions: sums of them round-trip
 #: through float64 without error, so interval bounds must match exactly.
@@ -101,10 +106,10 @@ def random_programs(draw):
 
 def assert_engines_interval_exact(programs):
     """Both engines must emit identical interval structure."""
-    arrays = SimulationEngine(programs, engine="vectorized").run_arrays()
-    vectorized = arrays.to_interval_lists()
-    reference = SimulationEngine(programs, engine="reference").run()
-    ref_makespan = SimulationEngine(programs, engine="reference").makespan(reference)
+    arrays = SimulationEngine(programs).run_arrays()
+    vectorized = interval_lists(arrays)
+    reference = run_event_heap(programs)
+    ref_makespan = list_makespan(reference)
     assert arrays.makespan == pytest.approx(ref_makespan, rel=1e-9, abs=1e-9)
     assert len(vectorized) == len(reference)
     for rank, (got, want) in enumerate(zip(vectorized, reference)):
@@ -128,14 +133,18 @@ class TestIntervalEquivalence:
     @given(programs=random_programs())
     @settings(max_examples=60, deadline=None)
     def test_columnar_equals_object_view(self, programs):
-        """run() (compat view) and run_arrays() describe the same run."""
-        engine = SimulationEngine(programs, engine="vectorized")
-        arrays = engine.run_arrays()
-        lists = engine.run()
+        """The oracles' per-rank list view describes the same run as the
+        engine's columns."""
+        arrays = SimulationEngine(programs).run_arrays()
+        lists = interval_lists(arrays)
         flat_from_arrays = [
-            (iv.rank, iv.t_start, iv.t_end, id(iv.phase))
-            for per_rank in arrays.to_interval_lists()
-            for iv in per_rank
+            (r, t0, t1, id(arrays.phases[row]))
+            for r, t0, t1, row in zip(
+                arrays.rank.tolist(),
+                arrays.t_start.tolist(),
+                arrays.t_end.tolist(),
+                arrays.phase_row.tolist(),
+            )
         ]
         flat_from_lists = [
             (iv.rank, iv.t_start, iv.t_end, id(iv.phase))
@@ -143,19 +152,33 @@ class TestIntervalEquivalence:
             for iv in per_rank
         ]
         assert flat_from_arrays == flat_from_lists
-        assert int(arrays.counts_per_rank().sum()) == len(arrays)
+        assert sum(len(per_rank) for per_rank in lists) == len(arrays)
 
     @given(programs=random_programs())
     @settings(max_examples=60, deadline=None)
     def test_makespan_consistency(self, programs):
-        """makespan() agrees across engines and both interval forms."""
-        vec = SimulationEngine(programs, engine="vectorized")
-        ref = SimulationEngine(programs, engine="reference")
-        arrays = vec.run_arrays()
-        assert vec.makespan(arrays) == arrays.makespan
+        """The makespan agrees across engines and both interval forms."""
+        arrays = SimulationEngine(programs).run_arrays()
+        assert list_makespan(interval_lists(arrays)) == arrays.makespan
         assert arrays.makespan == pytest.approx(
-            ref.makespan(ref.run()), rel=1e-9, abs=1e-9
+            list_makespan(run_event_heap(programs)), rel=1e-9, abs=1e-9
         )
+
+
+def _heap_record(executor, placement, programs):
+    """What ``executor.execute`` reports when the event-heap oracle
+    produces the intervals."""
+    arrays = interval_arrays(run_event_heap(programs))
+    truth, breakdown, _ = executor.integrate_power(placement, arrays, arrays.makespan)
+    return RunRecord(
+        label="reference",
+        cluster=executor.cluster,
+        num_ranks=len(programs),
+        makespan_s=arrays.makespan,
+        truth=truth,
+        trace=executor.meter.measure(truth),
+        energy_breakdown=breakdown,
+    )
 
 
 class TestDownstreamEnergyEquivalence:
@@ -167,11 +190,9 @@ class TestDownstreamEnergyEquivalence:
         assume(any(p.busy_time > 0 for p in programs))
         cluster = presets.fire(num_nodes=2)
         placement = breadth_first_placement(cluster, len(programs))
-        records = {}
-        for engine in ("vectorized", "reference"):
-            executor = ClusterExecutor(cluster, rng=7, engine=engine)
-            records[engine] = executor.execute(placement, programs, label=engine)
-        vec, ref = records["vectorized"], records["reference"]
+        executor = ClusterExecutor(cluster, rng=7)
+        vec = executor.execute(placement, programs, label="vectorized")
+        ref = _heap_record(executor, placement, programs)
         assert vec.makespan_s == pytest.approx(ref.makespan_s, rel=1e-9, abs=1e-9)
         assert vec.true_energy_j == pytest.approx(ref.true_energy_j, rel=1e-9)
         assert set(vec.energy_breakdown) == set(ref.energy_breakdown)
@@ -179,3 +200,45 @@ class TestDownstreamEnergyEquivalence:
             assert joules == pytest.approx(
                 ref.energy_breakdown[component], rel=1e-9, abs=1e-9
             )
+
+
+def _engine_programs(num_ranks):
+    return [
+        RankProgram(
+            rank=r,
+            phases=[
+                compute_phase(10.0 + (r % 7) * 0.1),
+                barrier(),
+                compute_phase(5.0 + (r % 32) * 0.01),
+                barrier(),
+                compute_phase(2.0 + (r % 5) * 0.05),
+            ],
+        )
+        for r in range(num_ranks)
+    ]
+
+
+@pytest.mark.slow
+class TestOracleSpeed:
+    def test_engine_vectorized_beats_reference(self):
+        """Acceptance: the sweep engine is >= 3x the event-heap oracle at 8192
+        ranks while emitting the identical schedule."""
+        programs = _engine_programs(8192)
+        vectorized = SimulationEngine(programs)
+        vectorized.run_arrays()  # warm numpy allocators outside the timed region
+
+        t0 = time.perf_counter()
+        arrays = vectorized.run_arrays()
+        vec_s = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        ref_intervals = run_event_heap(programs)
+        ref_s = time.perf_counter() - t0
+
+        # same schedule ...
+        assert len(arrays) == sum(len(per_rank) for per_rank in ref_intervals)
+        assert arrays.makespan == pytest.approx(
+            list_makespan(ref_intervals), rel=1e-9, abs=1e-9
+        )
+        # ... much faster
+        assert ref_s / vec_s >= 3.0, f"speedup only {ref_s / vec_s:.1f}x ({ref_s:.2f}s vs {vec_s:.2f}s)"

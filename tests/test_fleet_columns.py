@@ -1,6 +1,5 @@
 """Struct-of-arrays fleet packing tests."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import presets
@@ -69,24 +68,6 @@ class TestBatchable:
 
 
 class TestSlicing:
-    def test_take(self, fleet):
-        cols = FleetColumns.pack(fleet)
-        part = cols.take(2, 5)
-        assert len(part) == 3
-        assert part.names == cols.names[2:5]
-        assert np.array_equal(part.clock_hz, cols.clock_hz[2:5])
-
-    def test_chunks_cover_everything(self, fleet):
-        cols = FleetColumns.pack(fleet)
-        chunks = list(cols.chunks(4))
-        assert [len(c) for c in chunks] == [4, 2]
-        assert sum((list(c.names) for c in chunks), []) == list(cols.names)
-
-    def test_bad_chunk_size_rejected(self, fleet):
-        cols = FleetColumns.pack(fleet)
-        with pytest.raises(FleetError):
-            next(cols.chunks(0))
-
     def test_shape_mismatch_rejected(self, fleet):
         cols = FleetColumns.pack(fleet)
         import dataclasses

@@ -1,5 +1,5 @@
 """Property-based equivalence: the vectorized fleet path vs the scalar
-oracle, across all four eras (hypothesis).
+oracle in ``tests/oracles.py``, across all four eras (hypothesis).
 
 This is the fleet layer's analogue of ``test_engine_equivalence.py``: the
 scalar per-system path is the semantic definition, the batched path must
@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from repro.cluster.generator import generate_fleet
 from repro.experiments import PAPER_CONFIG
 from repro.fleet import FLEET_BENCHMARKS, FleetRankingPipeline, evaluate_fleet
+
+from .oracles import scalar_fleet
 
 QUICK = dataclasses.replace(
     PAPER_CONFIG,
@@ -37,7 +39,7 @@ class TestScoreEquivalence:
     def test_batched_matches_scalar(self, era, count, seed):
         fleet = generate_fleet(count, era=era, seed=seed)
         batched = evaluate_fleet(fleet, QUICK)
-        scalar = evaluate_fleet(fleet, QUICK, path="reference")
+        scalar = scalar_fleet(fleet, QUICK)
         for b in FLEET_BENCHMARKS:
             for field in _FIELDS:
                 got = getattr(batched.scores[b], field)
@@ -49,7 +51,7 @@ class TestScoreEquivalence:
     def test_capability_reference_sizing_matches(self, era, seed):
         fleet = generate_fleet(2, era=era, seed=seed)
         batched = evaluate_fleet(fleet, QUICK, reference=True)
-        scalar = evaluate_fleet(fleet, QUICK, path="reference", reference=True)
+        scalar = scalar_fleet(fleet, QUICK, reference=True)
         for b in FLEET_BENCHMARKS:
             assert np.allclose(
                 batched.scores[b].efficiency,
@@ -63,10 +65,13 @@ class TestRankEquivalence:
     @given(era=eras, seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_rank_order_identical(self, era, seed):
-        """Same fleet, both analytic paths: identical list, 1e-9 TGI."""
+        """Same fleet, batched path vs the pipeline scoring through the
+        scalar oracle: identical list, 1e-9 TGI."""
         fleet = generate_fleet(8, era=era, seed=seed)
-        fast = FleetRankingPipeline(config=QUICK, path="batched").rank(fleet)
-        slow = FleetRankingPipeline(config=QUICK, path="reference").rank(fleet)
+        fast = FleetRankingPipeline(config=QUICK).rank(fleet)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("repro.fleet.pipeline.evaluate_fleet", scalar_fleet)
+            slow = FleetRankingPipeline(config=QUICK).rank(fleet)
         assert [r.name for r in fast.rows] == [r.name for r in slow.rows]
         for a, b in zip(fast.rows, slow.rows):
             assert a.tgi == pytest.approx(b.tgi, rel=1e-9)

@@ -10,12 +10,9 @@ import pytest
 from repro.cluster.generator import generate_fleet
 from repro.exceptions import FleetError
 from repro.experiments import PAPER_CONFIG, build_suite
-from repro.fleet import (
-    FLEET_BENCHMARKS,
-    FleetColumns,
-    evaluate_fleet,
-    evaluate_system,
-)
+from repro.fleet import FLEET_BENCHMARKS, FleetColumns, evaluate_fleet
+
+from .oracles import evaluate_system, scalar_fleet
 
 QUICK = dataclasses.replace(
     PAPER_CONFIG,
@@ -39,7 +36,7 @@ def mixed_fleet():
 class TestBatchedVsScalar:
     def test_all_fields_match_oracle(self, mixed_fleet):
         batched = evaluate_fleet(mixed_fleet, QUICK)
-        scalar = evaluate_fleet(mixed_fleet, QUICK, path="reference")
+        scalar = scalar_fleet(mixed_fleet, QUICK)
         for b in FLEET_BENCHMARKS:
             for field in _FIELDS:
                 got = getattr(batched.scores[b], field)
@@ -48,7 +45,7 @@ class TestBatchedVsScalar:
 
     def test_reference_semantics_match_oracle(self, mixed_fleet):
         batched = evaluate_fleet(mixed_fleet, QUICK, reference=True)
-        scalar = evaluate_fleet(mixed_fleet, QUICK, path="reference", reference=True)
+        scalar = scalar_fleet(mixed_fleet, QUICK, reference=True)
         for b in FLEET_BENCHMARKS:
             got = batched.scores[b].efficiency
             want = scalar.scores[b].efficiency
@@ -109,7 +106,7 @@ class TestMemoization:
         fleet = generate_fleet(4, era="2011", seed=3)
         doubled = fleet + fleet  # names repeat but evaluate doesn't care
         memoized = evaluate_fleet(doubled, QUICK)
-        raw = evaluate_fleet(doubled, QUICK, memoize=False)
+        raw = scalar_fleet(doubled, QUICK)
         for b in FLEET_BENCHMARKS:
             assert memoized.memo_unique[b] == 4
             assert raw.memo_unique[b] == 8
@@ -130,15 +127,6 @@ class TestErrors:
     def test_empty_fleet_rejected(self):
         with pytest.raises(FleetError):
             evaluate_fleet([], QUICK)
-
-    def test_unknown_path_rejected(self, mixed_fleet):
-        with pytest.raises(FleetError):
-            evaluate_fleet(mixed_fleet, QUICK, path="warp")
-
-    def test_reference_path_needs_specs(self, mixed_fleet):
-        cols = FleetColumns.pack(mixed_fleet)
-        with pytest.raises(FleetError):
-            evaluate_fleet(cols, QUICK, path="reference")
 
     def test_tiny_problem_size_rejected(self, mixed_fleet):
         small = dataclasses.replace(QUICK, hpl_problem_size=16)

@@ -1,9 +1,9 @@
 """Vectorized sweep-line integration vs. the scalar reference oracle.
 
-The executor ships two power-integration pipelines (see
-``repro/sim/executor.py``): the vectorized sweep-line path every campaign
-runs on, and the original midpoint-scan implementation kept as
-``integration="reference"``.  These tests pin the two to each other —
+The executor's sweep-line power integrator (see ``repro/sim/executor.py``)
+is pinned to the original midpoint-scan implementation, kept as
+:func:`tests.oracles.integrate_midpoint`.  These tests pin the two to
+each other —
 energy, component attribution, and the power curve itself must agree to
 within float-summation noise (<= 1e-9 relative) over randomized
 placements, barrier-heavy programs, accelerator nodes, and both metering
@@ -11,13 +11,16 @@ boundaries — and exercise the batched struct-of-arrays power APIs and the
 breakpoint-snapping guarantees directly.
 """
 
+import time
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import presets
-from repro.exceptions import PowerModelError, SimulationError
+from repro.exceptions import PowerModelError
 from repro.power import (
     NodePowerModel,
     NodeUtilization,
@@ -29,6 +32,8 @@ from repro.power.meter import PERFECT_METER, WallPlugMeter
 from repro.sim import (
     ClusterExecutor,
     RankProgram,
+    RunRecord,
+    SimulationEngine,
     barrier,
     breadth_first_placement,
     comm_phase,
@@ -39,6 +44,8 @@ from repro.sim import (
     packed_placement,
 )
 from repro.sim.executor import _EPS, _snap_cuts
+
+from .oracles import integrate_midpoint
 
 # ---------------------------------------------------------------------------
 # program generation
@@ -84,16 +91,30 @@ def _programs(draw, max_ranks=24):
 
 
 def _both_records(cluster, placement, programs, metering):
-    records = {}
-    for mode in ClusterExecutor.INTEGRATION_MODES:
-        executor = ClusterExecutor(
-            cluster,
-            meter=WallPlugMeter(PERFECT_METER, rng=0),
-            metering=metering,
-            integration=mode,
+    """``integrate_power`` and the midpoint-scan oracle on the same engine
+    run, each wrapped as the record ``execute`` would report."""
+    executor = ClusterExecutor(
+        cluster, meter=WallPlugMeter(PERFECT_METER, rng=0), metering=metering
+    )
+    arrays = SimulationEngine(programs).run_arrays()
+    records = []
+    for label, integrate in (
+        ("vectorized", executor.integrate_power),
+        ("reference", partial(integrate_midpoint, executor)),
+    ):
+        truth, breakdown, _ = integrate(placement, arrays, arrays.makespan)
+        records.append(
+            RunRecord(
+                label=label,
+                cluster=cluster,
+                num_ranks=len(programs),
+                makespan_s=arrays.makespan,
+                truth=truth,
+                trace=executor.meter.measure(truth),
+                energy_breakdown=breakdown,
+            )
         )
-        records[mode] = executor.execute(placement, programs, label=mode)
-    return records["vectorized"], records["reference"]
+    return tuple(records)
 
 
 def _assert_equivalent(vec, ref):
@@ -183,7 +204,6 @@ class TestSpanStats:
         spans = [s for s in session.spans if s.name == "sim.power.integrate"]
         assert len(spans) == 1
         attrs = spans[0].attrs
-        assert attrs["integration"] == "vectorized"
         assert attrs["segments_in"] >= attrs["segments_out"] >= 1
         assert 0 < attrs["compaction_ratio"] <= 1.0
 
@@ -223,10 +243,6 @@ class TestSnapping:
             for (_, e0, _), (s1, _, _) in zip(segs, segs[1:]):
                 assert e0 == s1
         _assert_equivalent(vec, ref)
-
-    def test_invalid_integration_mode_rejected(self):
-        with pytest.raises(SimulationError, match="integration"):
-            ClusterExecutor(presets.fire(1), integration="fast")
 
 
 class TestBatchedPowerAPIs:
@@ -308,3 +324,45 @@ class TestFromArrays:
             PiecewisePower.from_arrays(np.array([]), np.array([]), np.array([]))
         with pytest.raises(PowerModelError):
             PiecewisePower.from_arrays(np.array([0.0]), np.array([1.0, 2.0]), np.array([5.0]))
+
+
+def _integration_state(num_nodes):
+    cluster = presets.fire(num_nodes)
+    num_ranks = num_nodes * cluster.node.cores
+    executor = ClusterExecutor(cluster, rng=7)
+    placement = breadth_first_placement(cluster, num_ranks)
+    programs = [
+        RankProgram(
+            rank=r,
+            phases=[
+                compute_phase(10.0 + r * 0.001),
+                barrier(),
+                compute_phase(5.0 + (r % 32) * 0.01),
+            ],
+        )
+        for r in range(num_ranks)
+    ]
+    intervals = SimulationEngine(programs).run_arrays()
+    return executor, placement, intervals, intervals.makespan
+
+
+@pytest.mark.slow
+class TestOracleSpeed:
+    def test_power_integration_vectorized_beats_reference(self):
+        """Acceptance: the sweep-line path is >= 5x the scalar oracle at 1024 ranks."""
+        executor, placement, intervals, makespan = _integration_state(64)
+
+        t0 = time.perf_counter()
+        truth_vec, breakdown_vec, _ = executor.integrate_power(placement, intervals, makespan)
+        vec_s = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        truth_ref, breakdown_ref, _ = integrate_midpoint(executor, placement, intervals, makespan)
+        ref_s = time.perf_counter() - t0
+
+        # same physics ...
+        assert truth_vec.energy() == pytest.approx(truth_ref.energy(), rel=1e-9)
+        for component, joules in breakdown_ref.items():
+            assert breakdown_vec[component] == pytest.approx(joules, rel=1e-9, abs=1e-9)
+        # ... much faster
+        assert ref_s / vec_s >= 5.0, f"speedup only {ref_s / vec_s:.1f}x ({ref_s:.2f}s vs {vec_s:.2f}s)"

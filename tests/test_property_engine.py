@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from repro.sim import RankProgram, SimulationEngine, barrier, compute_phase
 from repro.sim.workload import PhaseKind
 
+from .oracles import interval_lists, list_makespan
+
 durations = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
 
 
@@ -37,10 +39,9 @@ class TestEngineProperties:
         over steps of the slowest rank's duration — an independent oracle
         for the event engine."""
         programs, table = data
-        engine = SimulationEngine(programs)
-        intervals = engine.run()
+        intervals = interval_lists(SimulationEngine(programs).run_arrays())
         expected = sum(max(row[s] for row in table) for s in range(len(table[0])))
-        assert engine.makespan(intervals) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert list_makespan(intervals) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     @given(data=synchronized_programs())
     @settings(max_examples=80, deadline=None)
@@ -48,9 +49,8 @@ class TestEngineProperties:
         """Every rank's intervals tile [0, makespan] exactly (no lost or
         double-counted time)."""
         programs, _ = data
-        engine = SimulationEngine(programs)
-        intervals = engine.run()
-        makespan = engine.makespan(intervals)
+        intervals = interval_lists(SimulationEngine(programs).run_arrays())
+        makespan = list_makespan(intervals)
         for per_rank in intervals:
             covered = sum(iv.duration for iv in per_rank)
             assert covered == pytest.approx(makespan, rel=1e-9, abs=1e-9)
@@ -60,8 +60,7 @@ class TestEngineProperties:
     def test_wait_only_for_non_slowest(self, data):
         """In every super-step, the slowest rank never waits."""
         programs, table = data
-        engine = SimulationEngine(programs)
-        intervals = engine.run()
+        intervals = interval_lists(SimulationEngine(programs).run_arrays())
         num_steps = len(table[0])
         for s in range(num_steps):
             slowest = max(range(len(table)), key=lambda r: table[r][s])
@@ -90,8 +89,8 @@ class TestEngineProperties:
     @settings(max_examples=40, deadline=None)
     def test_run_is_deterministic(self, data):
         programs, _ = data
-        a = SimulationEngine(programs).run()
-        b = SimulationEngine(programs).run()
+        a = interval_lists(SimulationEngine(programs).run_arrays())
+        b = interval_lists(SimulationEngine(programs).run_arrays())
         assert [
             [(iv.t_start, iv.t_end) for iv in per_rank] for per_rank in a
         ] == [[(iv.t_start, iv.t_end) for iv in per_rank] for per_rank in b]

@@ -4,55 +4,51 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.sim import (
-    IntervalArrays,
-    RankProgram,
-    SimulationEngine,
-    barrier,
-    compute_phase,
-    idle_phase,
-)
+from repro.sim import RankProgram, SimulationEngine, barrier, compute_phase, idle_phase
 from repro.sim.workload import PhaseKind
+
+from .oracles import interval_arrays, interval_lists, list_makespan, run_event_heap
 
 
 def programs_of(*phase_lists):
     return [RankProgram(rank=i, phases=list(pl)) for i, pl in enumerate(phase_lists)]
 
 
+def run_sweep(programs):
+    """The production engine's run, as per-rank interval lists."""
+    return interval_lists(SimulationEngine(programs).run_arrays())
+
+
 class TestBasicExecution:
     def test_single_rank_sequence(self):
-        engine = SimulationEngine(
+        intervals = run_sweep(
             programs_of([compute_phase(2.0), compute_phase(3.0)])
         )
-        intervals = engine.run()
         assert len(intervals[0]) == 2
         assert intervals[0][0].t_start == 0.0
         assert intervals[0][1].t_end == pytest.approx(5.0)
-        assert engine.makespan(intervals) == pytest.approx(5.0)
+        assert list_makespan(intervals) == pytest.approx(5.0)
 
     def test_two_ranks_independent(self):
-        engine = SimulationEngine(
+        intervals = run_sweep(
             programs_of([compute_phase(2.0)], [compute_phase(5.0)])
         )
-        intervals = engine.run()
-        assert engine.makespan(intervals) == pytest.approx(5.0)
+        assert list_makespan(intervals) == pytest.approx(5.0)
         assert intervals[0][-1].t_end == pytest.approx(2.0)
 
     def test_zero_duration_phase_skipped_in_intervals(self):
-        engine = SimulationEngine(programs_of([compute_phase(0.0), compute_phase(1.0)]))
-        intervals = engine.run()
+        intervals = run_sweep(programs_of([compute_phase(0.0), compute_phase(1.0)]))
         assert len(intervals[0]) == 1
 
 
 class TestBarriers:
     def test_barrier_synchronizes(self):
-        engine = SimulationEngine(
+        intervals = run_sweep(
             programs_of(
                 [compute_phase(1.0), barrier(), compute_phase(1.0)],
                 [compute_phase(4.0), barrier(), compute_phase(1.0)],
             )
         )
-        intervals = engine.run()
         # rank 0 waits 3 s at the barrier
         waits = [iv for iv in intervals[0] if iv.phase.kind is PhaseKind.WAIT]
         assert len(waits) == 1
@@ -62,25 +58,23 @@ class TestBarriers:
         assert intervals[1][-1].t_end == pytest.approx(5.0)
 
     def test_fast_rank_gets_no_wait_when_synchronized(self):
-        engine = SimulationEngine(
+        intervals = run_sweep(
             programs_of(
                 [compute_phase(2.0), barrier()],
                 [compute_phase(2.0), barrier()],
             )
         )
-        intervals = engine.run()
         for per_rank in intervals:
             assert all(iv.phase.kind is not PhaseKind.WAIT for iv in per_rank)
 
     def test_multiple_barriers(self):
-        engine = SimulationEngine(
+        intervals = run_sweep(
             programs_of(
                 [compute_phase(1.0), barrier(), compute_phase(3.0), barrier()],
                 [compute_phase(2.0), barrier(), compute_phase(1.0), barrier()],
             )
         )
-        intervals = engine.run()
-        assert engine.makespan(intervals) == pytest.approx(5.0)
+        assert list_makespan(intervals) == pytest.approx(5.0)
         # rank 1 waits at both barriers? first: no (it is slower); second: yes
         waits1 = [iv for iv in intervals[1] if iv.phase.kind is PhaseKind.WAIT]
         assert len(waits1) == 1
@@ -97,20 +91,18 @@ class TestBarriers:
 
     def test_many_ranks_barrier_releases_at_max(self):
         programs = programs_of(*[[compute_phase(float(i + 1)), barrier(), compute_phase(1.0)] for i in range(8)])
-        engine = SimulationEngine(programs)
-        intervals = engine.run()
-        assert engine.makespan(intervals) == pytest.approx(9.0)
+        intervals = run_sweep(programs)
+        assert list_makespan(intervals) == pytest.approx(9.0)
 
 
 class TestTimelineIntegrity:
     def test_intervals_are_gap_free(self):
-        engine = SimulationEngine(
+        intervals = run_sweep(
             programs_of(
                 [compute_phase(1.5), barrier(), idle_phase(2.0), compute_phase(0.5)],
                 [compute_phase(3.0), barrier(), compute_phase(1.0)],
             )
         )
-        intervals = engine.run()
         for per_rank in intervals:
             t = 0.0
             for iv in per_rank:
@@ -126,12 +118,13 @@ class TestTimelineIntegrity:
             SimulationEngine([])
 
     def test_idle_phase_recorded_but_core_free(self):
-        engine = SimulationEngine(programs_of([idle_phase(2.0)]))
-        intervals = engine.run()
+        intervals = run_sweep(programs_of([idle_phase(2.0)]))
         assert intervals[0][0].phase.occupies_core is False
 
 
-ENGINES = SimulationEngine.ENGINE_MODES
+#: The production sweep and the event-heap oracle, each returning per-rank
+#: interval lists.
+ENGINES = {"vectorized": run_sweep, "reference": run_event_heap}
 
 
 class TestEngineEdgeCases:
@@ -139,42 +132,34 @@ class TestEngineEdgeCases:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_single_rank(self, engine):
-        eng = SimulationEngine(
-            programs_of([compute_phase(2.0), barrier(), compute_phase(1.0)]),
-            engine=engine,
+        intervals = ENGINES[engine](
+            programs_of([compute_phase(2.0), barrier(), compute_phase(1.0)])
         )
-        intervals = eng.run()
         # a lone rank never waits at its own barrier
         assert [iv.phase.kind for iv in intervals[0]] == [
             PhaseKind.COMPUTE,
             PhaseKind.COMPUTE,
         ]
-        assert eng.makespan(intervals) == pytest.approx(3.0)
+        assert list_makespan(intervals) == pytest.approx(3.0)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_zero_barriers(self, engine):
-        eng = SimulationEngine(
-            programs_of([compute_phase(1.0)], [compute_phase(4.0)], [idle_phase(2.0)]),
-            engine=engine,
+        intervals = ENGINES[engine](
+            programs_of([compute_phase(1.0)], [compute_phase(4.0)], [idle_phase(2.0)])
         )
-        intervals = eng.run()
-        assert eng.makespan(intervals) == pytest.approx(4.0)
+        assert list_makespan(intervals) == pytest.approx(4.0)
         assert [len(per_rank) for per_rank in intervals] == [1, 1, 1]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_all_barrier_program(self, engine):
-        eng = SimulationEngine(
-            programs_of(*[[barrier(), barrier(), barrier()]] * 4), engine=engine
-        )
-        intervals = eng.run()
-        assert eng.makespan(intervals) == 0.0
+        intervals = ENGINES[engine](programs_of(*[[barrier(), barrier(), barrier()]] * 4))
+        assert list_makespan(intervals) == 0.0
         assert all(per_rank == [] for per_rank in intervals)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_empty_programs(self, engine):
-        eng = SimulationEngine(programs_of([], [], []), engine=engine)
-        intervals = eng.run()
-        assert eng.makespan(intervals) == 0.0
+        intervals = ENGINES[engine](programs_of([], [], []))
+        assert list_makespan(intervals) == 0.0
         assert all(per_rank == [] for per_rank in intervals)
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -182,12 +167,11 @@ class TestEngineEdgeCases:
         """Both engines reject mismatched barrier counts (the would-be
         deadlock) with the same SimulationError."""
         with pytest.raises(SimulationError, match="same number of barriers"):
-            SimulationEngine(
+            ENGINES[engine](
                 programs_of(
                     [compute_phase(1.0), barrier()],
                     [compute_phase(1.0)],
-                ),
-                engine=engine,
+                )
             )
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -199,25 +183,7 @@ class TestEngineEdgeCases:
         programs = [RankProgram(rank=r, phases=template) for r in range(63)]
         programs.append(RankProgram(rank=63, phases=odd))
         with pytest.raises(SimulationError, match="same number of barriers"):
-            SimulationEngine(programs, engine=engine)
-
-    def test_unknown_engine_mode_rejected(self):
-        with pytest.raises(SimulationError, match="engine must be one of"):
-            SimulationEngine(programs_of([compute_phase(1.0)]), engine="quantum")
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_run_arrays_matches_run(self, engine):
-        programs = programs_of(
-            [compute_phase(1.0), barrier(), compute_phase(2.0)],
-            [compute_phase(3.0), barrier(), compute_phase(0.5)],
-        )
-        arrays = SimulationEngine(programs, engine=engine).run_arrays()
-        lists = SimulationEngine(programs, engine=engine).run()
-        rebuilt = arrays.to_interval_lists()
-        assert [
-            [(iv.t_start, iv.t_end, iv.phase) for iv in per_rank] for per_rank in rebuilt
-        ] == [[(iv.t_start, iv.t_end, iv.phase) for iv in per_rank] for per_rank in lists]
-        assert arrays.makespan == SimulationEngine(programs, engine=engine).makespan(lists)
+            ENGINES[engine](programs)
 
 
 class TestIntervalArraysValidation:
@@ -254,7 +220,7 @@ class TestIntervalArraysValidation:
 
     def test_round_trip_through_lists(self):
         arrays = self._arrays()
-        round_tripped = IntervalArrays.from_interval_lists(arrays.to_interval_lists())
+        round_tripped = interval_arrays(interval_lists(arrays))
         assert np.array_equal(round_tripped.rank, arrays.rank)
         assert np.array_equal(round_tripped.t_start, arrays.t_start)
         assert np.array_equal(round_tripped.t_end, arrays.t_end)

@@ -1,8 +1,8 @@
 """Power-timeline capture, audit, downsampling, lenses, and artifacts.
 
 The heart of the file is the hypothesis property test: for random rank
-programs under **every** engine x integration x metering combination, the
-captured columnar timeline must conserve energy — the timeline integral
+programs under **both** metering boundaries, the captured columnar
+timeline must conserve energy — the timeline integral
 matches ``PiecewisePower.energy()`` and the reported TGI inputs within
 1e-9 relative (the audit's tolerance), and the per-component /
 per-node decompositions close against the total.
@@ -64,19 +64,9 @@ def small_programs(draw):
     return programs
 
 
-_MODE_COMBOS = [
-    (engine, integration, metering)
-    for engine in ClusterExecutor.ENGINE_MODES
-    for integration in ClusterExecutor.INTEGRATION_MODES
-    for metering in ClusterExecutor.METERING_MODES
-]
-
-
-def _run_captured(programs, engine, integration, metering):
+def _run_captured(programs, metering):
     cluster = presets.fire(4)
-    executor = ClusterExecutor(
-        cluster, rng=7, engine=engine, integration=integration, metering=metering
-    )
+    executor = ClusterExecutor(cluster, rng=7, metering=metering)
     placement = breadth_first_placement(cluster, len(programs))
     with tline.collecting() as captured:
         record = executor.execute(placement, programs)
@@ -85,19 +75,14 @@ def _run_captured(programs, engine, integration, metering):
 
 
 class TestConservationAudit:
-    @pytest.mark.parametrize("engine,integration,metering", _MODE_COMBOS)
+    @pytest.mark.parametrize("metering", ClusterExecutor.METERING_MODES)
     @given(programs=small_programs())
     @settings(max_examples=15, deadline=None)
-    def test_audit_passes_in_every_mode(
-        self, programs, engine, integration, metering
-    ):
-        """Random programs, all 8 mode combos: conservation within 1e-9."""
-        record, timeline = _run_captured(programs, engine, integration, metering)
+    def test_audit_passes_in_every_mode(self, programs, metering):
+        """Random programs, both metering boundaries: conservation within 1e-9."""
+        record, timeline = _run_captured(programs, metering)
         report = tline.audit_run_timeline(timeline)
-        assert report.ok, (
-            f"audit failed under {engine}/{integration}/{metering}: "
-            f"{report.as_dict()}"
-        )
+        assert report.ok, f"audit failed under {metering}: {report.as_dict()}"
         assert report.worst <= 1e-9
         # The timeline's totals ARE the reported TGI inputs.
         assert timeline.true_energy_j == record.true_energy_j
@@ -108,7 +93,7 @@ class TestConservationAudit:
     @settings(max_examples=10, deadline=None)
     def test_component_and_node_closure(self, programs):
         """Component and per-node energies both sum back to the total."""
-        _, timeline = _run_captured(programs, "vectorized", "vectorized", "system")
+        _, timeline = _run_captured(programs, "system")
         total = timeline.energy_j
         components = timeline.component_energies()
         assert sum(components.values()) == pytest.approx(total, rel=1e-9)
@@ -119,7 +104,7 @@ class TestConservationAudit:
     def test_audit_detects_a_cooked_timeline(self):
         """Corrupting the captured totals must fail the audit."""
         programs = [RankProgram(rank=0, phases=[compute_phase(4.0)])]
-        _, timeline = _run_captured(programs, "vectorized", "vectorized", "system")
+        _, timeline = _run_captured(programs, "system")
         timeline.total_watts = timeline.total_watts * 1.01
         timeline._grid = None
         report = tline.audit_run_timeline(timeline)
@@ -212,7 +197,7 @@ class TestLenses:
             )
             for r in range(16)
         ]
-        _, timeline = _run_captured(programs, "vectorized", "vectorized", "system")
+        _, timeline = _run_captured(programs, "system")
         return timeline
 
     def test_scan_shape_and_determinism(self):
@@ -240,7 +225,7 @@ class TestArtifacts:
         programs = [
             RankProgram(rank=r, phases=[compute_phase(3.0 + r)]) for r in range(4)
         ]
-        _, timeline = _run_captured(programs, "vectorized", "vectorized", "system")
+        _, timeline = _run_captured(programs, "system")
         return [timeline]
 
     def test_write_read_round_trip(self, tmp_path):
@@ -293,9 +278,7 @@ class TestFleetAggregator:
                 RankProgram(rank=r, phases=[compute_phase(4.0)])
                 for r in range(rank_count)
             ]
-            _, timeline = _run_captured(
-                programs, "vectorized", "vectorized", "system"
-            )
+            _, timeline = _run_captured(programs, "system")
             tline.write_job_artifact(
                 tmp_path, job_id=f"job-{rank_count}", timelines=[timeline]
             )

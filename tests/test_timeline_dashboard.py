@@ -220,6 +220,29 @@ class TestCLI:
         assert "runs=3" in out
 
 
+class TestOlderArtifacts:
+    def test_runs_with_mode_keys_still_render(self, campaign, tmp_path, capsys):
+        """Artifacts from 1.10.0 and earlier record each run's ``engine`` and
+        ``integration``; schema version 1 readers still take them."""
+        _, _, timeline_dir = campaign
+        artifact = tline.load_artifacts(timeline_dir)[0]
+        for run in artifact["runs"]:
+            assert "engine" not in run and "integration" not in run
+            run.update(engine="vectorized", integration="vectorized")
+        old_dir = tmp_path / "older"
+        old_dir.mkdir()
+        tline.artifact_path(old_dir, artifact["job_id"]).write_text(
+            json.dumps(artifact, sort_keys=True) + "\n"
+        )
+
+        assert main(["dashboard", "--timeline", str(old_dir)]) == 0
+        assert capsys.readouterr().out.startswith("<!DOCTYPE html>")
+        aggregator = tline.FleetAggregator()
+        aggregator.add_directory(old_dir)
+        assert aggregator.runs_total == len(artifact["runs"])
+        assert aggregator.audits_failed == 0
+
+
 class TestVizHeadlessGuard:
     def test_sets_agg_when_headless_and_matplotlib_present(self, monkeypatch):
         env = {}
