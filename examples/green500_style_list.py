@@ -35,7 +35,7 @@ import argparse
 import dataclasses
 import os
 
-from repro.analysis import ParetoPoint, dominated_by, render_table
+from repro.analysis import ParetoPoint, dominated_by
 from repro.experiments import PAPER_CONFIG
 from repro.fleet import (
     FleetRankingPipeline,
@@ -114,30 +114,8 @@ def main() -> None:
         f"{stats['cache_hits']} cache hits)"
     )
 
-    rows = []
-    for row in ranking:
-        move = row.moved
-        arrow = f"{'+' if move > 0 else ''}{move}" if move else "="
-        rows.append(
-            [
-                row.tgi_rank,
-                row.name,
-                f"{row.tgi:.3f}",
-                f"{row.flops_per_watt / 1e6:.0f}",
-                row.flops_rank,
-                arrow,
-                row.weakest,
-            ]
-        )
     print()
-    print(
-        render_table(
-            ["TGI rank", "System", "TGI", "MFLOPS/W", "FLOPS/W rank", "moved", "weakest"],
-            rows,
-            title="Green500-style list, rescored with TGI",
-            align_right_from=2,
-        )
-    )
+    print(ranking.format_table(title="Green500-style list, rescored with TGI"))
 
     rho = ranking.diagnostics.spearman_rho
     if rho is not None:

@@ -53,7 +53,7 @@ __all__ = [
 PAYLOAD_VERSION = 1
 
 #: Preset factories a ClusterRef may name.
-_PRESETS = ("fire", "system_g", "gpu_cluster", "modern_cluster")
+_PRESETS = tuple(presets.__all__)
 
 
 @dataclass(frozen=True)
@@ -204,6 +204,8 @@ def fleet_jobs(
     ``executor_seeds`` optionally pins each machine's meter seed (defaults
     to ``100 + i``, the convention of the Green500-style example).
     """
+    if count < 0:
+        raise ReproError(f"fleet size must be >= 0, got {count}")
     seeds = list(executor_seeds) or [100 + i for i in range(count)]
     if len(seeds) != count:
         raise ReproError(f"need {count} executor seeds, got {len(seeds)}")

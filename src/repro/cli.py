@@ -12,6 +12,7 @@
     tgi campaign --timeline tl/  # ... with per-job power timelines captured
     tgi campaign --shards 8 --cache-dir c/ --journal r.jl   # 8 work-stealing shards
     tgi campaign --resume r.jl --cache-dir c/   # crash-resume a journaled run
+    tgi fleet rank --count 500   # Green500-style list of a generated fleet
     tgi watch r.jl               # live progress of an in-flight journaled run
     tgi tail r.jl -f             # stream journal events as they arrive
     tgi journal report r.jl      # post-run anomaly report (stragglers, storms)
@@ -25,11 +26,18 @@
 
 Output contract: the machine-readable product of a command (tables,
 fingerprints, traces, reports) goes to stdout; progress and bookkeeping go
-to stderr and are silenced by the global ``--quiet`` flag.  ``run``,
-``campaign``, and ``bench run`` accept ``--telemetry PATH`` to collect a
-full trace: the JSON export lands at PATH with a Prometheus text dump
-beside it (``.prom``).  ``run`` and ``campaign`` accept ``--journal PATH``
-to arm the append-only flight recorder (see ``docs/observability.md``).
+to stderr and are silenced by the global ``--quiet`` flag.
+
+Each verb is one ``_cmd_*(args) -> int`` handler bound to its subparser.
+An option several verbs share is declared once, in a help-less parent
+parser (``build_parser`` lists them all).  The recorder outputs are
+``--journal PATH`` (run, campaign, fleet rank), which arms the append-only
+flight recorder of ``docs/observability.md``; ``--telemetry PATH`` (those
+three and bench run), which writes a JSON trace with a ``.prom``
+Prometheus dump beside it; and ``--timeline DIR`` (campaign, fleet rank,
+which also share ``--workers/--shards/--cache-dir`` and
+``--era/--fleet-seed``).  In ``dashboard`` and ``trace export`` the three
+recorder option names denote input files.
 
 Also reachable as ``python -m repro``.
 """
@@ -37,12 +45,14 @@ Also reachable as ``python -m repro``.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from . import __version__
 from . import journal as jrnl
@@ -64,7 +74,13 @@ from .units import format_bytes, format_flops, format_power
 
 __all__ = ["main", "build_parser", "Console"]
 
-_SYSTEM_CHOICES = ("fire", "system_g", "gpu_cluster", "modern_cluster")
+#: ``rank --profile`` flags -> application profiles in :mod:`repro.core`.
+_PROFILE_BY_FLAG = {
+    "cfd": "CFD_PROFILE",
+    "genomics": "GENOMICS_PROFILE",
+    "checkpoint": "CHECKPOINT_HEAVY_PROFILE",
+    "dense-linalg": "DENSE_LINALG_PROFILE",
+}
 
 
 class Console:
@@ -104,6 +120,13 @@ def _json_out(payload) -> None:
     _console.out(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _leaf(subparsers, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """Register one verb: its subparser, bound to its ``(args) -> int`` handler."""
+    parser = subparsers.add_parser(name, **kwargs)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -116,106 +139,184 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress status output on stderr (results still print to stdout)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiments")
-
-    run = sub.add_parser("run", help="run an experiment (or 'all')")
-    run.add_argument("experiment", help="experiment id (fig2..fig6, table1, table2) or 'all'")
-    run.add_argument(
-        "--plot", action="store_true", help="also render figure series as ASCII charts"
+    # Options shared by several verbs, each declared once; a verb takes a
+    # group by naming it in ``parents=``.
+    shared = functools.partial(argparse.ArgumentParser, add_help=False)
+    journal_out = shared()
+    journal_out.add_argument(
+        "--journal",
+        default=None,
+        metavar="PATH",
+        help="arm the flight recorder: append lifecycle events to this JSONL "
+        "file (follow live with `tgi watch PATH`)",
     )
-    run.add_argument(
+    telemetry_out = shared()
+    telemetry_out.add_argument(
         "--telemetry",
         default=None,
         metavar="PATH",
         help="collect spans/metrics and write the telemetry JSON here "
         "(Prometheus text lands beside it with a .prom suffix)",
     )
-    run.add_argument(
-        "--journal",
+    timeline_out = shared()
+    timeline_out.add_argument(
+        "--timeline",
         default=None,
-        metavar="PATH",
-        help="append run lifecycle events to this JSONL flight-recorder file",
+        metavar="DIR",
+        help="capture per-job power timelines into DIR as "
+        "<job>.timeline.json artifacts (render with `tgi dashboard`)",
     )
-
-    rank = sub.add_parser("rank", help="rank the preset systems by TGI")
-    rank.add_argument(
+    execution = shared()
+    execution.add_argument(
+        "--workers", type=int, default=1, help="process-pool width (1 = serial)"
+    )
+    execution.add_argument(
+        "--shards",
+        type=int,
+        default=0,
+        metavar="N",
+        help="split the campaign into N deterministic work-stealing shards "
+        "(0 = one shard per worker)",
+    )
+    execution.add_argument(
+        "--cache-dir",
+        default=None,
+        help="content-addressed result cache directory (omit to disable caching)",
+    )
+    fleet_generation = shared()
+    fleet_generation.add_argument(
+        "--era",
+        choices=("2008", "2011", "2015", "2021"),
+        default="2011",
+        help="era template for the generated fleet",
+    )
+    fleet_generation.add_argument(
+        "--fleet-seed", type=int, default=20110615, help="fleet generation seed"
+    )
+    system = shared()
+    system.add_argument(
+        "--system",
+        choices=presets.__all__,
+        default="fire",
+        help="preset system to measure",
+    )
+    cores = shared()
+    cores.add_argument(
         "--cores",
         type=int,
         default=0,
-        help="core count to benchmark each system at (default: each system's full size)",
+        help="MPI ranks per system (default: each system's full machine)",
+    )
+    journal_in = shared()
+    journal_in.add_argument("journal", help="journal path (as passed to --journal)")
+    follow = shared(parents=[journal_in])
+    follow.add_argument(
+        "--interval", type=float, default=0.5, metavar="SECONDS",
+        help="poll interval (default: 0.5)",
+    )
+    follow.add_argument(
+        "--timeout",
+        type=float,
+        default=0.0,
+        metavar="SECONDS",
+        help="stop following after this long (0 = follow until run.stop)",
+    )
+    as_json = shared()
+    as_json.add_argument(
+        "--json", action="store_true", dest="as_json",
+        help="machine-readable report on stdout (status stays on stderr)",
+    )
+    history = shared()
+    history.add_argument(
+        "--history",
+        default=None,
+        metavar="DIR",
+        help="history store directory (default: .perfwatch)",
+    )
+    bench_dir = shared()
+    bench_dir.add_argument(
+        "--bench-dir",
+        default=None,
+        metavar="DIR",
+        help="directory of bench_*.py scripts to discover (default: ./benchmarks)",
+    )
+    output = shared()
+    output.add_argument(
+        "-o",
+        "--output",
+        default=None,
+        metavar="PATH",
+        help="write the result here (default: stdout)",
+    )
+    scenario = shared()
+    scenario.add_argument(
+        "--scenario",
+        action="append",
+        default=None,
+        metavar="ID",
+        help="only this scenario (repeatable; overrides `bench run --quick`)",
+    )
+
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    _leaf(sub, "list", _cmd_list, help="list available experiments")
+
+    run = _leaf(
+        sub, "run", _cmd_run, parents=[telemetry_out, journal_out],
+        help="run an experiment (or 'all')",
+    )
+    run.add_argument("experiment", help="experiment id (fig2..fig6, table1, table2) or 'all'")
+    run.add_argument(
+        "--plot", action="store_true", help="also render figure series as ASCII charts"
+    )
+
+    rank = _leaf(
+        sub, "rank", _cmd_rank, parents=[cores], help="rank the preset systems by TGI"
     )
     rank.add_argument(
         "--profile",
-        choices=("cfd", "genomics", "checkpoint", "dense-linalg"),
+        choices=tuple(_PROFILE_BY_FLAG),
         default=None,
         help="weight the suite for an application profile instead of equal weights",
     )
 
-    sub.add_parser("specs", help="print the preset system spec sheets")
+    _leaf(sub, "specs", _cmd_specs, help="print the preset system spec sheets")
 
-    suite = sub.add_parser(
-        "suite", help="run the suite on one preset system and print the measurements"
-    )
-    suite.add_argument(
-        "--system",
-        choices=_SYSTEM_CHOICES,
-        default="fire",
-        help="preset system to measure",
-    )
-    suite.add_argument(
-        "--cores", type=int, default=0, help="MPI ranks (default: full machine)"
+    suite = _leaf(
+        sub, "suite", _cmd_suite, parents=[system, cores],
+        help="run the suite on one preset system and print the measurements",
     )
     suite.add_argument(
         "--breakdown", action="store_true", help="also print the energy attribution"
     )
 
-    sub.add_parser(
-        "sensitivity", help="weight-simplex sensitivity of TGI at full scale"
+    _leaf(
+        sub, "sensitivity", _cmd_sensitivity,
+        help="weight-simplex sensitivity of TGI at full scale",
     )
 
-    archive = sub.add_parser(
-        "archive", help="run the calibrated campaign and save it as JSON"
+    archive = _leaf(
+        sub, "archive", _cmd_archive,
+        help="run the calibrated campaign and save it as JSON",
     )
     archive.add_argument("output", help="path of the JSON archive to write")
 
-    campaign = sub.add_parser(
+    campaign = _leaf(
+        sub,
         "campaign",
+        _cmd_campaign,
+        parents=[execution, fleet_generation, telemetry_out, journal_out, timeline_out],
         help="run a measurement campaign through the parallel executor",
     )
     campaign.add_argument(
-        "--workers", type=int, default=1, help="process-pool width (1 = serial)"
-    )
-    campaign.add_argument(
-        "--cache-dir",
-        default=None,
-        help="content-addressed result cache directory (omit to disable caching)",
-    )
-    campaign.add_argument(
         "--manifest", default=None, help="write the JSON run manifest to this path"
-    )
-    campaign.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="PATH",
-        help="trace the campaign (spans from every job phase, metrics, "
-        "energy attribution) into this JSON file, plus a .prom sibling",
     )
     campaign.add_argument(
         "--fleet",
         type=int,
         default=0,
         help="also measure N generated machines at full scale",
-    )
-    campaign.add_argument(
-        "--era",
-        choices=("2008", "2011", "2015", "2021"),
-        default="2011",
-        help="era template for the generated fleet",
-    )
-    campaign.add_argument(
-        "--fleet-seed", type=int, default=20110615, help="fleet generation seed"
     )
     campaign.add_argument(
         "--retries",
@@ -260,28 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the injected-fault draws (fixed seed = fixed fault pattern)",
     )
     campaign.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="arm the flight recorder: append run/job/fault events to this "
-        "JSONL file (follow live with `tgi watch PATH`)",
-    )
-    campaign.add_argument(
-        "--timeline",
-        default=None,
-        metavar="DIR",
-        help="capture per-job power timelines into DIR as "
-        "<job>.timeline.json artifacts (render with `tgi dashboard`)",
-    )
-    campaign.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="split the campaign into N deterministic work-stealing shards "
-        "(0 = one shard per worker)",
-    )
-    campaign.add_argument(
         "--resume",
         default=None,
         metavar="JOURNAL",
@@ -295,21 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="batched cross-system fleet evaluation and ranking",
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_command", required=True)
-    f_rank = fleet_sub.add_parser(
+    f_rank = _leaf(
+        fleet_sub,
         "rank",
+        _cmd_fleet_rank,
+        parents=[execution, fleet_generation, telemetry_out, journal_out, timeline_out],
         help="rank a generated fleet Green500-style: MFLOPS/W vs TGI",
     )
     f_rank.add_argument(
         "--count", type=int, default=100, help="fleet size (generated systems)"
-    )
-    f_rank.add_argument(
-        "--era",
-        choices=("2008", "2011", "2015", "2021"),
-        default="2011",
-        help="era template for the generated fleet",
-    )
-    f_rank.add_argument(
-        "--fleet-seed", type=int, default=20110615, help="fleet generation seed"
     )
     f_rank.add_argument(
         "--weights",
@@ -351,48 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(simulated meter included) instead of the analytic path",
     )
     f_rank.add_argument(
-        "--workers", type=int, default=1, help="campaign-leg process-pool width"
-    )
-    f_rank.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="campaign-leg shard count (0 = one per worker)",
-    )
-    f_rank.add_argument(
-        "--cache-dir",
-        default=None,
-        help="campaign-leg result cache directory",
-    )
-    f_rank.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="flight recorder: campaign events plus one fleet.ranked "
-        "summary event land in this JSONL file",
-    )
-    f_rank.add_argument(
-        "--timeline",
-        default=None,
-        metavar="DIR",
-        help="campaign-leg power-timeline artifacts directory",
-    )
-    f_rank.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="PATH",
-        help="trace the ranking (pack/evaluate/rank spans) into this JSON "
-        "file, plus a .prom sibling",
-    )
-    f_rank.add_argument(
         "--json",
         action="store_true",
         help="print the full ranking as JSON on stdout",
     )
 
-    dashboard = sub.add_parser(
-        "dashboard",
+    dashboard = _leaf(
+        sub, "dashboard", _cmd_dashboard, parents=[output],
         help="render captured power timelines into one self-contained HTML file",
     )
     dashboard.add_argument(
@@ -420,38 +458,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory of BENCH_<scenario>.json trajectories to chart",
     )
     dashboard.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="write the HTML here (default: stdout)",
-    )
-    dashboard.add_argument(
         "--title", default="TGI fleet dashboard", help="dashboard page title"
     )
 
-    watch = sub.add_parser(
-        "watch",
+    watch = _leaf(
+        sub, "watch", _cmd_watch, parents=[follow],
         help="live progress of a journaled campaign (follows the journal file)",
-    )
-    watch.add_argument("journal", help="journal path passed to --journal")
-    watch.add_argument(
-        "--interval", type=float, default=0.5, metavar="SECONDS",
-        help="poll interval (default: 0.5)",
     )
     watch.add_argument(
         "--once", action="store_true", help="render one snapshot and exit"
     )
-    watch.add_argument(
-        "--timeout",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="stop following after this long (0 = follow until run.stop)",
-    )
 
-    tail = sub.add_parser("tail", help="print journal events, optionally following")
-    tail.add_argument("journal", help="journal path passed to --journal")
+    tail = _leaf(
+        sub, "tail", _cmd_tail, parents=[follow],
+        help="print journal events, optionally following",
+    )
     tail.add_argument(
         "-f", "--follow", action="store_true",
         help="keep polling for new events until run.stop",
@@ -459,23 +480,14 @@ def build_parser() -> argparse.ArgumentParser:
     tail.add_argument(
         "--raw", action="store_true", help="raw JSONL lines instead of the human rendering"
     )
-    tail.add_argument("--interval", type=float, default=0.5, metavar="SECONDS")
-    tail.add_argument(
-        "--timeout", type=float, default=0.0, metavar="SECONDS",
-        help="with --follow, stop after this long (0 = until run.stop)",
-    )
 
     journal = sub.add_parser(
         "journal", help="inspect a run journal: anomaly report, validation, summary"
     )
     journal_sub = journal.add_subparsers(dest="journal_command", required=True)
-    j_report = journal_sub.add_parser(
-        "report", help="post-run anomaly report: stragglers, retry storms, cache collapse"
-    )
-    j_report.add_argument("journal", help="journal path to analyze")
-    j_report.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="machine-readable report on stdout",
+    j_report = _leaf(
+        journal_sub, "report", _cmd_journal_report, parents=[journal_in, as_json],
+        help="post-run anomaly report: stragglers, retry storms, cache collapse",
     )
     j_report.add_argument(
         "--straggler-z", type=float, default=3.5,
@@ -493,17 +505,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--fail-on-anomaly", action="store_true",
         help="exit 1 when anything is flagged (for blocking CI gates)",
     )
-    j_validate = journal_sub.add_parser(
-        "validate", help="schema-check every event; exit 1 on any violation"
+    _leaf(
+        journal_sub, "validate", _cmd_journal_validate, parents=[journal_in],
+        help="schema-check every event; exit 1 on any violation",
     )
-    j_validate.add_argument("journal", help="journal path to validate")
-    j_summary = journal_sub.add_parser(
-        "summary", help="final progress snapshot of a recorded run"
-    )
-    j_summary.add_argument("journal", help="journal path to summarize")
-    j_summary.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="machine-readable snapshot on stdout",
+    _leaf(
+        journal_sub, "summary", _cmd_journal_summary, parents=[journal_in, as_json],
+        help="final progress snapshot of a recorded run",
     )
 
     bench = sub.add_parser(
@@ -512,39 +520,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
 
-    b_run = bench_sub.add_parser(
-        "run", help="execute scenarios, record history, write BENCH_*.json"
+    b_run = _leaf(
+        bench_sub, "run", _cmd_bench_run,
+        parents=[scenario, history, bench_dir, telemetry_out],
+        help="execute scenarios, record history, write BENCH_*.json",
     )
     b_run.add_argument(
         "--quick", action="store_true", help="only the quick tier (the CI set)"
     )
     b_run.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="ID",
-        help="run only this scenario (repeatable; overrides --quick)",
-    )
-    b_run.add_argument(
         "--repeats", type=int, default=0, help="override each scenario's repeat count"
-    )
-    b_run.add_argument(
-        "--history",
-        default=None,
-        metavar="DIR",
-        help="history store directory (default: .perfwatch)",
     )
     b_run.add_argument(
         "--trajectory-dir",
         default=".",
         metavar="DIR",
         help="where BENCH_<scenario>.json trajectory files land (default: repo root)",
-    )
-    b_run.add_argument(
-        "--bench-dir",
-        default=None,
-        metavar="DIR",
-        help="directory of bench_*.py scripts to discover (default: ./benchmarks)",
     )
     b_run.add_argument(
         "--no-record",
@@ -559,28 +550,16 @@ def build_parser() -> argparse.ArgumentParser:
     b_run.add_argument(
         "--profile-top", type=int, default=10, help="hotspot rows per profile"
     )
-    b_run.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="PATH",
-        help="trace the bench run itself into this telemetry JSON (+ .prom sibling)",
+
+    _leaf(
+        bench_sub, "list", _cmd_bench_list, parents=[bench_dir],
+        help="list registered scenarios",
     )
 
-    b_list = bench_sub.add_parser("list", help="list registered scenarios")
-    b_list.add_argument("--bench-dir", default=None, metavar="DIR")
-
-    b_report = bench_sub.add_parser(
-        "report", help="classify the newest record of each scenario vs its baseline"
-    )
-    b_report.add_argument("--history", default=None, metavar="DIR")
-    b_report.add_argument(
-        "--json",
-        action="store_true",
-        dest="as_json",
-        help="machine-readable report on stdout (status stays on stderr)",
-    )
-    b_report.add_argument(
-        "--scenario", action="append", default=None, metavar="ID"
+    b_report = _leaf(
+        bench_sub, "report", _cmd_bench_report,
+        parents=[history, as_json, scenario],
+        help="classify the newest record of each scenario vs its baseline",
     )
     b_report.add_argument(
         "--window", type=int, default=20, help="baseline history window"
@@ -597,11 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when any scenario regresses (for blocking CI gates)",
     )
 
-    b_compare = bench_sub.add_parser(
-        "compare", help="diff two records of one scenario, plus its trajectory"
+    b_compare = _leaf(
+        bench_sub, "compare", _cmd_bench_compare, parents=[history],
+        help="diff two records of one scenario, plus its trajectory",
     )
     b_compare.add_argument("scenario", help="scenario id")
-    b_compare.add_argument("--history", default=None, metavar="DIR")
     b_compare.add_argument(
         "--base", default=None, metavar="KEY", help="baseline record key (default: second-newest)"
     )
@@ -612,8 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--metric", default="wall_s", help="metric for the trajectory table"
     )
 
-    trace = sub.add_parser(
-        "trace",
+    trace = _leaf(
+        sub, "trace", _cmd_trace, parents=[system, cores],
         help="render a span tree and hot-spot summary (live run or saved export)",
     )
     trace.add_argument(
@@ -623,25 +602,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="telemetry JSON written by --telemetry; omit to trace a live suite run",
     )
     trace.add_argument(
-        "--system",
-        choices=_SYSTEM_CHOICES,
-        default="fire",
-        help="preset system for the live run (ignored with --input)",
-    )
-    trace.add_argument(
-        "--cores",
-        type=int,
-        default=0,
-        help="MPI ranks for the live run (default: full machine)",
-    )
-    trace.add_argument(
         "--top", type=int, default=10, help="how many slowest spans to list"
     )
     # Optional subcommands under `trace`; plain `tgi trace [--input ...]`
     # keeps its historical behaviour (trace_command stays None).
     trace_sub = trace.add_subparsers(dest="trace_command")
-    t_export = trace_sub.add_parser(
+    t_export = _leaf(
+        trace_sub,
         "export",
+        _cmd_trace_export,
+        parents=[output],
         help="convert a journal and/or telemetry export to Chrome trace-event "
         "JSON (open in ui.perfetto.dev or chrome://tracing)",
     )
@@ -663,23 +633,37 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="telemetry JSON export to overlay (span slices, clock-aligned)",
     )
-    t_export.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="write the trace JSON here (default: stdout)",
-    )
     return parser
 
 
-def _write_telemetry(session: "tele.TelemetrySession", path: str, *, attribution=None) -> None:
+@contextlib.contextmanager
+def _telemetry(
+    path: Optional[str], label: str, **session_options
+) -> Iterator[Optional["tele.TelemetrySession"]]:
+    """Collect the optional ``--telemetry PATH`` session around the block.
+
+    Yields the session, or ``None`` (collecting nothing) when ``path`` is
+    unset; export it with :func:`_write_telemetry` once the output is done.
+    """
+    if not path:
+        yield None
+        return
+    with tele.use(tele.TelemetrySession(label=label, **session_options)) as session:
+        yield session
+
+
+def _write_telemetry(
+    session: Optional["tele.TelemetrySession"], path: Optional[str], *, attribution=None
+) -> None:
     """Persist a session: JSON export at ``path``, Prometheus text beside it.
 
-    Both files go through the shared atomic write-temp + ``os.replace``
-    helper (like manifests and journal summaries), so a crash mid-write
-    never leaves a truncated export behind.
+    A no-op without a session (``--telemetry`` not given).  Both files go
+    through the shared atomic write-temp + ``os.replace`` helper (like
+    manifests and journal summaries), so a crash mid-write never leaves a
+    truncated export behind.
     """
+    if session is None:
+        return
     from .serialization import atomic_write_text
 
     export = session.export(attribution=attribution)
@@ -690,41 +674,20 @@ def _write_telemetry(session: "tele.TelemetrySession", path: str, *, attribution
     _console.status(f"telemetry written to {target} (metrics: {prom})")
 
 
-def _cmd_list() -> int:
+def _cmd_list(args) -> int:
     rows = [[exp_id, entry.description] for exp_id, entry in EXPERIMENTS.items()]
     _console.out(render_table(["id", "description"], rows, align_right_from=99))
     return 0
 
 
-def _cmd_run(
-    experiment: str,
-    plot: bool = False,
-    telemetry: Optional[str] = None,
-    journal: Optional[str] = None,
-) -> int:
+def _cmd_run(args) -> int:
+    experiment = args.experiment
     context = SharedContext()
-    if experiment == "all":
-        ids = list(EXPERIMENTS)
-    else:
-        ids = [experiment]
-
-    def execute() -> None:
-        for exp_id in ids:
-            entry = get_experiment(exp_id)
-            _console.status(f"running {exp_id} ...")
-            result = entry.run(context)
-            _console.out(result.format())
-            if plot:
-                chart = _chart_for(result)
-                if chart:
-                    _console.out()
-                    _console.out(chart)
-            _console.out()
-
+    ids = list(EXPERIMENTS) if experiment == "all" else [experiment]
     writer = None
     t_start = time.perf_counter()
-    if journal:
-        writer = jrnl.JournalWriter(Path(journal), label=f"run:{experiment}")
+    if args.journal:
+        writer = jrnl.JournalWriter(Path(args.journal), label=f"run:{experiment}")
         writer.emit(
             "run.start",
             label=f"run:{experiment}",
@@ -737,12 +700,19 @@ def _cmd_run(
         jrnl.attach(writer)
     status = "aborted"
     try:
-        if telemetry:
-            with tele.use(tele.TelemetrySession(label=f"run:{experiment}")) as session:
-                execute()
-            _write_telemetry(session, telemetry)
-        else:
-            execute()
+        with _telemetry(args.telemetry, f"run:{experiment}") as session:
+            for exp_id in ids:
+                entry = get_experiment(exp_id)
+                _console.status(f"running {exp_id} ...")
+                result = entry.run(context)
+                _console.out(result.format())
+                if args.plot:
+                    chart = _chart_for(result)
+                    if chart:
+                        _console.out()
+                        _console.out(chart)
+                _console.out()
+        _write_telemetry(session, args.telemetry)
         status = "ok"
     finally:
         if writer is not None:
@@ -825,13 +795,13 @@ def _preset_suite_run(system: str, cores: int):
     return cluster, n, suite.run(executor, n)
 
 
-def _cmd_suite(system: str, cores: int, breakdown: bool) -> int:
+def _cmd_suite(args) -> int:
     from .core import format_suite_result
     from .units import format_energy
 
-    cluster, n, result = _preset_suite_run(system, cores)
+    cluster, n, result = _preset_suite_run(args.system, args.cores)
     _console.out(format_suite_result(result, title=f"{cluster.name} @ {n} cores"))
-    if breakdown:
+    if args.breakdown:
         _console.out()
         for r in result:
             parts = r.record.energy_breakdown
@@ -843,12 +813,7 @@ def _cmd_suite(system: str, cores: int, breakdown: bool) -> int:
     return 0
 
 
-def _cmd_trace(
-    input_path: Optional[str],
-    system: str,
-    cores: int,
-    top: int,
-) -> int:
+def _cmd_trace(args) -> int:
     from .telemetry import (
         AttributionRow,
         render_attribution,
@@ -857,8 +822,8 @@ def _cmd_trace(
         suite_attribution,
     )
 
-    if input_path:
-        data = json.loads(Path(input_path).read_text())
+    if args.input:
+        data = json.loads(Path(args.input).read_text())
         version = data.get("telemetry_version")
         if version != tele.TELEMETRY_VERSION:
             _console.error(
@@ -867,28 +832,22 @@ def _cmd_trace(
             )
             return 1
         spans = data.get("spans", [])
-        _console.status(f"trace of session {data.get('label', '?')!r} ({input_path})")
-        _console.out(render_span_tree(spans))
-        _console.out()
-        _console.out(render_slowest(spans, top))
-        rows = data.get("attribution")
-        if rows:
-            _console.out()
-            _console.out(render_attribution([AttributionRow(**row) for row in rows]))
-        return 0
-
-    _console.status(f"tracing a live suite run on {system} ...")
-    with tele.use(tele.TelemetrySession(label=f"trace:{system}")) as session:
-        cluster, n, result = _preset_suite_run(system, cores)
-    _console.out(render_span_tree(session.spans))
-    _console.out()
-    _console.out(render_slowest(session.spans, top))
-    _console.out()
-    _console.out(
-        render_attribution(
-            suite_attribution(result, job_id=f"{system}@{n}", cluster=cluster.name)
+        attribution = [AttributionRow(**row) for row in data.get("attribution") or ()]
+        _console.status(f"trace of session {data.get('label', '?')!r} ({args.input})")
+    else:
+        _console.status(f"tracing a live suite run on {args.system} ...")
+        with tele.use(tele.TelemetrySession(label=f"trace:{args.system}")) as session:
+            cluster, n, result = _preset_suite_run(args.system, args.cores)
+        spans = session.spans
+        attribution = suite_attribution(
+            result, job_id=f"{args.system}@{n}", cluster=cluster.name
         )
-    )
+    _console.out(render_span_tree(spans))
+    _console.out()
+    _console.out(render_slowest(spans, args.top))
+    if attribution:
+        _console.out()
+        _console.out(render_attribution(attribution))
     return 0
 
 
@@ -930,33 +889,59 @@ def _format_journal_event(event: Dict) -> str:
     ).rstrip()
 
 
+def _emit(text: str, output: Optional[str], written: str) -> None:
+    """Write ``text`` atomically to ``-o/--output`` and report ``written``
+    on stderr, or print it to stdout when no output path is given."""
+    if not output:
+        _console.out(text)
+        return
+    from .serialization import atomic_write_text
+
+    atomic_write_text(Path(output), text)
+    _console.status(written)
+
+
+def _no_journal(path: Path) -> bool:
+    """Report a missing journal on stderr; True when ``path`` does not exist."""
+    if path.exists():
+        return False
+    _console.error(f"no journal at {path}")
+    return True
+
+
+def _follow(args) -> Iterator[List[Dict]]:
+    """Yield each poll's new events (possibly none) from the followed journal.
+
+    Sleeps ``--interval`` between polls; with a positive ``--timeout`` it
+    ends once that much time has passed, so the caller's ``else`` runs.
+    """
+    follower = jrnl.JournalFollower(Path(args.journal))
+    deadline = time.monotonic() + args.timeout if args.timeout > 0 else None
+    while True:
+        yield follower.poll()
+        if deadline is not None and time.monotonic() >= deadline:
+            return
+        time.sleep(args.interval)
+
+
 def _cmd_watch(args) -> int:
     """Follow a journal and render live progress until the run stops."""
-    path = Path(args.journal)
-    if args.once and not path.exists():
-        _console.error(f"no journal at {path}")
+    if args.once and _no_journal(Path(args.journal)):
         return 1
-    follower = jrnl.JournalFollower(path)
     state = jrnl.RunState()
-    deadline = time.monotonic() + args.timeout if args.timeout > 0 else None
-    first = True
-    while True:
-        for event in follower.poll():
+    for polls, events in enumerate(_follow(args)):
+        for event in events:
             jrnl.apply_event(state, event)
         now = None if state.complete else jrnl.now_mono()
-        progress = jrnl.progress_from_state(state, now_mono=now)
-        if not first:
+        if polls:
             _console.out()
-        _console.out(jrnl.render_progress(progress))
-        first = False
+        _console.out(jrnl.render_progress(jrnl.progress_from_state(state, now_mono=now)))
         if args.once or state.complete:
             break
-        if deadline is not None and time.monotonic() >= deadline:
-            _console.status(
-                f"watch: gave up after {args.timeout:.0f}s; run still in flight"
-            )
-            break
-        time.sleep(args.interval)
+    else:
+        _console.status(
+            f"watch: gave up after {args.timeout:.0f}s; run still in flight"
+        )
     if state.complete and state.stop_status != "ok":
         return 3
     return 0
@@ -964,76 +949,75 @@ def _cmd_watch(args) -> int:
 
 def _cmd_tail(args) -> int:
     """Print journal events, optionally following the file."""
-    path = Path(args.journal)
-    if not args.follow and not path.exists():
-        _console.error(f"no journal at {path}")
+    if not args.follow and _no_journal(Path(args.journal)):
         return 1
-    follower = jrnl.JournalFollower(path)
-    deadline = time.monotonic() + args.timeout if args.timeout > 0 else None
-    stopped = False
-    while True:
-        for event in follower.poll():
+    for events in _follow(args):
+        for event in events:
             if args.raw:
                 _console.out(json.dumps(event, separators=(",", ":"), sort_keys=True))
             else:
                 _console.out(_format_journal_event(event))
-            if event.get("event") == "run.stop":
-                stopped = True
-        if not args.follow or stopped:
+        if not args.follow or any(e.get("event") == "run.stop" for e in events):
             break
-        if deadline is not None and time.monotonic() >= deadline:
-            _console.status(f"tail: gave up after {args.timeout:.0f}s")
-            break
-        time.sleep(args.interval)
+    else:
+        _console.status(f"tail: gave up after {args.timeout:.0f}s")
     return 0
 
 
-def _cmd_journal(args) -> int:
-    """`tgi journal report|validate|summary` — post-hoc journal inspection."""
+def _cmd_journal_validate(args) -> int:
+    """`tgi journal validate` — schema-check every event."""
     path = Path(args.journal)
-    if not path.exists():
-        _console.error(f"no journal at {path}")
+    if _no_journal(path):
         return 1
-    if args.journal_command == "validate":
-        scan = jrnl.scan_journal(path)
-        problems = jrnl.validate_events(scan.events)
-        _console.status(
-            f"{path}: {len(scan.events)} events"
-            + (", torn tail dropped" if scan.torn_tail else "")
-            + (f", {scan.malformed} malformed line(s)" if scan.malformed else "")
-        )
-        if scan.malformed:
-            problems.append(f"{scan.malformed} unparseable line(s)")
-        if problems:
-            for problem in problems:
-                _console.out(problem)
-            _console.error(f"journal validation failed: {len(problems)} problem(s)")
-            return 1
-        _console.out(f"journal ok: {len(scan.events)} valid events")
-        return 0
-    state = jrnl.replay_journal(path)
-    if args.journal_command == "summary":
-        progress = jrnl.progress_from_state(state)
-        if args.as_json:
-            _json_out(jrnl.progress_to_dict(progress))
-        else:
-            _console.out(jrnl.render_progress(progress))
-        return 0
-    if args.journal_command == "report":
-        report = jrnl.analyze_state(
-            state,
-            straggler_z=args.straggler_z,
-            storm_fraction=args.storm_fraction,
-            collapse_drop=args.collapse_drop,
-        )
-        if args.as_json:
-            _json_out(jrnl.report_to_dict(report))
-        else:
-            _console.out(jrnl.render_report(report))
-        if not report.clean and args.fail_on_anomaly:
-            return 1
-        return 0
-    raise AssertionError(f"unhandled journal command {args.journal_command!r}")
+    scan = jrnl.scan_journal(path)
+    problems = jrnl.validate_events(scan.events)
+    _console.status(
+        f"{path}: {len(scan.events)} events"
+        + (", torn tail dropped" if scan.torn_tail else "")
+        + (f", {scan.malformed} malformed line(s)" if scan.malformed else "")
+    )
+    if scan.malformed:
+        problems.append(f"{scan.malformed} unparseable line(s)")
+    if problems:
+        for problem in problems:
+            _console.out(problem)
+        _console.error(f"journal validation failed: {len(problems)} problem(s)")
+        return 1
+    _console.out(f"journal ok: {len(scan.events)} valid events")
+    return 0
+
+
+def _cmd_journal_summary(args) -> int:
+    """`tgi journal summary` — final progress snapshot of a recorded run."""
+    path = Path(args.journal)
+    if _no_journal(path):
+        return 1
+    progress = jrnl.progress_from_state(jrnl.replay_journal(path))
+    if args.as_json:
+        _json_out(jrnl.progress_to_dict(progress))
+    else:
+        _console.out(jrnl.render_progress(progress))
+    return 0
+
+
+def _cmd_journal_report(args) -> int:
+    """`tgi journal report` — post-run anomaly report."""
+    path = Path(args.journal)
+    if _no_journal(path):
+        return 1
+    report = jrnl.analyze_state(
+        jrnl.replay_journal(path),
+        straggler_z=args.straggler_z,
+        storm_fraction=args.storm_fraction,
+        collapse_drop=args.collapse_drop,
+    )
+    if args.as_json:
+        _json_out(jrnl.report_to_dict(report))
+    else:
+        _console.out(jrnl.render_report(report))
+    if not report.clean and args.fail_on_anomaly:
+        return 1
+    return 0
 
 
 def _cmd_trace_export(args) -> int:
@@ -1055,17 +1039,12 @@ def _cmd_trace_export(args) -> int:
         for problem in problems:
             _console.error(f"trace export: {problem}")
         return 1
-    text = json.dumps(trace, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        from .serialization import atomic_write_text
-
-        atomic_write_text(Path(args.output), text)
-        _console.status(
-            f"trace written to {args.output} "
-            f"({len(trace['traceEvents'])} events; open in ui.perfetto.dev)"
-        )
-    else:
-        _console.out(text)
+    _emit(
+        json.dumps(trace, indent=2, sort_keys=True) + "\n",
+        args.output,
+        f"trace written to {args.output} "
+        f"({len(trace['traceEvents'])} events; open in ui.perfetto.dev)",
+    )
     return 0
 
 
@@ -1086,8 +1065,8 @@ def _bench_discover(bench_dir: Optional[str]):
     return found
 
 
-def _cmd_bench_list(bench_dir: Optional[str]) -> int:
-    scenarios = _bench_discover(bench_dir)
+def _cmd_bench_list(args) -> int:
+    scenarios = _bench_discover(args.bench_dir)
     rows = []
     for scn in scenarios:
         metrics = ", ".join(scn.metric_names()) or "-"
@@ -1120,9 +1099,11 @@ def _cmd_bench_run(args) -> int:
         return 1
     store = _bench_store(args.history)
 
-    def execute():
-        rows = []
-        regressions = []
+    rows = []
+    regressions = []
+    with _telemetry(
+        args.telemetry, "bench-run", profile=args.profile, profile_top=args.profile_top
+    ) as session:
         for scn in selected:
             _console.status(f"bench {scn.scenario_id} ({scn.tier}) ...")
             record = pw.run_scenario(
@@ -1148,20 +1129,7 @@ def _cmd_bench_run(args) -> int:
                     str(verdict),
                 ]
             )
-        return rows, regressions
-
-    if args.telemetry:
-        with tele.use(
-            tele.TelemetrySession(
-                label="bench-run",
-                profile=args.profile,
-                profile_top=args.profile_top,
-            )
-        ) as session:
-            rows, regressions = execute()
-        _write_telemetry(session, args.telemetry)
-    else:
-        rows, regressions = execute()
+    _write_telemetry(session, args.telemetry)
 
     _console.out(
         render_table(
@@ -1192,19 +1160,16 @@ def _cmd_bench_report(args) -> int:
 
     store = _bench_store(args.history)
     ids = args.scenario or store.scenario_ids()
-    if not ids:
+    reports = []
+    if ids:
+        reports = pw.build_report(
+            store,
+            scenario_ids=ids,
+            window=args.window,
+            min_effect=args.min_effect,
+        )
+    else:
         _console.status(f"perf-watch: no history under {store.root}")
-        if args.as_json:
-            _json_out(pw.report_to_dict([]))
-        else:
-            _console.out(pw.render_report([]))
-        return 0
-    reports = pw.build_report(
-        store,
-        scenario_ids=ids,
-        window=args.window,
-        min_effect=args.min_effect,
-    )
     if args.as_json:
         _json_out(pw.report_to_dict(reports))
     else:
@@ -1243,19 +1208,7 @@ def _cmd_bench_compare(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    if args.bench_command == "run":
-        return _cmd_bench_run(args)
-    if args.bench_command == "list":
-        return _cmd_bench_list(args.bench_dir)
-    if args.bench_command == "report":
-        return _cmd_bench_report(args)
-    if args.bench_command == "compare":
-        return _cmd_bench_compare(args)
-    raise AssertionError(f"unhandled bench command {args.bench_command!r}")
-
-
-def _cmd_sensitivity() -> int:
+def _cmd_sensitivity(args) -> int:
     from .analysis import WeightSensitivity, dominant_benchmark
     from .core import TGICalculator
     from .experiments import build_reference, build_suite, build_executor
@@ -1277,7 +1230,7 @@ def _cmd_sensitivity() -> int:
     return 0
 
 
-def _cmd_archive(output: str) -> int:
+def _cmd_archive(args) -> int:
     from .serialization import (
         reference_to_dict,
         save_json,
@@ -1290,8 +1243,8 @@ def _cmd_archive(output: str) -> int:
         "reference": reference_to_dict(context.reference),
         "sweep": sweep_result_to_dict(context.sweep),
     }
-    save_json(archive, output)
-    _console.status(f"campaign archived to {output}")
+    save_json(archive, args.output)
+    _console.status(f"campaign archived to {args.output}")
     return 0
 
 
@@ -1406,33 +1359,16 @@ def _campaign_tgi_summary(result) -> None:
         )
 
 
-def _cmd_campaign(
-    workers: int,
-    cache_dir: Optional[str],
-    manifest_path: Optional[str],
-    fleet: int,
-    era: str,
-    fleet_seed: int,
-    telemetry: Optional[str] = None,
-    retries: int = 0,
-    retry_backoff: float = 0.0,
-    keep_going: bool = False,
-    inject=(),
-    fault_seed: int = 0,
-    journal: Optional[str] = None,
-    timeline: Optional[str] = None,
-    shards: int = 0,
-    resume: Optional[str] = None,
-) -> int:
+def _cmd_campaign(args) -> int:
     import dataclasses
 
     from .campaign import CampaignRunner, ResultCache, fleet_jobs, paper_jobs
     from .telemetry import attribution_to_dicts, campaign_attribution, render_attribution
 
     jobs = paper_jobs(PAPER_CONFIG)
-    if fleet:
-        jobs += fleet_jobs(fleet, era=era, fleet_seed=fleet_seed)
-    plans = _parse_fault_specs(inject, fault_seed)
+    if args.fleet:
+        jobs += fleet_jobs(args.fleet, era=args.era, fleet_seed=args.fleet_seed)
+    plans = _parse_fault_specs(args.inject, args.fault_seed)
     if plans:
         known = {job.job_id for job in jobs}
         unknown = sorted(set(plans) - known)
@@ -1450,8 +1386,10 @@ def _cmd_campaign(
             "fault injection armed: "
             + ", ".join(f"{jid} <- {plans[jid]}" for jid in sorted(plans))
         )
+    resume = args.resume
+    journal = args.journal
     if resume is not None:
-        if not cache_dir:
+        if not args.cache_dir:
             raise ReproError(
                 "--resume requires --cache-dir: recovery skips jobs whose "
                 "results survive in the shared cache"
@@ -1463,17 +1401,17 @@ def _cmd_campaign(
                 "(drop --journal or pass the same path)"
             )
         journal = resume
-    cache = ResultCache(cache_dir) if cache_dir else None
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
     runner = CampaignRunner(
-        workers=workers,
-        shards=shards,
+        workers=args.workers,
+        shards=args.shards,
         cache=cache,
-        retries=retries,
-        keep_going=keep_going,
-        backoff_s=retry_backoff,
-        backoff_seed=fault_seed,
+        retries=args.retries,
+        keep_going=args.keep_going,
+        backoff_s=args.retry_backoff,
+        backoff_seed=args.fault_seed,
         journal=journal,
-        timeline=timeline,
+        timeline=args.timeline,
     )
     if resume is not None:
         _console.status(f"resuming campaign from journal: {resume}")
@@ -1481,19 +1419,14 @@ def _cmd_campaign(
         _console.status(
             f"flight recorder armed: {journal} (follow with `tgi watch {journal}`)"
         )
-    if timeline:
+    if args.timeline:
         _console.status(
-            f"timeline capture armed: {timeline} "
-            f"(render with `tgi dashboard --timeline {timeline}`)"
+            f"timeline capture armed: {args.timeline} "
+            f"(render with `tgi dashboard --timeline {args.timeline}`)"
         )
 
-    run_kwargs = {"label": "cli-campaign", "resume": resume is not None}
-    session = None
-    if telemetry:
-        with tele.use(tele.TelemetrySession(label="cli-campaign")) as session:
-            result = runner.run(jobs, **run_kwargs)
-    else:
-        result = runner.run(jobs, **run_kwargs)
+    with _telemetry(args.telemetry, "cli-campaign") as session:
+        result = runner.run(jobs, label="cli-campaign", resume=resume is not None)
 
     rows = []
     for outcome in result:
@@ -1514,7 +1447,7 @@ def _cmd_campaign(
         render_table(
             ["job", "system", "points", "status", "cache", "tries", "wall s", "key/error"],
             rows,
-            title=f"Campaign: {len(jobs)} jobs, workers={workers}",
+            title=f"Campaign: {len(jobs)} jobs, workers={args.workers}",
             align_right_from=2,
         )
     )
@@ -1525,14 +1458,14 @@ def _cmd_campaign(
         f"\ntotal wall: {manifest['total_wall_s']:.2f} s  |  "
         f"cache: {stats['hits']}/{stats['jobs']} hits "
         f"({100 * stats['hit_rate']:.0f}%)"
-        + (f"  |  dir: {cache_dir}" if cache_dir else "  (caching disabled)")
+        + (f"  |  dir: {args.cache_dir}" if args.cache_dir else "  (caching disabled)")
     )
     if failures["jobs_failed"] or failures["retries_total"]:
         _console.status(
             f"failures: {failures['jobs_failed']} job(s) failed, "
             f"{failures['jobs_retried']} retried "
             f"({failures['retries_total']} extra attempt(s), "
-            f"{retries} allowed per job)"
+            f"{args.retries} allowed per job)"
         )
     if cache is not None:
         cstats = cache.cache_stats
@@ -1563,16 +1496,16 @@ def _cmd_campaign(
             else ""
         )
     )
-    if manifest_path:
-        result.write_manifest(manifest_path)
-        _console.status(f"manifest written to {manifest_path}")
+    if args.manifest:
+        result.write_manifest(args.manifest)
+        _console.status(f"manifest written to {args.manifest}")
     _campaign_tgi_summary(result)
     if session is not None:
         attribution = campaign_attribution(result)
         _console.out()
         _console.out(render_attribution(attribution))
         _write_telemetry(
-            session, telemetry, attribution=attribution_to_dicts(attribution)
+            session, args.telemetry, attribution=attribution_to_dicts(attribution)
         )
     if result.failed:
         _console.error(
@@ -1604,6 +1537,8 @@ def _cmd_fleet_rank(args) -> int:
 
     if args.count < 1:
         raise ReproError(f"--count must be >= 1, got {args.count}")
+    if args.top < 0:
+        raise ReproError(f"--top must be >= 0, got {args.top}")
     weights = parse_weight_spec(args.weights) if args.weights else None
     pipeline = FleetRankingPipeline(
         reference=_parse_reference_spec(args.reference),
@@ -1624,42 +1559,20 @@ def _cmd_fleet_rank(args) -> int:
         f"ranking a fleet of {args.count} {args.era}-era machines "
         + ("through the campaign executors..." if args.full_sim else "on the batched analytic path...")
     )
-    session = None
-    if args.telemetry:
-        with tele.use(tele.TelemetrySession(label="fleet-rank")) as session:
-            ranking = pipeline.rank(members, label="fleet-rank")
-    else:
+    with _telemetry(args.telemetry, "fleet-rank") as session:
         ranking = pipeline.rank(members, label="fleet-rank")
 
     if args.json:
         _json_out(ranking.as_dict())
     else:
-        shown = ranking.rows if args.top == 0 else ranking.rows[: args.top]
-        rows = []
-        for row in shown:
-            move = row.moved
-            arrow = f"{'+' if move > 0 else ''}{move}" if move else "="
-            rows.append(
-                [
-                    row.tgi_rank,
-                    row.name,
-                    f"{row.tgi:.3f}",
-                    f"{row.flops_per_watt / 1e6:.0f}",
-                    row.flops_rank,
-                    arrow,
-                    row.weakest,
-                ]
-            )
         _console.out(
-            render_table(
-                ["TGI rank", "System", "TGI", "MFLOPS/W", "FLOPS/W rank", "moved", "weakest"],
-                rows,
+            ranking.format_table(
                 title=f"Fleet of {len(ranking)} ranked by TGI vs {ranking.reference_name}",
-                align_right_from=2,
+                top=args.top,
             )
         )
-        if len(shown) < len(ranking):
-            _console.status(f"... {len(ranking) - len(shown)} more rows (--top 0 shows all)")
+        if 0 < args.top < len(ranking):
+            _console.status(f"... {len(ranking) - args.top} more rows (--top 0 shows all)")
     stats = ranking.stats
     memo = stats["memo_unique"]
     shared = (
@@ -1691,8 +1604,7 @@ def _cmd_fleet_rank(args) -> int:
         _console.status(f"note: {note}")
     if args.journal:
         _console.status(f"journal: {args.journal}")
-    if session is not None:
-        _write_telemetry(session, args.telemetry)
+    _write_telemetry(session, args.telemetry)
     return 0
 
 
@@ -1719,8 +1631,7 @@ def _cmd_dashboard(args) -> int:
     journal_text = None
     if args.journal:
         journal_path = Path(args.journal)
-        if not journal_path.exists():
-            _console.error(f"no journal at {journal_path}")
+        if _no_journal(journal_path):
             return 1
         state = jrnl.replay_journal(journal_path)
         journal_text = jrnl.render_progress(jrnl.progress_from_state(state))
@@ -1747,53 +1658,39 @@ def _cmd_dashboard(args) -> int:
             f"warning: {audits_failed} run timeline(s) failed the "
             "energy-conservation audit"
         )
-    if args.output:
-        from .serialization import atomic_write_text
-
-        atomic_write_text(Path(args.output), html_text)
-        _console.status(f"dashboard written to {args.output}")
-    else:
-        _console.out(html_text)
+    _emit(html_text, args.output, f"dashboard written to {args.output}")
     return 0
 
 
-_PROFILE_BY_FLAG = {
-    "cfd": "CFD_PROFILE",
-    "genomics": "GENOMICS_PROFILE",
-    "checkpoint": "CHECKPOINT_HEAVY_PROFILE",
-    "dense-linalg": "DENSE_LINALG_PROFILE",
-}
-
-
-def _cmd_rank(cores: int, profile: Optional[str] = None) -> int:
+def _cmd_rank(args) -> int:
     from . import core
     from .experiments import build_reference
 
-    systems = [presets.fire(), presets.system_g(), presets.gpu_cluster(), presets.modern_cluster()]
     reference, _ = build_reference(PAPER_CONFIG)
-    if profile is None:
+    if args.profile is None:
         calculator = TGICalculator(reference)
     else:
-        app_profile = getattr(core, _PROFILE_BY_FLAG[profile])
+        app_profile = getattr(core, _PROFILE_BY_FLAG[args.profile])
         calculator = TGICalculator(
             reference, weighting=core.WorkloadWeights(app_profile)
         )
         _console.status(f"weights derived from profile: {app_profile.name}")
     entries = []
-    for cluster in systems:
+    for name in presets.__all__:
+        cluster = getattr(presets, name)()
         executor = ClusterExecutor(cluster, rng=PAPER_CONFIG.fire_seed)
         suite = build_suite(PAPER_CONFIG, reference=True)
-        n = cores or cluster.total_cores
+        n = args.cores or cluster.total_cores
         n = min(n, cluster.total_cores)
         entries.append((cluster.name, suite.run(executor, n)))
     _console.out(format_ranking(rank_systems(entries, calculator)))
     return 0
 
 
-def _cmd_specs() -> int:
+def _cmd_specs(args) -> int:
     rows = []
-    for factory in (presets.fire, presets.system_g, presets.gpu_cluster, presets.modern_cluster):
-        cluster = factory()
+    for name in presets.__all__:
+        cluster = getattr(presets, name)()
         rows.append(
             [
                 cluster.name,
@@ -1827,7 +1724,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     _console.quiet = args.quiet
     try:
-        return _dispatch(args)
+        return args.handler(args)
     except KeyboardInterrupt:
         _console.error("interrupted")
         return 130
@@ -1840,65 +1737,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ReproError as exc:
         _console.error(f"error: {exc}")
         return 1
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    """Route parsed arguments to their command handler."""
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(
-            args.experiment,
-            plot=args.plot,
-            telemetry=args.telemetry,
-            journal=args.journal,
-        )
-    if args.command == "rank":
-        return _cmd_rank(args.cores, args.profile)
-    if args.command == "specs":
-        return _cmd_specs()
-    if args.command == "suite":
-        return _cmd_suite(args.system, args.cores, args.breakdown)
-    if args.command == "sensitivity":
-        return _cmd_sensitivity()
-    if args.command == "archive":
-        return _cmd_archive(args.output)
-    if args.command == "campaign":
-        return _cmd_campaign(
-            args.workers,
-            args.cache_dir,
-            args.manifest,
-            args.fleet,
-            args.era,
-            args.fleet_seed,
-            telemetry=args.telemetry,
-            retries=args.retries,
-            retry_backoff=args.retry_backoff,
-            keep_going=args.keep_going,
-            inject=args.inject,
-            fault_seed=args.fault_seed,
-            journal=args.journal,
-            timeline=args.timeline,
-            shards=args.shards,
-            resume=args.resume,
-        )
-    if args.command == "fleet":
-        return _cmd_fleet_rank(args)
-    if args.command == "dashboard":
-        return _cmd_dashboard(args)
-    if args.command == "trace":
-        if getattr(args, "trace_command", None) == "export":
-            return _cmd_trace_export(args)
-        return _cmd_trace(args.input, args.system, args.cores, args.top)
-    if args.command == "watch":
-        return _cmd_watch(args)
-    if args.command == "tail":
-        return _cmd_tail(args)
-    if args.command == "journal":
-        return _cmd_journal(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

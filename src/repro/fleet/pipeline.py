@@ -28,6 +28,7 @@ from .. import journal as jrnl
 from .. import telemetry as tele
 from ..analysis.bootstrap import BootstrapCI, bootstrap_mean_ci, bootstrap_pearson_ci
 from ..analysis.correlation import pearson, spearman
+from ..analysis.tables import render_table
 from ..campaign.cache import ResultCache
 from ..campaign.jobs import CampaignJob, ClusterRef
 from ..campaign.runner import CampaignRunner
@@ -219,6 +220,29 @@ class FleetRanking:
                 return row
         raise KeyError(name)
 
+    def format_table(self, *, title: str, top: int = 0) -> str:
+        """The Green500-style list: TGI rank vs MFLOPS/W rank, places moved
+        and weakest subsystem per system; the first ``top`` rows (0 = all)."""
+        rows = []
+        for row in self.rows[: top or None]:
+            rows.append(
+                [
+                    row.tgi_rank,
+                    row.name,
+                    f"{row.tgi:.3f}",
+                    f"{row.flops_per_watt / 1e6:.0f}",
+                    row.flops_rank,
+                    f"{row.moved:+d}" if row.moved else "=",
+                    row.weakest,
+                ]
+            )
+        return render_table(
+            ["TGI rank", "System", "TGI", "MFLOPS/W", "FLOPS/W rank", "moved", "weakest"],
+            rows,
+            title=title,
+            align_right_from=2,
+        )
+
     def as_dict(self) -> Dict:
         return {
             "reference": self.reference_name,
@@ -292,6 +316,10 @@ class FleetRankingPipeline:
     ):
         if chunk_size < 1:
             raise FleetError(f"chunk_size must be >= 1, got {chunk_size}")
+        if workers < 1:
+            raise FleetError(f"workers must be >= 1, got {workers}")
+        if shards < 0:
+            raise FleetError(f"shards must be >= 0 (0 = one per worker), got {shards}")
         self.config = config
         self.reference = reference
         self.reference_suite = reference_suite

@@ -2,11 +2,12 @@
 
 Cheap guards that keep the prose honest: every module the architecture
 docs name must exist, the calibration constants and uncertainty table
-quoted in EXPERIMENTS.md must match the code, and the repo ships the
-documents the README promises.
+quoted in EXPERIMENTS.md must match the code, every documented command
+line parses, and the repo ships the documents the README promises.
 """
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -104,3 +105,50 @@ class TestCalibrationConstantsMatch:
             for name in match.group(1).split(", "):
                 if name and name[0].isupper():
                     assert hasattr(repro, name), f"README imports missing name {name}"
+
+
+def documented_command_lines():
+    """``(file, argv)`` for each CLI line in a fenced block of the docs.
+
+    A line counts when it starts with ``tgi ``, ``$ tgi `` or ``python -m
+    repro ``; ``\\`` continuations are joined, and the line is cut at a
+    comment, pipe, redirect or ``&&``.
+    """
+    prefixes = ("$ tgi ", "tgi ", "python -m repro ")
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        fenced = False
+        pending = ""
+        for raw in path.read_text().splitlines():
+            if raw.lstrip().startswith("```"):
+                fenced, pending = not fenced, ""
+                continue
+            if not fenced:
+                continue
+            line = pending + raw.strip()
+            if line.endswith("\\"):
+                pending = line[:-1] + " "
+                continue
+            pending = ""
+            if not line.startswith(prefixes) or re.match(r"tgi\s*=", line):
+                continue
+            for cut in (" #", " | ", " > ", " && "):
+                line = line.split(cut)[0]
+            prefix = next(p for p in prefixes if line.startswith(p))
+            yield path.relative_to(ROOT), shlex.split(line[len(prefix):])
+
+
+class TestDocumentedCommandsParse:
+    def test_every_documented_command_line_parses(self):
+        from repro.cli import build_parser
+
+        lines = list(documented_command_lines())
+        assert len(lines) >= 50, "the docs collector found too few command lines"
+        rejected = []
+        for path, argv in lines:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                rejected.append(f"{path}: tgi {shlex.join(argv)}")
+        assert not rejected, "documented command lines the CLI rejects:\n" + "\n".join(
+            rejected
+        )

@@ -596,6 +596,6 @@ class TestCampaignCLI:
         def interrupt(args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "_dispatch", interrupt)
+        monkeypatch.setattr(cli, "_cmd_list", interrupt)
         assert cli.main(["list"]) == 130
         assert "interrupted" in capsys.readouterr().err

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from repro.campaign import ClusterRef
+from repro.campaign import ClusterRef, fleet_jobs
 from repro.cluster.generator import generate_fleet
-from repro.exceptions import FleetError
+from repro.exceptions import FleetError, ReproError
 from repro.experiments import PAPER_CONFIG
 from repro.fleet import (
     FleetMember,
@@ -97,9 +97,19 @@ class TestValidation:
         with pytest.raises(FleetError):
             quick_pipeline().rank([clone])
 
-    def test_bad_chunk_size_rejected(self):
-        with pytest.raises(FleetError):
-            quick_pipeline(chunk_size=0)
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: quick_pipeline(chunk_size=0), "chunk_size must be >= 1"),
+            (lambda: quick_pipeline(workers=0), "workers must be >= 1"),
+            (lambda: quick_pipeline(shards=-1), "shards must be >= 0"),
+            (lambda: fleet_jobs(-1), "fleet size must be >= 0"),
+        ],
+        ids=["chunk_size", "workers", "shards", "fleet_jobs"],
+    )
+    def test_bad_chunk_size_rejected(self, build, message):
+        with pytest.raises(ReproError, match=message):
+            build()
 
     def test_chunking_is_value_invariant(self):
         members = generated_fleet_members(7, era="2011", fleet_seed=9)
@@ -257,7 +267,12 @@ class TestCLI:
         assert payload["weights"] == {"HPL": 1.0}
         assert payload["reference"] == "Fire"
 
-    def test_bad_reference_spec_errors_cleanly(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["--reference", "fire:zz"], ["--count", "5", "--top", "-1"]],
+        ids=["reference", "top"],
+    )
+    def test_bad_reference_spec_errors_cleanly(self, argv, capsys):
         from repro.cli import main
 
-        assert main(["--quiet", "fleet", "rank", "--reference", "fire:zz"]) == 1
+        assert main(["--quiet", "fleet", "rank", *argv]) == 1
