@@ -22,23 +22,32 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..exceptions import BenchmarkError
+from ..perfmodels import hpl as hpl_model
 from ..perfmodels.hpl import HPLModel
 from ..sim.executor import ClusterExecutor
 from ..sim.placement import breadth_first_placement
 from ..sim.workload import Phase, RankProgram, barrier, comm_phase, compute_phase
 from .base import Benchmark, BuiltRun
 
-__all__ = ["HPLBenchmark"]
+__all__ = [
+    "HPLBenchmark",
+    "HPL_MEMORY_PER_RANK",
+    "HPL_NIC_UTIL",
+    "HPL_COMPUTE_INTENSITY",
+    "HPL_COMM_INTENSITY",
+]
 
+# Phase utilizations, read at build time here and by the batched fleet
+# evaluator (repro.fleet.evaluate).
 #: Per-rank share of node memory bandwidth during the update kernel.
-_HPL_MEMORY_PER_RANK = 0.04
+HPL_MEMORY_PER_RANK = 0.04
 #: NIC utilization while a rank is in its communication super-step.
-_HPL_NIC_UTIL = 0.9
+HPL_NIC_UTIL = 0.9
 #: CPU intensity during the DGEMM-dominated compute super-steps.
-_HPL_COMPUTE_INTENSITY = 1.0
+HPL_COMPUTE_INTENSITY = 1.0
 #: CPU intensity while blocked in MPI broadcasts: HPL links busy-poll, so a
 #: "communicating" core still burns close to full power.
-_HPL_COMM_INTENSITY = 0.8
+HPL_COMM_INTENSITY = 0.8
 
 
 class HPLBenchmark(Benchmark):
@@ -52,7 +61,7 @@ class HPLBenchmark(Benchmark):
         Number of compute/communicate super-steps rendered.
     model_kwargs:
         Extra parameters for :class:`~repro.perfmodels.hpl.HPLModel`
-        (``dgemm_efficiency``, ``comm_volume_factor``, ...).
+        (``comm_volume_factor``, ``contention_threshold``, ...).
     """
 
     name = "HPL"
@@ -63,9 +72,6 @@ class HPLBenchmark(Benchmark):
         *,
         sizing: Tuple[str, float] = ("memory", 0.8),
         rounds: int = 6,
-        compute_intensity: float = _HPL_COMPUTE_INTENSITY,
-        comm_intensity: float = _HPL_COMM_INTENSITY,
-        memory_per_rank: float = _HPL_MEMORY_PER_RANK,
         **model_kwargs,
     ):
         mode, value = sizing
@@ -75,26 +81,17 @@ class HPLBenchmark(Benchmark):
             raise BenchmarkError(f"sizing value must be > 0, got {value}")
         if rounds < 1:
             raise BenchmarkError(f"rounds must be >= 1, got {rounds}")
-        if not 0 <= compute_intensity <= 1:
-            raise BenchmarkError("compute_intensity must be in [0, 1]")
-        if not 0 <= comm_intensity <= 1:
-            raise BenchmarkError("comm_intensity must be in [0, 1]")
-        if not 0 <= memory_per_rank <= 1:
-            raise BenchmarkError("memory_per_rank must be in [0, 1]")
         self.sizing = (mode, value)
         self.rounds = rounds
-        self.compute_intensity = compute_intensity
-        self.comm_intensity = comm_intensity
-        self.memory_per_rank = memory_per_rank
         self.model_kwargs = dict(model_kwargs)
 
     def _problem_size(self, model: HPLModel, num_ranks: int) -> int:
         mode, value = self.sizing
         if mode == "fixed":
             n = int(value)
-            if n < model.block_size:
+            if n < hpl_model.BLOCK_SIZE:
                 raise BenchmarkError(
-                    f"fixed N={n} below block size {model.block_size}"
+                    f"fixed N={n} below block size {hpl_model.BLOCK_SIZE}"
                 )
             return n
         if mode == "memory":
@@ -120,15 +117,15 @@ class HPLBenchmark(Benchmark):
             acc_share = min(1.0, 1.0 / ranks_per_node)
         update = compute_phase(
             comp_slice,
-            intensity=self.compute_intensity,
-            memory=self.memory_per_rank,
+            intensity=HPL_COMPUTE_INTENSITY,
+            memory=HPL_MEMORY_PER_RANK,
             accelerator=acc_share,
             label="hpl-update",
         )
         step: Tuple[Phase, ...] = (update,)
         if comm_slice > 0:
             bcast = comm_phase(
-                comm_slice, nic=_HPL_NIC_UTIL, intensity=self.comm_intensity, label="hpl-bcast"
+                comm_slice, nic=HPL_NIC_UTIL, intensity=HPL_COMM_INTENSITY, label="hpl-bcast"
             )
             step += (bcast,)
         # Every rank runs the same super-steps, so all ranks share one template.

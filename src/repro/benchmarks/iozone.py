@@ -17,12 +17,14 @@ from ..sim.placement import breadth_first_placement
 from ..sim.workload import Phase, PhaseKind, RankProgram
 from .base import Benchmark, BuiltRun
 
-__all__ = ["IOzoneBenchmark"]
+__all__ = ["IOzoneBenchmark", "IOZONE_INTENSITY", "IOZONE_MEMORY"]
 
+# Phase utilizations, read at build time here and by the batched fleet
+# evaluator (repro.fleet.evaluate).
 #: CPU intensity of the writer process (mostly blocked in write(2)).
-_IOZONE_INTENSITY = 0.15
+IOZONE_INTENSITY = 0.15
 #: Memory-bandwidth share of page-cache copies.
-_IOZONE_MEMORY = 0.05
+IOZONE_MEMORY = 0.05
 
 
 class IOzoneBenchmark(Benchmark):
@@ -35,8 +37,6 @@ class IOzoneBenchmark(Benchmark):
         Should be several times DRAM for cache-honest rates.
     target_seconds:
         If set, the file size is derived so the run lasts about this long.
-    model_kwargs:
-        Extra parameters for :class:`~repro.perfmodels.iozone.IOzoneModel`.
 
     Note
     ----
@@ -52,7 +52,6 @@ class IOzoneBenchmark(Benchmark):
         *,
         file_bytes: float = 64e9,
         target_seconds: Optional[float] = None,
-        **model_kwargs,
     ):
         if file_bytes <= 0:
             raise BenchmarkError("file_bytes must be > 0")
@@ -60,7 +59,6 @@ class IOzoneBenchmark(Benchmark):
             raise BenchmarkError("target_seconds must be > 0")
         self.file_bytes = file_bytes
         self.target_seconds = target_seconds
-        self.model_kwargs = dict(model_kwargs)
 
     def build(self, executor: ClusterExecutor, scale: int) -> BuiltRun:
         """Compile an IOzone run on ``scale`` nodes (one writer per node)."""
@@ -69,7 +67,7 @@ class IOzoneBenchmark(Benchmark):
             raise BenchmarkError(
                 f"IOzone scale {scale} exceeds cluster's {cluster.num_nodes} nodes"
             )
-        model = IOzoneModel(cluster=cluster, **self.model_kwargs)
+        model = IOzoneModel(cluster=cluster)
         file_bytes = self.file_bytes
         if self.target_seconds is not None:
             file_bytes = model.file_size_for_time(self.target_seconds)
@@ -81,8 +79,8 @@ class IOzoneBenchmark(Benchmark):
         write = Phase(
             kind=PhaseKind.IO,
             duration_s=prediction.time_s,
-            cpu_intensity=_IOZONE_INTENSITY,
-            memory=_IOZONE_MEMORY,
+            cpu_intensity=IOZONE_INTENSITY,
+            memory=IOZONE_MEMORY,
             storage=1.0,
             label="iozone-write",
         )

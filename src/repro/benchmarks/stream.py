@@ -29,11 +29,11 @@ _STREAM_INTENSITY = 0.6
 class StreamBenchmark(Benchmark):
     """STREAM Triad, stressing the memory subsystem.
 
+    Each rank sweeps :data:`~repro.perfmodels.stream.ARRAY_ELEMENTS`-long
+    arrays (the STREAM reference size).
+
     Parameters
     ----------
-    array_elements:
-        Per-rank array length (must dwarf caches; the default 20 M doubles
-        is the STREAM reference size).
     iterations:
         Triad sweeps per rank; ignored when ``target_seconds`` is given.
     target_seconds:
@@ -50,14 +50,11 @@ class StreamBenchmark(Benchmark):
     def __init__(
         self,
         *,
-        array_elements: int = 20_000_000,
         iterations: int = 100,
         target_seconds: Optional[float] = None,
         rounds: int = 4,
         intensity: float = _STREAM_INTENSITY,
     ):
-        if array_elements < 1:
-            raise BenchmarkError("array_elements must be >= 1")
         if iterations < 1:
             raise BenchmarkError("iterations must be >= 1")
         if target_seconds is not None and target_seconds <= 0:
@@ -67,7 +64,6 @@ class StreamBenchmark(Benchmark):
         if not 0 <= intensity <= 1:
             raise BenchmarkError("intensity must be in [0, 1]")
         self.intensity = intensity
-        self.array_elements = array_elements
         self.iterations = iterations
         self.target_seconds = target_seconds
         self.rounds = rounds
@@ -81,16 +77,10 @@ class StreamBenchmark(Benchmark):
         iterations = self.iterations
         if self.target_seconds is not None:
             iterations = model.iterations_for_time(
-                self.target_seconds,
-                scale,
-                array_elements=self.array_elements,
-                ranks_per_node=ranks_per_node,
+                self.target_seconds, scale, ranks_per_node=ranks_per_node
             )
         prediction = model.predict(
-            scale,
-            array_elements=self.array_elements,
-            iterations=iterations,
-            ranks_per_node=ranks_per_node,
+            scale, iterations=iterations, ranks_per_node=ranks_per_node
         )
         # Fraction of the node's sustained bandwidth each rank consumes.
         node_sustained = cluster.node.sustained_memory_bandwidth
@@ -105,7 +95,7 @@ class StreamBenchmark(Benchmark):
 
         details: Dict[str, float] = {
             "iterations": float(iterations),
-            "array_elements": float(self.array_elements),
+            "array_elements": float(prediction.array_elements),
             "per_rank_bandwidth": prediction.per_rank_bandwidth,
             "predicted_time_s": prediction.time_s,
         }

@@ -16,8 +16,7 @@ This package is the substrate that runs them at scale:
     :class:`CampaignRunner` — the one executor: cache probe, sharded
     work-stealing dispatch over a transport-shaped worker API (inline or
     process pool), and journal-replay crash resume — and
-    :class:`CampaignResult`.  ``ShardedCampaignScheduler`` is an alias
-    of :class:`CampaignRunner`, kept for existing callers.
+    :class:`CampaignResult`.
 :mod:`~repro.campaign.manifest`
     Machine-readable run manifests and their reproducibility fingerprint.
 :mod:`~repro.campaign.scheduler`
@@ -56,7 +55,6 @@ from .runner import (
     InlineTransport,
     JobOutcome,
     ProcessPoolTransport,
-    ShardedCampaignScheduler,
     WorkerTransport,
     WorkItem,
     WorkResult,
@@ -100,5 +98,4 @@ __all__ = [
     "WorkerTransport",
     "InlineTransport",
     "ProcessPoolTransport",
-    "ShardedCampaignScheduler",
 ]

@@ -110,7 +110,6 @@ __all__ = [
     "JobOutcome",
     "CampaignResult",
     "CampaignRunner",
-    "ShardedCampaignScheduler",
     "WorkItem",
     "WorkResult",
     "execute_work_item",
@@ -1247,11 +1246,6 @@ class CampaignRunner:
                     if result.error is not None and not self.keep_going:
                         stop_refill = True
         return results, stolen, workers_used, transport.name
-
-
-#: Alias of :class:`CampaignRunner` under the sharded executor's name, so
-#: callers that import ``ShardedCampaignScheduler`` keep working.
-ShardedCampaignScheduler = CampaignRunner
 
 
 def build_manifest(

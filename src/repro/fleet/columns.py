@@ -25,6 +25,7 @@ import numpy as np
 
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import FleetError
+from ..power import node_power
 
 __all__ = ["FleetColumns", "is_batchable", "require_batchable"]
 
@@ -130,10 +131,9 @@ class FleetColumns:
         def col(values: List[float]) -> np.ndarray:
             return np.asarray(values, dtype=float)
 
-        # PSU sizing mirrors NodePowerModel's default: rated at
-        # _PSU_SIZING_FACTOR x the node's nominal full-load DC draw.
-        from ..power.node_power import _PSU_SIZING_FACTOR
-
+        # NodePowerModel's default PSU: rated at PSU_SIZING_FACTOR x the
+        # node's nominal full-load DC draw.
+        sizing = node_power.PSU_SIZING_FACTOR
         return cls(
             names=tuple(spec.name for spec in specs),
             num_nodes=col([spec.num_nodes for spec in specs]),
@@ -156,5 +156,5 @@ class FleetColumns:
             nic_idle_w=col([n.nic.idle_watts for n in nodes]),
             nic_active_w=col([n.nic.active_watts for n in nodes]),
             base_watts=col([n.base_watts for n in nodes]),
-            psu_rated_w=col([_PSU_SIZING_FACTOR * n.nominal_max_watts for n in nodes]),
+            psu_rated_w=col([sizing * n.nominal_max_watts for n in nodes]),
         )

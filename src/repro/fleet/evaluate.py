@@ -1,15 +1,23 @@
 """Cross-system batched evaluation of the full-machine benchmark suite.
 
-:func:`evaluate_fleet` scores every system's HPL, STREAM and IOzone runs
-with the formulas of the very model objects the simulator compiles
-(:class:`~repro.perfmodels.hpl.HPLModel`,
-:class:`~repro.perfmodels.stream.StreamModel`,
-:class:`~repro.perfmodels.iozone.IOzoneModel`,
-:class:`~repro.power.node_power.NodePowerModel`), vectorized over
-:class:`~repro.fleet.columns.FleetColumns`: one NumPy pass per benchmark
-for the whole fleet.  A scalar oracle that calls those model objects one
+:func:`evaluate_fleet` scores every system's HPL, STREAM and IOzone runs in
+one NumPy pass per benchmark over
+:class:`~repro.fleet.columns.FleetColumns`.  The performance terms restate
+:class:`~repro.perfmodels.hpl.HPLModel`,
+:class:`~repro.perfmodels.stream.StreamModel` and
+:class:`~repro.perfmodels.iozone.IOzoneModel` over spec columns.  Power
+calls the power package's own elementwise formulas
+(:func:`~repro.power.components.cpu_power`,
+:func:`~repro.power.components.linear_power` and
+:meth:`~repro.power.psu.PSUModel.wall_watts` with per-system ratings).
+Every model constant — the CPU awake floor, PSU sizing, HPL block size,
+element size and DGEMM efficiency, the STREAM array, the IOzone cache and
+filesystem constants, and the benchmarks' phase utilizations — is read at
+call time from the module that owns it, so the fleet and the simulator
+price a machine alike.  A scalar oracle that calls the model objects one
 system at a time lives in the test tree (``tests/oracles.py``); the
-hypothesis equivalence suite pins the batched path to it.
+equivalence suites pin the batched path to it and to the simulator, also
+with each constant perturbed in its owner.
 
 Why an *analytic* path is exact here: a full-machine fleet job packs every
 node identically (ranks = total cores, breadth-first), runs rank-uniform
@@ -32,17 +40,15 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..benchmarks.hpl import (
-    _HPL_COMM_INTENSITY,
-    _HPL_COMPUTE_INTENSITY,
-    _HPL_MEMORY_PER_RANK,
-    _HPL_NIC_UTIL,
-)
-from ..benchmarks.iozone import _IOZONE_INTENSITY, _IOZONE_MEMORY
+from ..benchmarks import hpl as hpl_bench
+from ..benchmarks import iozone as iozone_bench
 from ..exceptions import FleetError
 from ..experiments.config import PAPER_CONFIG, ExperimentConfig
-from ..perfmodels.hpl import HPLModel
-from ..power.psu import DEFAULT_EFFICIENCY_CURVE
+from ..perfmodels import hpl as hpl_perf
+from ..perfmodels import iozone as iozone_perf
+from ..perfmodels import stream as stream_perf
+from ..power.components import cpu_power, linear_power
+from ..power.psu import PSUModel
 from .columns import FleetColumns
 
 __all__ = [
@@ -54,19 +60,6 @@ __all__ = [
 
 #: Suite members the fleet path scores, in suite order.
 FLEET_BENCHMARKS: Tuple[str, ...] = ("HPL", "STREAM", "IOzone")
-
-# Constants mirrored from the scalar stack (single source where importable).
-_CPU_AWAKE_FLOOR = 0.45  # NodePowerModel.cpu_awake_floor default
-_TRIAD_BYTES_PER_ELEMENT = 3 * 8
-_STREAM_ARRAY_ELEMENTS = 20_000_000
-_HPL_BYTES_PER_ELEMENT = 8
-_HPL_BLOCK_SIZE = 224  # HPLModel.block_size default
-_HPL_DGEMM_EFFICIENCY = 0.85  # HPLModel.dgemm_efficiency default
-_IOZONE_FS_EFFICIENCY = 0.92  # IOzoneModel.filesystem_efficiency default
-_IOZONE_CACHE_BW = 2.0e9  # IOzoneModel.cache_bandwidth default
-
-_PSU_LOADS = np.array([p[0] for p in DEFAULT_EFFICIENCY_CURVE], dtype=float)
-_PSU_EFFS = np.array([p[1] for p in DEFAULT_EFFICIENCY_CURVE], dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,30 +120,20 @@ def _wall_watts(
     storage,
     nic,
 ) -> np.ndarray:
-    """Vectorized NodePowerModel.wall_power over systems ``idx``.
+    """``NodePowerModel.wall_power`` of systems ``idx``, from spec columns.
 
-    Operation-for-operation the scalar component formulas, evaluated on
-    spec columns; utilization operands may be scalars or per-system arrays.
+    The component and PSU formulas are the power package's own; the
+    utilization operands may be scalars or per-system arrays.
     """
-    dynamic_range = cols.cpu_tdp_w[idx] - cols.cpu_idle_w[idx]
-    per_core_load = _CPU_AWAKE_FLOOR + (1.0 - _CPU_AWAKE_FLOOR) * intensity
-    cpu = cols.sockets[idx] * (
-        cols.cpu_idle_w[idx] + dynamic_range * active * per_core_load
+    sockets = cols.sockets[idx]
+    dc = (
+        cols.base_watts[idx]
+        + cpu_power(cols.cpu_idle_w[idx], cols.cpu_tdp_w[idx], sockets, active, intensity)
+        + linear_power(cols.mem_idle_w[idx], cols.mem_active_w[idx], memory, sockets)
+        + linear_power(cols.storage_idle_w[idx], cols.storage_active_w[idx], storage)
+        + linear_power(cols.nic_idle_w[idx], cols.nic_active_w[idx], nic)
     )
-    mem = cols.sockets[idx] * (
-        cols.mem_idle_w[idx]
-        + (cols.mem_active_w[idx] - cols.mem_idle_w[idx]) * memory
-    )
-    sto = cols.storage_idle_w[idx] + (
-        cols.storage_active_w[idx] - cols.storage_idle_w[idx]
-    ) * storage
-    net = cols.nic_idle_w[idx] + (
-        cols.nic_active_w[idx] - cols.nic_idle_w[idx]
-    ) * nic
-    dc = cols.base_watts[idx] + cpu + mem + sto + net
-    load = np.minimum(dc / cols.psu_rated_w[idx], 1.0)
-    eff = np.interp(load, _PSU_LOADS, _PSU_EFFS)
-    return np.where(dc == 0.0, 0.0, dc / eff)
+    return PSUModel(rated_watts=cols.psu_rated_w[idx]).wall_watts(dc)
 
 
 def _memoized(
@@ -207,21 +190,22 @@ def _hpl_batched(
         cols.nic_bandwidth,
         cols.nic_latency_s,
     ]
+    block = hpl_perf.BLOCK_SIZE
+    element_bytes = hpl_perf.BYTES_PER_ELEMENT
+    dgemm = hpl_perf.DGEMM_EFFICIENCY
     if reference:
         key.append(cols.mem_capacity_bytes)
-        dgemm = _HPL_DGEMM_EFFICIENCY
         threshold, slope, volume_factor = (
-            HPLModel.contention_threshold,
-            HPLModel.contention_slope,
-            HPLModel.comm_volume_factor,
+            hpl_perf.HPLModel.contention_threshold,
+            hpl_perf.HPLModel.contention_slope,
+            hpl_perf.HPLModel.comm_volume_factor,
         )
     else:
-        if config.hpl_problem_size < _HPL_BLOCK_SIZE:
+        if config.hpl_problem_size < block:
             raise FleetError(
                 f"hpl_problem_size {config.hpl_problem_size} below block "
-                f"size {_HPL_BLOCK_SIZE}"
+                f"size {block}"
             )
-        dgemm = _HPL_DGEMM_EFFICIENCY
         threshold = config.hpl_contention_threshold
         slope = config.hpl_contention_slope
         volume_factor = config.hpl_comm_volume_factor
@@ -235,9 +219,9 @@ def _hpl_batched(
                 * cols.num_nodes[idx]
                 * cols.node_memory_bytes[idx]
             )
-            n = np.floor(np.sqrt(total_bytes / _HPL_BYTES_PER_ELEMENT))
-            n = n - np.mod(n, _HPL_BLOCK_SIZE)
-            if np.any(n < _HPL_BLOCK_SIZE):
+            n = np.floor(np.sqrt(total_bytes / element_bytes))
+            n = n - np.mod(n, block)
+            if np.any(n < block):
                 raise FleetError("memory too small for a single HPL block")
         else:
             n = np.full(idx.size, float(config.hpl_problem_size))
@@ -252,11 +236,11 @@ def _hpl_batched(
         safe_ranks = np.where(multi, ranks, 2.0)  # keep log2/sqrt well-defined
         log_p = np.log2(safe_ranks)
         volume_bytes = (
-            volume_factor * _HPL_BYTES_PER_ELEMENT * n**2 * log_p
+            volume_factor * element_bytes * n**2 * log_p
             / np.sqrt(safe_ranks)
         )
         comm_volume_t = np.where(multi, volume_bytes / cols.nic_bandwidth[idx], 0.0)
-        steps = np.maximum(1.0, np.floor(n / _HPL_BLOCK_SIZE))
+        steps = np.maximum(1.0, np.floor(n / block))
         comm_latency_t = np.where(
             multi, 3.0 * steps * log_p * cols.nic_latency_s[idx], 0.0
         )
@@ -268,8 +252,8 @@ def _hpl_batched(
             cols,
             idx,
             active=1.0,
-            intensity=_HPL_COMPUTE_INTENSITY,
-            memory=np.minimum(1.0, k * _HPL_MEMORY_PER_RANK),
+            intensity=hpl_bench.HPL_COMPUTE_INTENSITY,
+            memory=np.minimum(1.0, k * hpl_bench.HPL_MEMORY_PER_RANK),
             storage=0.0,
             nic=0.0,
         )
@@ -277,10 +261,10 @@ def _hpl_batched(
             cols,
             idx,
             active=1.0,
-            intensity=_HPL_COMM_INTENSITY,
+            intensity=hpl_bench.HPL_COMM_INTENSITY,
             memory=0.0,
             storage=0.0,
-            nic=np.minimum(1.0, k * _HPL_NIC_UTIL),
+            nic=np.minimum(1.0, k * hpl_bench.HPL_NIC_UTIL),
         )
         node_mean = (w_compute * compute_t + w_comm * comm_t) / total_t
         return perf, total_t, cols.num_nodes[idx] * node_mean
@@ -296,6 +280,8 @@ def _stream_batched(cols: FleetColumns, config: ExperimentConfig):
         cols.mem_sustained_bw,
         cols.mem_cores_to_saturate,
     ]
+    elements = stream_perf.ARRAY_ELEMENTS
+    triad_bytes = stream_perf.TRIAD_BYTES_PER_ELEMENT
 
     def compute(idx: np.ndarray):
         k = cols.node_cores[idx]
@@ -310,11 +296,11 @@ def _stream_batched(cols: FleetColumns, config: ExperimentConfig):
             sockets - extra
         ) * np.minimum(base * per_core, socket_cap)
         per_rank_bw = node_bw / k
-        one_iter_s = (1 * _STREAM_ARRAY_ELEMENTS * _TRIAD_BYTES_PER_ELEMENT) / per_rank_bw
+        one_iter_s = (1 * elements * triad_bytes) / per_rank_bw
         iterations = np.maximum(
             1.0, np.round(config.stream_target_seconds / one_iter_s)
         )
-        bytes_per_rank = iterations * _STREAM_ARRAY_ELEMENTS * _TRIAD_BYTES_PER_ELEMENT
+        bytes_per_rank = iterations * elements * triad_bytes
         time_s = bytes_per_rank / per_rank_bw
         perf = per_rank_bw * ranks
 
@@ -342,29 +328,32 @@ def _iozone_batched(cols: FleetColumns, config: ExperimentConfig):
         cols.mem_capacity_bytes,
         cols.storage_write_bw,
     ]
+    window_fraction = iozone_perf.CACHE_WINDOW_FRACTION
+    fs_efficiency = iozone_perf.FILESYSTEM_EFFICIENCY
+    cache_bw = iozone_perf.CACHE_BANDWIDTH
 
     def compute(idx: np.ndarray):
-        window = 0.25 * cols.node_memory_bytes[idx]
-        device_rate = cols.storage_write_bw[idx] * _IOZONE_FS_EFFICIENCY
-        window_time = window / _IOZONE_CACHE_BW
+        window = window_fraction * cols.node_memory_bytes[idx]
+        device_rate = cols.storage_write_bw[idx] * fs_efficiency
+        window_time = window / cache_bw
         target = config.iozone_target_seconds
         file_bytes = np.where(
             target <= window_time,
-            np.maximum(1.0, target * _IOZONE_CACHE_BW),
+            np.maximum(1.0, target * cache_bw),
             window + (target - window_time) * device_rate,
         )
         capped_window = np.minimum(window, file_bytes)
         device_bytes = file_bytes - capped_window
-        time_s = capped_window / _IOZONE_CACHE_BW + device_bytes / device_rate
-        per_node = np.minimum(file_bytes / time_s, _IOZONE_CACHE_BW)
+        time_s = capped_window / cache_bw + device_bytes / device_rate
+        per_node = np.minimum(file_bytes / time_s, cache_bw)
         perf = per_node * cols.num_nodes[idx]
 
         w = _wall_watts(
             cols,
             idx,
             active=np.minimum(1.0, 1.0 / cols.node_cores[idx]),
-            intensity=_IOZONE_INTENSITY,
-            memory=_IOZONE_MEMORY,
+            intensity=iozone_bench.IOZONE_INTENSITY,
+            memory=iozone_bench.IOZONE_MEMORY,
             storage=1.0,
             nic=0.0,
         )

@@ -31,10 +31,21 @@ from ..cluster.cluster import ClusterSpec
 from ..exceptions import BenchmarkError
 from ..validation import check_fraction, check_positive, check_positive_int
 
-__all__ = ["HPLModel", "HPLPrediction"]
+__all__ = [
+    "HPLModel",
+    "HPLPrediction",
+    "BYTES_PER_ELEMENT",
+    "BLOCK_SIZE",
+    "DGEMM_EFFICIENCY",
+]
 
 #: Bytes per double-precision matrix element.
-_BYTES_PER_ELEMENT = 8
+BYTES_PER_ELEMENT = 8
+#: HPL blocking factor ``NB``.
+BLOCK_SIZE = 224
+#: Fraction of per-core peak the update kernel sustains with the node
+#: otherwise quiet.
+DGEMM_EFFICIENCY = 0.85
 
 
 @dataclass(frozen=True)
@@ -77,11 +88,6 @@ class HPLModel:
     ----------
     cluster:
         The machine.
-    dgemm_efficiency:
-        Fraction of per-core peak the update kernel sustains with the node
-        otherwise quiet.
-    block_size:
-        HPL blocking factor ``NB``.
     comm_volume_factor:
         Prefactor on the broadcast-volume term (absorbs algorithmic
         constants: U broadcasts, row swaps, pivoting traffic).
@@ -96,21 +102,18 @@ class HPLModel:
         When the node carries accelerators, add their sustained HPL rate
         (CPU+GPU hybrid DGEMM, the Fermi-era HPL-CUDA scheme) to every
         participating node's compute throughput.
+
+    The kernel efficiency and blocking factor are the module constants
+    :data:`DGEMM_EFFICIENCY` and :data:`BLOCK_SIZE`, read at call time.
     """
 
     cluster: ClusterSpec
-    dgemm_efficiency: float = 0.85
-    block_size: int = 224
     comm_volume_factor: float = 1.0
     contention_threshold: int = 8
     contention_slope: float = 1.0
     use_accelerators: bool = True
 
     def __post_init__(self) -> None:
-        check_fraction(self.dgemm_efficiency, "dgemm_efficiency", exc=BenchmarkError)
-        if self.dgemm_efficiency == 0:
-            raise BenchmarkError("dgemm_efficiency must be > 0")
-        check_positive_int(self.block_size, "block_size", exc=BenchmarkError)
         check_positive(self.comm_volume_factor, "comm_volume_factor", exc=BenchmarkError)
         check_positive_int(self.contention_threshold, "contention_threshold", exc=BenchmarkError)
         if self.contention_slope < 0:
@@ -132,9 +135,9 @@ class HPLModel:
         if not 1 <= n_nodes <= self.cluster.num_nodes:
             raise BenchmarkError(f"nodes must be in [1, {self.cluster.num_nodes}]")
         total_bytes = memory_fraction * n_nodes * self.cluster.node.memory_bytes
-        n = int(math.sqrt(total_bytes / _BYTES_PER_ELEMENT))
-        n -= n % self.block_size
-        if n < self.block_size:
+        n = int(math.sqrt(total_bytes / BYTES_PER_ELEMENT))
+        n -= n % BLOCK_SIZE
+        if n < BLOCK_SIZE:
             raise BenchmarkError("memory too small for a single block")
         return n
 
@@ -173,7 +176,7 @@ class HPLModel:
         flops = self.flop_count(n)
         core_peak = self.cluster.node.cpu.peak_flops_per_core
         slowdown = self.contention_factor(k)
-        compute_rate = num_ranks * core_peak * self.dgemm_efficiency / slowdown
+        compute_rate = num_ranks * core_peak * DGEMM_EFFICIENCY / slowdown
         if self.use_accelerators and self.cluster.node.accelerators:
             nodes_used = math.ceil(num_ranks / k)
             acc_rate = sum(
@@ -199,7 +202,7 @@ class HPLModel:
         # forwarded ~log p times by tree broadcasts.
         volume_bytes = (
             self.comm_volume_factor
-            * _BYTES_PER_ELEMENT
+            * BYTES_PER_ELEMENT
             * n**2
             * log_p
             / math.sqrt(num_ranks)
@@ -207,7 +210,7 @@ class HPLModel:
         comm_volume = volume_bytes / nic.bandwidth
         # Each of the N/nb steps pays O(log p) latencies for panel bcast,
         # pivot exchange, and U bcast (factor 3).
-        steps = max(1, n // self.block_size)
+        steps = max(1, n // BLOCK_SIZE)
         comm_latency = 3.0 * steps * log_p * nic.latency_s
         return HPLPrediction(
             problem_size=n,
@@ -227,9 +230,9 @@ class HPLModel:
         benchmarking campaigns size their runs.  Bisects on ``N``.
         """
         check_positive(target_seconds, "target_seconds", exc=BenchmarkError)
-        lo, hi = self.block_size, 1
+        lo = BLOCK_SIZE
         # exponential search for an upper bound
-        hi = self.block_size
+        hi = BLOCK_SIZE
         while (
             self.predict(hi, num_ranks, ranks_per_node=ranks_per_node).total_time_s
             < target_seconds
@@ -237,10 +240,10 @@ class HPLModel:
             hi *= 2
             if hi > 10_000_000:
                 raise BenchmarkError("target time unreachably large")
-        while hi - lo > self.block_size:
+        while hi - lo > BLOCK_SIZE:
             mid = (lo + hi) // 2
-            mid -= mid % self.block_size
-            mid = max(mid, self.block_size)
+            mid -= mid % BLOCK_SIZE
+            mid = max(mid, BLOCK_SIZE)
             if mid in (lo, hi):
                 break
             t = self.predict(mid, num_ranks, ranks_per_node=ranks_per_node).total_time_s
@@ -248,4 +251,4 @@ class HPLModel:
                 lo = mid
             else:
                 hi = mid
-        return max(lo, self.block_size)
+        return max(lo, BLOCK_SIZE)

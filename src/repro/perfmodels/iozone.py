@@ -8,9 +8,10 @@ MB/s.  A write benchmark's measured rate blends two regimes:
 * once the cache is saturated (or when the run ends with a mandated flush),
   writes proceed at the device's sustained sequential rate.
 
-The model exposes the cache window via ``cache_window_bytes`` (default: a
-quarter of node DRAM, a typical dirty-page ceiling) and applies a fixed
-filesystem efficiency to the device rate.  For the file sizes the
+The cache window is :data:`CACHE_WINDOW_FRACTION` of node DRAM (a quarter,
+a typical dirty-page ceiling), absorbed at :data:`CACHE_BANDWIDTH`, and the
+device rate carries a fixed :data:`FILESYSTEM_EFFICIENCY`; the batched fleet
+evaluator reads the same three constants.  For the file sizes the
 experiments use (several x DRAM) the device rate dominates, as it must for
 an I/O benchmark to be meaningful — but the window is modelled so tests can
 demonstrate the classic "IOzone lies for small files" artifact.
@@ -22,13 +23,26 @@ Aggregate performance over ``k`` nodes is ``k`` times the per-node rate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import BenchmarkError
-from ..validation import check_fraction, check_positive, check_positive_int
+from ..validation import check_positive, check_positive_int
 
-__all__ = ["IOzoneModel", "IOzonePrediction"]
+__all__ = [
+    "IOzoneModel",
+    "IOzonePrediction",
+    "FILESYSTEM_EFFICIENCY",
+    "CACHE_BANDWIDTH",
+    "CACHE_WINDOW_FRACTION",
+]
+
+#: Fraction of the device's sequential rate the filesystem sustains
+#: (journaling, metadata, and allocation overhead).
+FILESYSTEM_EFFICIENCY = 0.92
+#: Apparent bytes/s while writes land in the page cache.
+CACHE_BANDWIDTH = 2.0e9
+#: Share of node DRAM absorbed at memory speed before the device rate applies.
+CACHE_WINDOW_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -46,42 +60,19 @@ class IOzonePrediction:
 class IOzoneModel:
     """IOzone write-test predictor for one cluster.
 
-    Parameters
-    ----------
-    cluster:
-        The machine.
-    filesystem_efficiency:
-        Fraction of the device's sequential rate the filesystem sustains
-        (journaling, metadata, and allocation overhead).
-    cache_window_bytes:
-        Bytes absorbed at memory speed before the device rate applies;
-        ``None`` selects a quarter of node DRAM.
-    cache_bandwidth:
-        Apparent bytes/s while writes land in the page cache.
+    The cache window, cache rate and filesystem efficiency are the module
+    constants above, read at call time.
     """
 
     cluster: ClusterSpec
-    filesystem_efficiency: float = 0.92
-    cache_window_bytes: Optional[float] = None
-    cache_bandwidth: float = 2.0e9
-
-    def __post_init__(self) -> None:
-        check_fraction(self.filesystem_efficiency, "filesystem_efficiency", exc=BenchmarkError)
-        if self.filesystem_efficiency == 0:
-            raise BenchmarkError("filesystem_efficiency must be > 0")
-        if self.cache_window_bytes is not None:
-            check_positive(self.cache_window_bytes, "cache_window_bytes", exc=BenchmarkError)
-        check_positive(self.cache_bandwidth, "cache_bandwidth", exc=BenchmarkError)
 
     def effective_cache_window(self) -> float:
         """The absorption window in bytes."""
-        if self.cache_window_bytes is not None:
-            return self.cache_window_bytes
-        return 0.25 * self.cluster.node.memory_bytes
+        return CACHE_WINDOW_FRACTION * self.cluster.node.memory_bytes
 
     def device_rate(self) -> float:
         """Sustained filesystem write bytes/s of one node."""
-        return self.cluster.node.storage.seq_write_bandwidth * self.filesystem_efficiency
+        return self.cluster.node.storage.seq_write_bandwidth * FILESYSTEM_EFFICIENCY
 
     def predict(self, num_nodes: int, *, file_bytes: float) -> IOzonePrediction:
         """Predict a write of ``file_bytes`` per node on ``num_nodes`` nodes."""
@@ -93,12 +84,12 @@ class IOzoneModel:
         check_positive(file_bytes, "file_bytes", exc=BenchmarkError)
         window = min(self.effective_cache_window(), file_bytes)
         device_bytes = file_bytes - window
-        time_s = window / self.cache_bandwidth + device_bytes / self.device_rate()
-        # The blended rate is mathematically within [device_rate, cache_bandwidth],
+        time_s = window / CACHE_BANDWIDTH + device_bytes / self.device_rate()
+        # The blended rate is mathematically within [device_rate, CACHE_BANDWIDTH],
         # but the float division can land a few ulps above the cache ceiling
         # (e.g. when the file barely exceeds the absorption window); clamp so the
         # model honours its own bound exactly.
-        per_node = min(file_bytes / time_s, self.cache_bandwidth)
+        per_node = min(file_bytes / time_s, CACHE_BANDWIDTH)
         return IOzonePrediction(
             num_nodes=num_nodes,
             file_bytes=file_bytes,
@@ -107,11 +98,11 @@ class IOzoneModel:
             aggregate_bandwidth=per_node * num_nodes,
         )
 
-    def file_size_for_time(self, target_seconds: float, *, num_nodes: int = 1) -> float:
+    def file_size_for_time(self, target_seconds: float) -> float:
         """Per-node file size whose predicted runtime is ~``target_seconds``."""
         check_positive(target_seconds, "target_seconds", exc=BenchmarkError)
         window = self.effective_cache_window()
-        window_time = window / self.cache_bandwidth
+        window_time = window / CACHE_BANDWIDTH
         if target_seconds <= window_time:
-            return max(1.0, target_seconds * self.cache_bandwidth)
+            return max(1.0, target_seconds * CACHE_BANDWIDTH)
         return window + (target_seconds - window_time) * self.device_rate()

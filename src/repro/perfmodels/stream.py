@@ -27,11 +27,19 @@ from ..cluster.cluster import ClusterSpec
 from ..exceptions import BenchmarkError
 from ..validation import check_positive, check_positive_int
 
-__all__ = ["StreamModel", "StreamPrediction"]
+__all__ = [
+    "StreamModel",
+    "StreamPrediction",
+    "TRIAD_BYTES_PER_ELEMENT",
+    "ARRAY_ELEMENTS",
+]
 
 #: Triad traffic per element per iteration: read a, read b, write c.
 #: (STREAM's official accounting ignores the write-allocate fill.)
-_TRIAD_BYTES_PER_ELEMENT = 3 * 8
+TRIAD_BYTES_PER_ELEMENT = 3 * 8
+#: Per-rank array length: the STREAM reference size, 20 M doubles, which
+#: dwarfs any last-level cache of the machines modelled.
+ARRAY_ELEMENTS = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -79,22 +87,15 @@ class StreamModel:
         return total
 
     def predict(
-        self,
-        num_ranks: int,
-        *,
-        array_elements: int = 20_000_000,
-        iterations: int = 100,
-        ranks_per_node: int = 0,
+        self, num_ranks: int, *, iterations: int = 100, ranks_per_node: int = 0
     ) -> StreamPrediction:
         """Predict a run of ``iterations`` Triad sweeps per rank.
 
-        ``array_elements`` is the per-rank array length (the STREAM rule of
-        "much larger than last-level cache" is the caller's responsibility —
-        the model assumes DRAM-resident arrays).  ``ranks_per_node`` defaults
-        to the breadth-first value.
+        Each rank sweeps :data:`ARRAY_ELEMENTS`-long arrays (read at call
+        time), assumed DRAM-resident.  ``ranks_per_node`` defaults to the
+        breadth-first value.
         """
         check_positive_int(num_ranks, "num_ranks", exc=BenchmarkError)
-        check_positive_int(array_elements, "array_elements", exc=BenchmarkError)
         check_positive_int(iterations, "iterations", exc=BenchmarkError)
         if num_ranks > self.cluster.total_cores:
             raise BenchmarkError(
@@ -104,26 +105,20 @@ class StreamModel:
         k = min(k, num_ranks)
         node_bw = self.node_bandwidth(k)
         per_rank_bw = node_bw / k
-        bytes_per_rank = iterations * array_elements * _TRIAD_BYTES_PER_ELEMENT
+        bytes_per_rank = iterations * ARRAY_ELEMENTS * TRIAD_BYTES_PER_ELEMENT
         time_s = bytes_per_rank / per_rank_bw
         return StreamPrediction(
             num_ranks=num_ranks,
-            array_elements=array_elements,
+            array_elements=ARRAY_ELEMENTS,
             iterations=iterations,
             time_s=time_s,
             aggregate_bandwidth=per_rank_bw * num_ranks,
         )
 
     def iterations_for_time(
-        self, target_seconds: float, num_ranks: int, *, array_elements: int = 20_000_000,
-        ranks_per_node: int = 0,
+        self, target_seconds: float, num_ranks: int, *, ranks_per_node: int = 0
     ) -> int:
         """Iteration count whose predicted runtime is ~``target_seconds``."""
         check_positive(target_seconds, "target_seconds", exc=BenchmarkError)
-        one = self.predict(
-            num_ranks,
-            array_elements=array_elements,
-            iterations=1,
-            ranks_per_node=ranks_per_node,
-        )
+        one = self.predict(num_ranks, iterations=1, ranks_per_node=ranks_per_node)
         return max(1, round(target_seconds / one.time_s))

@@ -11,25 +11,23 @@ nodes land in between monotonically.
 CPU refinement: a core that is awake but stalled (e.g. running STREAM,
 waiting on DRAM) still burns clock-tree and leakage power.  The model
 therefore splits the per-core dynamic range into an *awake floor*
-(:attr:`CPUPowerModel.awake_floor`) paid by any busy core, plus an
+(:data:`CPU_AWAKE_FLOOR`) paid by any busy core, plus an
 intensity-proportional remainder — so compute-bound HPL draws close to TDP
 while memory-bound STREAM draws noticeably less at the same core count,
 matching the power gap the paper observes between its benchmarks.
 
-Batched evaluation: every model also exposes ``power_many``, which takes a
-:class:`NodeUtilizationArray` (struct-of-arrays: one ndarray per utilization
-field) and returns watts per timeline slice in one NumPy expression.  The
-formulas are written with the exact same operation order as the scalar
-``power`` methods, so a batched evaluation is bitwise identical to mapping
-the scalar model over the slices — the sweep-line integrator in
-:mod:`repro.sim.executor` relies on this to stay equivalent to its scalar
-reference oracle.
+One formula per model: :func:`cpu_power` and :func:`linear_power` are
+elementwise over plain numbers or NumPy arrays.  Each model's ``power``
+accepts a scalar :class:`NodeUtilization` (one instant, range-checked) or a
+:class:`NodeUtilizationArray` (a whole timeline as struct-of-arrays, from
+the sweep-line integrator in :mod:`repro.sim.executor`) and returns watts of
+the same shape.  The batched fleet evaluator (:mod:`repro.fleet.evaluate`)
+calls the two functions directly with its per-system spec columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +40,9 @@ from ..exceptions import PowerModelError
 from ..validation import check_fraction
 
 __all__ = [
+    "CPU_AWAKE_FLOOR",
+    "cpu_power",
+    "linear_power",
     "NodeUtilization",
     "NodeUtilizationArray",
     "CPUPowerModel",
@@ -50,6 +51,11 @@ __all__ = [
     "NICPowerModel",
     "AcceleratorPowerModel",
 ]
+
+
+#: Fraction of a package's dynamic range any busy core draws, however
+#: stalled: the clock tree and leakage of an awake core.
+CPU_AWAKE_FLOOR = 0.45
 
 
 @dataclass(frozen=True)
@@ -137,70 +143,49 @@ class NodeUtilizationArray:
     def __len__(self) -> int:
         return int(np.asarray(self.cpu_active_fraction).shape[0])
 
-    @classmethod
-    def idle(cls, n: int) -> "NodeUtilizationArray":
-        """``n`` fully idle slices."""
-        zeros = np.zeros(n)
-        return cls(zeros, zeros, zeros, zeros, zeros, zeros)
 
-    @classmethod
-    def from_utilizations(cls, utils: Sequence[NodeUtilization]) -> "NodeUtilizationArray":
-        """Pack scalar utilizations into one batch (tests, adapters)."""
-        return cls(
-            *(
-                np.array([getattr(u, name) for u in utils], dtype=float)
-                for name in cls._FIELDS
-            )
-        )
+def cpu_power(idle_w, tdp_w, sockets, active, intensity):
+    """Watts of ``sockets`` CPU packages (elementwise over numbers or arrays).
 
-    def at(self, i: int) -> NodeUtilization:
-        """The scalar :class:`NodeUtilization` of slice ``i``."""
-        return NodeUtilization(
-            **{name: float(getattr(self, name)[i]) for name in self._FIELDS}
-        )
+    ``sockets * (idle + (tdp - idle) * active * (floor + (1-floor) * intensity))``
 
-
-def _linear(idle_w: float, active_w: float, util):
-    """Linear interpolation between a component's idle and active power.
-
-    ``util`` may be a scalar or an ndarray; the expression is elementwise
-    either way, which keeps the scalar and batched paths bitwise equal.
+    where ``active`` is the fraction of busy cores and ``floor`` is
+    :data:`CPU_AWAKE_FLOOR`, read at call time.
     """
-    return idle_w + (active_w - idle_w) * util
+    dynamic_range = tdp_w - idle_w
+    per_core_load = CPU_AWAKE_FLOOR + (1.0 - CPU_AWAKE_FLOOR) * intensity
+    package = idle_w + dynamic_range * active * per_core_load
+    return sockets * package
+
+
+def linear_power(idle_w, active_w, util, count=1):
+    """Watts of ``count`` devices, each linear in ``util`` from idle to active.
+
+    Elementwise over numbers or arrays.
+    """
+    return count * (idle_w + (active_w - idle_w) * util)
 
 
 @dataclass(frozen=True)
 class CPUPowerModel:
-    """Power of all CPU packages in a node.
-
-    ``P = sockets * (idle + (tdp - idle) * active * (floor + (1-floor) * intensity))``
-
-    where ``active`` is the fraction of busy cores and ``floor`` the awake
-    floor described in the module docstring.
-    """
+    """Power of all CPU packages in a node (see :func:`cpu_power`)."""
 
     spec: CPUSpec
     sockets: int
-    awake_floor: float = 0.45
 
     def __post_init__(self) -> None:
         if self.sockets < 1:
             raise PowerModelError(f"sockets must be >= 1, got {self.sockets}")
-        check_fraction(self.awake_floor, "awake_floor", exc=PowerModelError)
 
-    def power(self, util: NodeUtilization) -> float:
-        """DC watts for the given utilization."""
-        dynamic_range = self.spec.tdp_watts - self.spec.idle_watts
-        per_core_load = self.awake_floor + (1.0 - self.awake_floor) * util.cpu_intensity
-        package = self.spec.idle_watts + dynamic_range * util.cpu_active_fraction * per_core_load
-        return self.sockets * package
-
-    def power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """DC watts per timeline slice (same operation order as :meth:`power`)."""
-        dynamic_range = self.spec.tdp_watts - self.spec.idle_watts
-        per_core_load = self.awake_floor + (1.0 - self.awake_floor) * util.cpu_intensity
-        package = self.spec.idle_watts + dynamic_range * util.cpu_active_fraction * per_core_load
-        return self.sockets * package
+    def power(self, util: NodeUtilization | NodeUtilizationArray):
+        """DC watts for a :class:`NodeUtilization` or :class:`NodeUtilizationArray`."""
+        return cpu_power(
+            self.spec.idle_watts,
+            self.spec.tdp_watts,
+            self.sockets,
+            util.cpu_active_fraction,
+            util.cpu_intensity,
+        )
 
 
 @dataclass(frozen=True)
@@ -214,13 +199,11 @@ class MemoryPowerModel:
         if self.sockets < 1:
             raise PowerModelError(f"sockets must be >= 1, got {self.sockets}")
 
-    def power(self, util: NodeUtilization) -> float:
-        """DC watts for the given utilization."""
-        return self.sockets * _linear(self.spec.idle_watts, self.spec.active_watts, util.memory)
-
-    def power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """DC watts per timeline slice."""
-        return self.sockets * _linear(self.spec.idle_watts, self.spec.active_watts, util.memory)
+    def power(self, util: NodeUtilization | NodeUtilizationArray):
+        """DC watts for a :class:`NodeUtilization` or :class:`NodeUtilizationArray`."""
+        return linear_power(
+            self.spec.idle_watts, self.spec.active_watts, util.memory, self.sockets
+        )
 
 
 @dataclass(frozen=True)
@@ -229,13 +212,9 @@ class StoragePowerModel:
 
     spec: StorageSpec
 
-    def power(self, util: NodeUtilization) -> float:
-        """DC watts for the given utilization."""
-        return _linear(self.spec.idle_watts, self.spec.active_watts, util.storage)
-
-    def power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """DC watts per timeline slice."""
-        return _linear(self.spec.idle_watts, self.spec.active_watts, util.storage)
+    def power(self, util: NodeUtilization | NodeUtilizationArray):
+        """DC watts for a :class:`NodeUtilization` or :class:`NodeUtilizationArray`."""
+        return linear_power(self.spec.idle_watts, self.spec.active_watts, util.storage)
 
 
 @dataclass(frozen=True)
@@ -244,13 +223,9 @@ class NICPowerModel:
 
     spec: InterconnectSpec
 
-    def power(self, util: NodeUtilization) -> float:
-        """DC watts for the given utilization."""
-        return _linear(self.spec.idle_watts, self.spec.active_watts, util.nic)
-
-    def power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """DC watts per timeline slice."""
-        return _linear(self.spec.idle_watts, self.spec.active_watts, util.nic)
+    def power(self, util: NodeUtilization | NodeUtilizationArray):
+        """DC watts for a :class:`NodeUtilization` or :class:`NodeUtilizationArray`."""
+        return linear_power(self.spec.idle_watts, self.spec.active_watts, util.nic)
 
 
 @dataclass(frozen=True)
@@ -259,10 +234,6 @@ class AcceleratorPowerModel:
 
     spec: AcceleratorSpec
 
-    def power(self, util: NodeUtilization) -> float:
-        """DC watts for the given utilization."""
-        return _linear(self.spec.idle_watts, self.spec.tdp_watts, util.accelerator)
-
-    def power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """DC watts per timeline slice."""
-        return _linear(self.spec.idle_watts, self.spec.tdp_watts, util.accelerator)
+    def power(self, util: NodeUtilization | NodeUtilizationArray):
+        """DC watts for a :class:`NodeUtilization` or :class:`NodeUtilizationArray`."""
+        return linear_power(self.spec.idle_watts, self.spec.tdp_watts, util.accelerator)

@@ -152,7 +152,7 @@ class WallPlugMeter:
             times = np.array([truth.t_start + truth.duration / 2.0])
         # One searchsorted prices every sample against the (compacted)
         # truth curve; noise, clipping, and quantization are elementwise.
-        true_watts = truth.power_at_many(times)
+        true_watts = truth.power_at(times)
         noise = self._noise_rng.uniform(
             -self.spec.noise_counts, self.spec.noise_counts, size=times.size
         ) * self.spec.resolution_watts

@@ -4,13 +4,16 @@
 :class:`~repro.cluster.node.NodeSpec` and its PSU.  It is the single place
 where "a node at utilization *u* draws *P* watts at the wall" is defined;
 everything upstream (the simulator) produces utilizations and everything
-downstream (the meter) sums wall watts across nodes.
+downstream (the meter) sums wall watts across nodes.  Every method takes a
+scalar :class:`~repro.power.components.NodeUtilization` (one instant) or a
+:class:`~repro.power.components.NodeUtilizationArray` (a whole timeline,
+priced in one call) and returns watts of the same shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,10 +29,10 @@ from .components import (
 )
 from .psu import PSUModel
 
-__all__ = ["NodePowerModel"]
+__all__ = ["NodePowerModel", "PSU_SIZING_FACTOR"]
 
 #: Headroom factor: PSUs are sized above the node's nominal full-load draw.
-_PSU_SIZING_FACTOR = 1.25
+PSU_SIZING_FACTOR = 1.25
 
 
 @dataclass(frozen=True)
@@ -42,31 +45,22 @@ class NodePowerModel:
         The node being modelled.
     psu:
         Power supply; defaults to a :class:`~repro.power.psu.PSUModel` rated
-        at 1.25 x the node's nominal full-load DC draw with the default
-        efficiency curve.
-    cpu_awake_floor:
-        Passed through to :class:`~repro.power.components.CPUPowerModel`.
+        at :data:`PSU_SIZING_FACTOR` x the node's nominal full-load DC draw
+        with the default efficiency curve.
     """
 
     node: NodeSpec
     psu: Optional[PSUModel] = None
-    cpu_awake_floor: float = 0.45
 
     def __post_init__(self) -> None:
         if self.psu is None:
             object.__setattr__(
                 self,
                 "psu",
-                PSUModel(rated_watts=_PSU_SIZING_FACTOR * self.node.nominal_max_watts),
+                PSUModel(rated_watts=PSU_SIZING_FACTOR * self.node.nominal_max_watts),
             )
         object.__setattr__(
-            self,
-            "_cpu",
-            CPUPowerModel(
-                spec=self.node.cpu,
-                sockets=self.node.sockets,
-                awake_floor=self.cpu_awake_floor,
-            ),
+            self, "_cpu", CPUPowerModel(spec=self.node.cpu, sockets=self.node.sockets)
         )
         object.__setattr__(
             self, "_memory", MemoryPowerModel(spec=self.node.memory, sockets=self.node.sockets)
@@ -79,7 +73,7 @@ class NodePowerModel:
             tuple(AcceleratorPowerModel(spec=acc) for acc in self.node.accelerators),
         )
 
-    def dc_power(self, util: NodeUtilization) -> float:
+    def dc_power(self, util: NodeUtilization | NodeUtilizationArray):
         """DC watts drawn by the node at the given utilization."""
         total = (
             self.node.base_watts
@@ -92,7 +86,7 @@ class NodePowerModel:
             total += acc.power(util)
         return total
 
-    def wall_power(self, util: NodeUtilization) -> float:
+    def wall_power(self, util: NodeUtilization | NodeUtilizationArray):
         """AC watts drawn from the outlet at the given utilization."""
         return self.psu.wall_watts(self.dc_power(util))
 
@@ -112,10 +106,17 @@ class NodePowerModel:
         )
         return self.wall_power(full)
 
-    def component_breakdown(self, util: NodeUtilization) -> dict:
-        """Per-component DC watts (for reports and debugging)."""
+    def component_breakdown(self, util: NodeUtilization | NodeUtilizationArray) -> dict:
+        """Per-component DC watts (for reports, energy attribution and debugging).
+
+        On a :class:`~repro.power.components.NodeUtilizationArray` every
+        entry, the constant base draw included, is one array per slice.
+        """
+        base = self.node.base_watts
+        if isinstance(util, NodeUtilizationArray):
+            base = np.full(len(util), base)
         breakdown = {
-            "base": self.node.base_watts,
+            "base": base,
             "cpu": self._cpu.power(util),
             "memory": self._memory.power(util),
             "storage": self._storage.power(util),
@@ -123,44 +124,4 @@ class NodePowerModel:
         }
         if self._accelerators:
             breakdown["accelerators"] = sum(acc.power(util) for acc in self._accelerators)
-        return breakdown
-
-    # -- batched struct-of-arrays API ----------------------------------
-    #
-    # One call prices a node's whole timeline.  Each method mirrors its
-    # scalar sibling operation-for-operation so that batched evaluation is
-    # bitwise identical to mapping the scalar model over the slices (the
-    # sweep-line integrator's equivalence guarantee rests on this).
-
-    def dc_power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """DC watts per timeline slice."""
-        total = (
-            self.node.base_watts
-            + self._cpu.power_many(util)
-            + self._memory.power_many(util)
-            + self._storage.power_many(util)
-            + self._nic.power_many(util)
-        )
-        for acc in self._accelerators:
-            total = total + acc.power_many(util)
-        return total
-
-    def wall_power_many(self, util: NodeUtilizationArray) -> np.ndarray:
-        """AC watts per timeline slice."""
-        return self.psu.wall_watts_many(self.dc_power_many(util))
-
-    def component_breakdown_many(self, util: NodeUtilizationArray) -> Dict[str, np.ndarray]:
-        """Per-component DC watts, one array per component class."""
-        breakdown = {
-            "base": np.full(len(util), self.node.base_watts),
-            "cpu": self._cpu.power_many(util),
-            "memory": self._memory.power_many(util),
-            "storage": self._storage.power_many(util),
-            "nic": self._nic.power_many(util),
-        }
-        if self._accelerators:
-            acc_watts = self._accelerators[0].power_many(util)
-            for acc in self._accelerators[1:]:
-                acc_watts = acc_watts + acc.power_many(util)
-            breakdown["accelerators"] = acc_watts
         return breakdown

@@ -9,6 +9,10 @@ here because an idle cluster sits in the inefficient left part of the curve.
 the default points follow a typical non-80-PLUS server supply of the era
 modelled.  :data:`IDEAL_PSU` (efficiency 1 everywhere) is provided for
 ablations isolating the PSU's contribution to wall power.
+
+Both conversions are elementwise: one DC draw or a timeline of them, on
+one supply or — with an array ``rated_watts`` — one supply per system, as
+the batched fleet evaluator prices a whole fleet at once.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from typing import Tuple
 import numpy as np
 
 from ..exceptions import PowerModelError
-from ..validation import check_positive
 
 __all__ = ["PSUModel", "DEFAULT_EFFICIENCY_CURVE", "IDEAL_PSU"]
 
@@ -41,20 +44,25 @@ class PSUModel:
     Parameters
     ----------
     rated_watts:
-        DC output the supply is rated for.  Node load fraction is
-        ``dc_watts / rated_watts`` (clamped to [0, 1] — drawing beyond the
-        rating is treated as full load rather than an error because the
-        models occasionally overshoot nominal ceilings by a watt or two).
+        DC output the supply is rated for, or an array of per-system
+        ratings.  Node load fraction is ``dc_watts / rated_watts`` (clamped
+        to [0, 1] — drawing beyond the rating is treated as full load
+        rather than an error because the models occasionally overshoot
+        nominal ceilings by a watt or two).
     curve:
         Monotone-in-load (load_fraction, efficiency) pairs; efficiency is
         linearly interpolated between points.
     """
 
-    rated_watts: float
+    rated_watts: float | np.ndarray
     curve: Tuple[Tuple[float, float], ...] = DEFAULT_EFFICIENCY_CURVE
 
     def __post_init__(self) -> None:
-        check_positive(self.rated_watts, "rated_watts", exc=PowerModelError)
+        rated = np.asarray(self.rated_watts, dtype=float)
+        if not np.all(np.isfinite(rated) & (rated > 0)):
+            raise PowerModelError(
+                f"rated_watts must be finite and > 0, got {self.rated_watts!r}"
+            )
         if len(self.curve) < 2:
             raise PowerModelError("efficiency curve needs at least 2 points")
         loads = [p[0] for p in self.curve]
@@ -71,39 +79,26 @@ class PSUModel:
         object.__setattr__(self, "_loads", np.array(loads, dtype=float))
         object.__setattr__(self, "_effs", np.array(effs, dtype=float))
 
-    def efficiency(self, dc_watts: float) -> float:
-        """Conversion efficiency at the given DC draw."""
-        if dc_watts < 0:
-            raise PowerModelError(f"dc_watts must be >= 0, got {dc_watts}")
-        load = min(dc_watts / self.rated_watts, 1.0)
-        return float(np.interp(load, self._loads, self._effs))
-
-    def wall_watts(self, dc_watts: float) -> float:
-        """AC power drawn from the outlet for the given DC load."""
-        if dc_watts == 0:
-            return 0.0
-        return dc_watts / self.efficiency(dc_watts)
-
-    def efficiency_many(self, dc_watts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`efficiency` over an array of DC draws."""
+    def efficiency(self, dc_watts):
+        """Conversion efficiency at the given DC draw (elementwise)."""
         dc = np.asarray(dc_watts, dtype=float)
-        if dc.size and dc.min() < 0:
-            raise PowerModelError("dc_watts must be >= 0")
+        if (dc < 0).any():
+            raise PowerModelError(f"dc_watts must be >= 0, got {dc.min()}")
         load = np.minimum(dc / self.rated_watts, 1.0)
-        return np.interp(load, self._loads, self._effs)
+        return _scalar_or_array(np.interp(load, self._loads, self._effs))
 
-    def wall_watts_many(self, dc_watts: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`wall_watts`: one division per timeline slice.
+    def wall_watts(self, dc_watts):
+        """AC power drawn from the outlet for the given DC load (elementwise).
 
-        Elementwise identical to the scalar method — same clamp, same
-        interpolation grid, and the ``dc == 0 -> 0`` short-circuit is
-        applied as a mask after the division.
+        A zero draw is zero wall power.  Numbers in, float out.
         """
         dc = np.asarray(dc_watts, dtype=float)
-        watts = dc / self.efficiency_many(dc)
-        if dc.size:
-            watts[dc == 0.0] = 0.0
-        return watts
+        return _scalar_or_array(np.where(dc == 0.0, 0.0, dc / self.efficiency(dc)))
+
+
+def _scalar_or_array(values: np.ndarray):
+    """A 0-d result as a plain float (it serializes like one), else the array."""
+    return values if values.ndim else float(values)
 
 
 #: Lossless supply for ablation studies.

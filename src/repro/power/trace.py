@@ -89,26 +89,21 @@ class PiecewisePower:
         """The (t_start, t_end, watts) segments."""
         return list(zip(self._starts.tolist(), self._ends.tolist(), self._watts.tolist()))
 
-    def power_at(self, t: float) -> float:
-        """Wall watts at time ``t`` (right-continuous; endpoint included)."""
-        if t < self._starts[0] - 1e-12 or t > self._ends[-1] + 1e-12:
+    def power_at(self, t):
+        """Wall watts at time ``t`` (right-continuous; endpoint included).
+
+        Elementwise: a time gives a float, an array of times an array.
+        """
+        times = np.asarray(t, dtype=float)
+        if times.size and (
+            times.min() < self._starts[0] - 1e-12 or times.max() > self._ends[-1] + 1e-12
+        ):
             raise PowerModelError(
                 f"t={t} outside covered interval [{self._starts[0]}, {self._ends[-1]}]"
             )
-        idx = int(np.searchsorted(self._ends, t, side="left"))
-        idx = min(idx, len(self._watts) - 1)
-        return float(self._watts[idx])
-
-    def power_at_many(self, times: Sequence[float]) -> np.ndarray:
-        """Vectorized :meth:`power_at`."""
-        times = np.asarray(times, dtype=float)
-        if times.size == 0:
-            return np.empty(0)
-        if times.min() < self._starts[0] - 1e-12 or times.max() > self._ends[-1] + 1e-12:
-            raise PowerModelError("sample times outside covered interval")
-        idx = np.searchsorted(self._ends, times, side="left")
-        idx = np.minimum(idx, len(self._watts) - 1)
-        return self._watts[idx]
+        idx = np.minimum(np.searchsorted(self._ends, times, side="left"), len(self._watts) - 1)
+        watts = self._watts[idx]
+        return watts if watts.ndim else float(watts)
 
     def energy(self) -> float:
         """Exact energy in joules over the whole interval."""
@@ -125,11 +120,11 @@ class PiecewisePower:
     def resample(self, times: Sequence[float]) -> np.ndarray:
         """Wall watts at each of ``times`` (array-native; right-continuous).
 
-        Exactly :meth:`power_at_many` under a name that pairs with
-        :meth:`downsample` — the timeline layer samples truth curves onto
-        render grids through this.
+        Exactly :meth:`power_at` over an array, under a name that pairs
+        with :meth:`downsample` — the timeline layer samples truth curves
+        onto render grids through this.
         """
-        return self.power_at_many(times)
+        return self.power_at(np.asarray(times, dtype=float))
 
     def downsample(self, max_segments: int) -> "PiecewisePower":
         """An energy-preserving coarsening to at most ``max_segments``.

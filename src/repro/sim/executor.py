@@ -23,8 +23,8 @@ Power integration
 Steps 1–3 are a sweep-line pipeline.  Per node, interval start/end events
 become difference arrays whose prefix sums give every component's demand
 per timeline slice in O(n log n); the slices are priced in a handful of
-NumPy calls through the power stack's struct-of-arrays API
-(:meth:`~repro.power.node_power.NodePowerModel.wall_power_many`).  The
+NumPy calls: :meth:`~repro.power.node_power.NodePowerModel.wall_power`
+prices a whole struct-of-arrays timeline in one call.  The
 cross-node merge ``searchsorted``\\ s every node curve onto the global cut
 grid, sums a nodes x cuts watts matrix, compacts runs of equal watts, and
 hands the arrays to :meth:`~repro.power.trace.PiecewisePower.from_arrays`.
@@ -300,7 +300,7 @@ class ClusterExecutor:
         lexsort builds every node's snapped cut grid, one
         ``np.add.at``/``cumsum`` pair folds every component's demand onto
         every slice of every node, and one
-        :meth:`~repro.power.node_power.NodePowerModel.wall_power_many`
+        :meth:`~repro.power.node_power.NodePowerModel.wall_power`
         call prices the whole cluster.  Because every interval's +demand
         and -demand both land inside its node's region, the running
         prefix sum returns to zero at each region boundary, so one flat
@@ -414,9 +414,9 @@ class ClusterExecutor:
             nic=demand(levels[:, 4]),
             accelerator=demand(levels[:, 5]),
         )
-        watts = self.node_power.wall_power_many(util)
+        watts = self.node_power.wall_power(util)
         breakdown: Dict[str, float] = {}
-        components = self.node_power.component_breakdown_many(util)
+        components = self.node_power.component_breakdown(util)
         for component, dc_watts in components.items():
             breakdown[component] = float(np.dot(dc_watts, widths))
         idle_nodes = self._idle_node_count(m)

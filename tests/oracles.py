@@ -30,18 +30,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.benchmarks.hpl import (
-    _HPL_COMM_INTENSITY,
-    _HPL_COMPUTE_INTENSITY,
-    _HPL_MEMORY_PER_RANK,
-    _HPL_NIC_UTIL,
-)
-from repro.benchmarks.iozone import _IOZONE_INTENSITY, _IOZONE_MEMORY
+from repro.benchmarks import hpl as hpl_bench
+from repro.benchmarks import iozone as iozone_bench
 from repro.cluster.cluster import ClusterSpec
 from repro.exceptions import FleetError, SimulationError
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
 from repro.fleet.columns import require_batchable
 from repro.fleet.evaluate import FLEET_BENCHMARKS, FleetEvaluation, FleetScores
+from repro.perfmodels import hpl as hpl_perf
 from repro.perfmodels.hpl import HPLModel
 from repro.perfmodels.iozone import IOzoneModel
 from repro.perfmodels.stream import StreamModel
@@ -404,16 +400,16 @@ def evaluate_system(
         )
     else:
         n = config.hpl_problem_size
-        if n < model.block_size:
+        if n < hpl_perf.BLOCK_SIZE:
             raise FleetError(
-                f"hpl_problem_size {n} below block size {model.block_size}"
+                f"hpl_problem_size {n} below block size {hpl_perf.BLOCK_SIZE}"
             )
     pred = model.predict(n, ranks, ranks_per_node=k)
     w_compute = power.wall_power(
         NodeUtilization(
             cpu_active_fraction=1.0,
-            cpu_intensity=_HPL_COMPUTE_INTENSITY,
-            memory=min(1.0, k * _HPL_MEMORY_PER_RANK),
+            cpu_intensity=hpl_bench.HPL_COMPUTE_INTENSITY,
+            memory=min(1.0, k * hpl_bench.HPL_MEMORY_PER_RANK),
         )
     )
     w_comm = 0.0
@@ -421,8 +417,8 @@ def evaluate_system(
         w_comm = power.wall_power(
             NodeUtilization(
                 cpu_active_fraction=1.0,
-                cpu_intensity=_HPL_COMM_INTENSITY,
-                nic=min(1.0, k * _HPL_NIC_UTIL),
+                cpu_intensity=hpl_bench.HPL_COMM_INTENSITY,
+                nic=min(1.0, k * hpl_bench.HPL_NIC_UTIL),
             )
         )
     node_mean = (
@@ -459,8 +455,8 @@ def evaluate_system(
     w_iozone = power.wall_power(
         NodeUtilization(
             cpu_active_fraction=min(1.0, 1.0 / k),
-            cpu_intensity=_IOZONE_INTENSITY,
-            memory=_IOZONE_MEMORY,
+            cpu_intensity=iozone_bench.IOZONE_INTENSITY,
+            memory=iozone_bench.IOZONE_MEMORY,
             storage=1.0,
         )
     )

@@ -20,9 +20,9 @@ import pytest
 
 from repro.campaign import (
     CampaignJob,
+    CampaignRunner,
     ClusterRef,
     ResultCache,
-    ShardedCampaignScheduler,
     cache_key,
     canonical_json,
 )
@@ -257,7 +257,7 @@ class TestCampaignProbes:
             for i in range(2)
         ]
         cache = ResultCache(tmp_path / "cache")
-        result = ShardedCampaignScheduler(workers=workers, cache=cache).run(jobs)
+        result = CampaignRunner(workers=workers, cache=cache).run(jobs)
         assert cache.stats.misses == len(jobs)
         assert cache.stats.puts == len(jobs)
         assert result.cache_stats["misses"] == len(jobs)

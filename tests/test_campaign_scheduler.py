@@ -33,7 +33,6 @@ from repro.campaign import (
     ClusterRef,
     InlineTransport,
     ResultCache,
-    ShardedCampaignScheduler,
     cache_key,
     plan_shards,
     shard_of,
@@ -134,7 +133,7 @@ class TestShardPlanning:
 
 class TestSchedulerParity:
     def test_inline_fingerprint_matches_runner(self, reference_fingerprint):
-        result = ShardedCampaignScheduler(workers=1, shards=2).run(
+        result = CampaignRunner(workers=1, shards=2).run(
             _jobs(3), label=LABEL
         )
         assert result.manifest["fingerprint"] == reference_fingerprint
@@ -144,7 +143,7 @@ class TestSchedulerParity:
 
     def test_pool_fingerprint_matches_runner(self, reference_fingerprint, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        result = ShardedCampaignScheduler(workers=2, cache=cache).run(
+        result = CampaignRunner(workers=2, cache=cache).run(
             _jobs(3), label=LABEL
         )
         assert result.manifest["fingerprint"] == reference_fingerprint
@@ -153,7 +152,7 @@ class TestSchedulerParity:
         assert len(cache) == 3
 
     def test_plan_block_covers_every_pending_job(self, tmp_path):
-        result = ShardedCampaignScheduler(workers=1, shards=3).run(
+        result = CampaignRunner(workers=1, shards=3).run(
             _jobs(4), label="plan"
         )
         planned = sorted(
@@ -164,12 +163,12 @@ class TestSchedulerParity:
     def test_failfast_raises_like_runner(self):
         jobs = _jobs(3, faulty=("j1",), transient_failures=99)
         with pytest.raises(CampaignExecutionError) as excinfo:
-            ShardedCampaignScheduler(workers=1).run(jobs, label="boom")
+            CampaignRunner(workers=1).run(jobs, label="boom")
         assert excinfo.value.failures[0]["job_id"] == "j1"
 
     def test_keep_going_records_failures(self):
         jobs = _jobs(3, faulty=("j1",), transient_failures=99)
-        result = ShardedCampaignScheduler(workers=1, keep_going=True).run(
+        result = CampaignRunner(workers=1, keep_going=True).run(
             jobs, label="limp"
         )
         assert [o.job.job_id for o in result.failed] == ["j1"]
@@ -180,7 +179,7 @@ class TestSchedulerParity:
         # the reference here is the plain runner on the SAME faulty jobs.
         jobs = _jobs(3, faulty=("j2",), transient_failures=1)
         reference = CampaignRunner(workers=1, retries=1).run(jobs, label=LABEL)
-        result = ShardedCampaignScheduler(workers=1, retries=1).run(
+        result = CampaignRunner(workers=1, retries=1).run(
             jobs, label=LABEL
         )
         assert result.manifest["fingerprint"] == reference.manifest["fingerprint"]
@@ -188,18 +187,18 @@ class TestSchedulerParity:
 
     def test_explicit_transport_is_used(self):
         transport = InlineTransport()
-        result = ShardedCampaignScheduler(
+        result = CampaignRunner(
             workers=4, shards=2, transport=transport
         ).run(_jobs(2), label="custom")
         assert result.manifest["sharding"]["transport"] == "inline"
 
     def test_constructor_validation(self):
         with pytest.raises(ReproError):
-            ShardedCampaignScheduler(workers=0)
+            CampaignRunner(workers=0)
         with pytest.raises(ReproError):
-            ShardedCampaignScheduler(shards=-1)
+            CampaignRunner(shards=-1)
         with pytest.raises(ReproError):
-            ShardedCampaignScheduler(retries=-1)
+            CampaignRunner(retries=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,7 @@ class TestWorkStealing:
     def test_single_slot_steals_across_shards(self, tmp_path):
         """One worker slot, several shards: it drains its home, then steals."""
         path = tmp_path / "steal.jsonl"
-        result = ShardedCampaignScheduler(workers=1, shards=3, journal=path).run(
+        result = CampaignRunner(workers=1, shards=3, journal=path).run(
             _jobs(5), label="steal"
         )
         sharding = result.manifest["sharding"]
@@ -224,7 +223,7 @@ class TestWorkStealing:
         assert jrnl.validate_events(events) == []
 
     def test_no_steals_needed_with_one_shard(self, tmp_path):
-        result = ShardedCampaignScheduler(workers=1, shards=1).run(
+        result = CampaignRunner(workers=1, shards=1).run(
             _jobs(3), label="home"
         )
         assert result.manifest["sharding"]["stolen"] == 0
@@ -236,17 +235,17 @@ class TestWorkStealing:
 
 class TestResumeValidation:
     def test_resume_needs_a_journal(self, tmp_path):
-        scheduler = ShardedCampaignScheduler(cache=ResultCache(tmp_path / "c"))
+        scheduler = CampaignRunner(cache=ResultCache(tmp_path / "c"))
         with pytest.raises(ReproError, match="needs a journal"):
             scheduler.run(_jobs(2), resume=True)
 
     def test_resume_needs_the_cache(self, tmp_path):
-        scheduler = ShardedCampaignScheduler(journal=tmp_path / "r.jsonl")
+        scheduler = CampaignRunner(journal=tmp_path / "r.jsonl")
         with pytest.raises(ReproError, match="cache"):
             scheduler.run(_jobs(2), resume=True)
 
     def test_resume_needs_an_existing_journal_file(self, tmp_path):
-        scheduler = ShardedCampaignScheduler(
+        scheduler = CampaignRunner(
             cache=ResultCache(tmp_path / "c"), journal=tmp_path / "missing.jsonl"
         )
         with pytest.raises(ReproError, match="does not exist"):
@@ -259,7 +258,7 @@ class TestResumeValidation:
                     retries_allowed=0, keep_going=False, cache_enabled=True)
         writer.emit("job.scheduled", job="stranger", key="ab" * 32, index=0)
         writer.close()
-        scheduler = ShardedCampaignScheduler(
+        scheduler = CampaignRunner(
             cache=ResultCache(tmp_path / "c"), journal=path
         )
         with pytest.raises(ReproError, match="stranger"):
@@ -269,20 +268,20 @@ class TestResumeValidation:
         """Same id, different key: the job changed since the crash."""
         cache = ResultCache(tmp_path / "c")
         path = tmp_path / "r.jsonl"
-        ShardedCampaignScheduler(cache=cache, journal=path).run(
+        CampaignRunner(cache=cache, journal=path).run(
             _jobs(2), label="orig"
         )
         changed = [
             dataclasses.replace(job, seed=job.seed + 100) for job in _jobs(2)
         ]
-        scheduler = ShardedCampaignScheduler(cache=cache, journal=path)
+        scheduler = CampaignRunner(cache=cache, journal=path)
         with pytest.raises(ReproError, match="definition changed"):
             scheduler.run(changed, resume=True)
 
     def test_resume_rejects_empty_journal(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
-        scheduler = ShardedCampaignScheduler(
+        scheduler = CampaignRunner(
             cache=ResultCache(tmp_path / "c"), journal=path
         )
         with pytest.raises(ReproError, match="no run.start"):
@@ -299,10 +298,10 @@ class TestResume:
     ):
         cache = ResultCache(tmp_path / "c")
         path = tmp_path / "r.jsonl"
-        first = ShardedCampaignScheduler(cache=cache, journal=path).run(
+        first = CampaignRunner(cache=cache, journal=path).run(
             _jobs(3), label=LABEL
         )
-        second = ShardedCampaignScheduler(cache=cache, journal=path).run(
+        second = CampaignRunner(cache=cache, journal=path).run(
             _jobs(3), label=LABEL, resume=True
         )
         assert second.manifest["fingerprint"] == reference_fingerprint
@@ -320,13 +319,13 @@ class TestResume:
         path = tmp_path / "r.jsonl"
         crasher = jrnl.CrashingJournalWriter(path, crash_after=8, label=LABEL)
         with pytest.raises(jrnl.SimulatedCrash):
-            ShardedCampaignScheduler(cache=cache, journal=crasher).run(
+            CampaignRunner(cache=cache, journal=crasher).run(
                 _jobs(3), label=LABEL
             )
         # the torn run has no run.stop: the crash detector's signal
         state = jrnl.replay(jrnl.read_events(path))
         assert state.started and not state.stopped
-        result = ShardedCampaignScheduler(cache=cache, journal=path).run(
+        result = CampaignRunner(cache=cache, journal=path).run(
             _jobs(3), label=LABEL, resume=True
         )
         assert result.manifest["fingerprint"] == reference_fingerprint
@@ -349,7 +348,7 @@ class TestResume:
         # Size the drill (and take the reference fingerprint) from a clean
         # uninterrupted run, anchored to the plain runner first.
         probe_path = tmp_path / "probe.jsonl"
-        probe = ShardedCampaignScheduler(
+        probe = CampaignRunner(
             cache=ResultCache(tmp_path / "probe-cache"), journal=probe_path
         ).run(jobs, label=LABEL)
         reference_fingerprint = probe.manifest["fingerprint"]
@@ -367,7 +366,7 @@ class TestResume:
                 path, crash_after=crash_after, label=LABEL
             )
             with pytest.raises(jrnl.SimulatedCrash):
-                ShardedCampaignScheduler(cache=cache, journal=crasher).run(
+                CampaignRunner(cache=cache, journal=crasher).run(
                     jobs, label=LABEL
                 )
             torn = jrnl.read_events(path)
@@ -375,7 +374,7 @@ class TestResume:
             stored_before_crash = {
                 e["job"] for e in torn if e["event"] == "job.stored"
             }
-            result = ShardedCampaignScheduler(cache=cache, journal=path).run(
+            result = CampaignRunner(cache=cache, journal=path).run(
                 jobs, label=LABEL, resume=True
             )
             assert result.manifest["fingerprint"] == reference_fingerprint, (
@@ -406,10 +405,10 @@ class TestResume:
         path = tmp_path / "r.jsonl"
         crasher = jrnl.CrashingJournalWriter(path, crash_after=10, label=LABEL)
         with pytest.raises(jrnl.SimulatedCrash):
-            ShardedCampaignScheduler(cache=cache, journal=crasher, retries=1).run(
+            CampaignRunner(cache=cache, journal=crasher, retries=1).run(
                 jobs, label=LABEL
             )
-        result = ShardedCampaignScheduler(cache=cache, journal=path, retries=1).run(
+        result = CampaignRunner(cache=cache, journal=path, retries=1).run(
             jobs, label=LABEL, resume=True
         )
         assert result.manifest["fingerprint"] == reference.manifest["fingerprint"]

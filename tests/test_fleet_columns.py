@@ -6,7 +6,7 @@ from repro.cluster import presets
 from repro.cluster.generator import generate_fleet
 from repro.exceptions import FleetError
 from repro.fleet import FleetColumns, is_batchable, require_batchable
-from repro.power.node_power import _PSU_SIZING_FACTOR
+from repro.power.node_power import PSU_SIZING_FACTOR
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ class TestPack:
             assert cols.nic_latency_s[i] == node.nic.latency_s
             assert cols.base_watts[i] == node.base_watts
             assert cols.psu_rated_w[i] == pytest.approx(
-                _PSU_SIZING_FACTOR * node.nominal_max_watts
+                PSU_SIZING_FACTOR * node.nominal_max_watts
             )
 
     def test_derived_columns(self, fleet):

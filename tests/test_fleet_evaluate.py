@@ -1,16 +1,23 @@
-"""Batched fleet evaluation: scalar-oracle agreement, memoization, and the
+"""Batched fleet evaluation: scalar-oracle agreement, memoization, the
 deeper check that the analytic oracle reproduces the *simulator's* ground
-truth for full-machine fleet jobs."""
+truth for full-machine fleet jobs, and that both keep agreeing when any
+shared model constant moves."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.benchmarks import hpl as bench_hpl
+from repro.benchmarks import iozone as bench_iozone
 from repro.cluster.generator import generate_fleet
 from repro.exceptions import FleetError
 from repro.experiments import PAPER_CONFIG, build_suite
 from repro.fleet import FLEET_BENCHMARKS, FleetColumns, evaluate_fleet
+from repro.perfmodels import hpl as perf_hpl
+from repro.perfmodels import iozone as perf_iozone
+from repro.perfmodels import stream as perf_stream
+from repro.power import components, node_power
 
 from .oracles import evaluate_system, scalar_fleet
 
@@ -99,6 +106,73 @@ class TestOracleVsSimulation:
             )
             # The metered value differs only by the simulated meter's noise.
             assert sim.power_w == pytest.approx(a["power_w"], rel=0.1)
+
+
+#: Every model constant the batched fleet path shares with the simulator,
+#: as (owning module, name, a different valid value).  The NIC and memory
+#: shares are small enough that ``k * share`` stays below saturation on
+#: the test system's 24-core nodes.
+_PERTURBATIONS = [
+    (components, "CPU_AWAKE_FLOOR", 0.3),
+    (node_power, "PSU_SIZING_FACTOR", 1.6),
+    (perf_hpl, "DGEMM_EFFICIENCY", 0.7),
+    (perf_hpl, "BLOCK_SIZE", 192),
+    (perf_hpl, "BYTES_PER_ELEMENT", 4),
+    (perf_stream, "TRIAD_BYTES_PER_ELEMENT", 32),
+    (perf_stream, "ARRAY_ELEMENTS", 5_000_000),
+    (perf_iozone, "FILESYSTEM_EFFICIENCY", 0.8),
+    (perf_iozone, "CACHE_BANDWIDTH", 3.0e9),
+    (perf_iozone, "CACHE_WINDOW_FRACTION", 0.1),
+    (bench_hpl, "HPL_MEMORY_PER_RANK", 0.01),
+    (bench_hpl, "HPL_NIC_UTIL", 0.02),
+    (bench_hpl, "HPL_COMPUTE_INTENSITY", 0.9),
+    (bench_hpl, "HPL_COMM_INTENSITY", 0.6),
+    (bench_iozone, "IOZONE_INTENSITY", 0.3),
+    (bench_iozone, "IOZONE_MEMORY", 0.2),
+]
+
+#: QUICK with an IOzone write long enough to spill past the page-cache
+#: window, so the filesystem efficiency enters the score.
+SPILLING = dataclasses.replace(QUICK, iozone_target_seconds=20.0)
+
+
+class TestConstantPerturbation:
+    """Each constant has one definition that every path reads at call time.
+
+    Moving it in its owning module must move the batched fleet path, the
+    scalar oracle and the simulator together; a hand-copied constant in
+    any of them would leave that path on the old value.
+    """
+
+    @pytest.mark.parametrize(
+        "module, name, value", _PERTURBATIONS, ids=[p[1] for p in _PERTURBATIONS]
+    )
+    def test_all_paths_follow_the_owner(self, monkeypatch, module, name, value):
+        from repro.sim import ClusterExecutor
+
+        spec = generate_fleet(3, era="2011", seed=7)[0]
+        before = evaluate_fleet([spec], SPILLING).system(0)
+        monkeypatch.setattr(module, name, value)
+        batched = evaluate_fleet([spec], SPILLING).system(0)
+        oracle = scalar_fleet([spec], SPILLING).system(0)
+        result = build_suite(SPILLING).run(
+            ClusterExecutor(spec, rng=123), spec.total_cores
+        )
+        for b in FLEET_BENCHMARKS:
+            got = batched[b]
+            for field in _FIELDS:
+                assert got[field] == pytest.approx(oracle[b][field], rel=1e-9), (b, field)
+            sim = result[b]
+            assert got["performance"] == pytest.approx(sim.performance, rel=1e-9), b
+            assert got["time_s"] == pytest.approx(sim.time_s, rel=1e-9), b
+            assert got["power_w"] == pytest.approx(
+                sim.record.true_mean_power_w, rel=1e-9
+            ), b
+        assert any(
+            batched[b][field] != before[b][field]
+            for b in FLEET_BENCHMARKS
+            for field in _FIELDS
+        ), f"{name} = {value} moved no fleet number"
 
 
 class TestMemoization:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import BenchmarkError
 from repro.perfmodels import HPLModel
+from repro.perfmodels.hpl import BLOCK_SIZE
 
 
 @pytest.fixture
@@ -24,7 +25,7 @@ class TestFlopCount:
 class TestProblemSizing:
     def test_memory_sizing_is_block_multiple(self, model):
         n = model.problem_size_from_memory(memory_fraction=0.8)
-        assert n % model.block_size == 0
+        assert n % BLOCK_SIZE == 0
 
     def test_memory_sizing_fits_memory(self, model, fire):
         n = model.problem_size_from_memory(memory_fraction=0.8)
@@ -33,7 +34,7 @@ class TestProblemSizing:
     def test_memory_sizing_is_tight(self, model, fire):
         """One more block row must overflow the budget."""
         n = model.problem_size_from_memory(memory_fraction=0.8)
-        n_next = n + model.block_size
+        n_next = n + BLOCK_SIZE
         assert 8 * n_next * n_next > 0.8 * fire.total_memory_bytes
 
     def test_subset_of_nodes(self, model):
@@ -118,16 +119,6 @@ class TestPrediction:
 
 
 class TestValidation:
-    def test_bad_dgemm_efficiency(self, fire):
-        with pytest.raises(BenchmarkError):
-            HPLModel(cluster=fire, dgemm_efficiency=0.0)
-        with pytest.raises(BenchmarkError):
-            HPLModel(cluster=fire, dgemm_efficiency=1.5)
-
-    def test_bad_block_size(self, fire):
-        with pytest.raises(BenchmarkError):
-            HPLModel(cluster=fire, block_size=0)
-
     def test_negative_contention_slope(self, fire):
         with pytest.raises(BenchmarkError):
             HPLModel(cluster=fire, contention_slope=-1)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import BenchmarkError
 from repro.perfmodels import IOzoneModel
+from repro.perfmodels.iozone import CACHE_BANDWIDTH
 
 
 @pytest.fixture
@@ -27,16 +28,12 @@ class TestCacheWindow:
             0.25 * fire.node.memory_bytes
         )
 
-    def test_explicit_window_respected(self, fire):
-        model = IOzoneModel(cluster=fire, cache_window_bytes=1e9)
-        assert model.effective_cache_window() == 1e9
-
     def test_small_file_inflated_rate(self, fire):
         """A file inside the cache window reports near-memory bandwidth —
         the classic IOzone artifact."""
-        model = IOzoneModel(cluster=fire, cache_window_bytes=8e9)
+        model = IOzoneModel(cluster=fire)
         pred = model.predict(1, file_bytes=4e9)
-        assert pred.per_node_bandwidth == pytest.approx(model.cache_bandwidth)
+        assert pred.per_node_bandwidth == pytest.approx(CACHE_BANDWIDTH)
 
     def test_huge_file_approaches_device_rate(self, model):
         pred = model.predict(1, file_bytes=100 * model.effective_cache_window())
@@ -44,7 +41,7 @@ class TestCacheWindow:
 
     def test_measured_rate_between_device_and_cache(self, model):
         pred = model.predict(1, file_bytes=2 * model.effective_cache_window())
-        assert model.device_rate() < pred.per_node_bandwidth < model.cache_bandwidth
+        assert model.device_rate() < pred.per_node_bandwidth < CACHE_BANDWIDTH
 
 
 class TestPrediction:
@@ -72,16 +69,7 @@ class TestPrediction:
         assert pred.time_s == pytest.approx(45.0, rel=1e-6)
 
     def test_file_size_for_short_time_inside_window(self, fire):
-        model = IOzoneModel(cluster=fire, cache_window_bytes=8e9)
+        model = IOzoneModel(cluster=fire)
         size = model.file_size_for_time(1.0)  # 1 s at cache speed = 2 GB
         assert size == pytest.approx(2e9)
 
-
-class TestValidation:
-    def test_bad_filesystem_efficiency(self, fire):
-        with pytest.raises(BenchmarkError):
-            IOzoneModel(cluster=fire, filesystem_efficiency=0.0)
-
-    def test_bad_cache_bandwidth(self, fire):
-        with pytest.raises(BenchmarkError):
-            IOzoneModel(cluster=fire, cache_bandwidth=0.0)

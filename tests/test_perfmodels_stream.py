@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import BenchmarkError
 from repro.perfmodels import StreamModel
+from repro.perfmodels.stream import ARRAY_ELEMENTS
 
 
 @pytest.fixture
@@ -55,8 +56,8 @@ class TestPrediction:
         assert t16 == pytest.approx(t32)
 
     def test_triad_traffic_accounting(self, model):
-        pred = model.predict(16, array_elements=1_000_000, iterations=10)
-        bytes_per_rank = 10 * 1_000_000 * 24
+        pred = model.predict(16, iterations=10)
+        bytes_per_rank = 10 * ARRAY_ELEMENTS * 24
         assert pred.time_s == pytest.approx(bytes_per_rank / pred.per_rank_bandwidth)
 
     def test_iterations_for_time(self, model):

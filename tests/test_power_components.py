@@ -45,7 +45,7 @@ class TestCPUPowerModel:
     def test_awake_floor_charges_stalled_cores(self, fire_node):
         """A busy-but-stalled core must burn more than idle but less than
         a compute-bound one (the mechanism behind HPL vs STREAM power)."""
-        model = CPUPowerModel(spec=fire_node.cpu, sockets=2, awake_floor=0.45)
+        model = CPUPowerModel(spec=fire_node.cpu, sockets=2)
         stalled = NodeUtilization(cpu_active_fraction=1.0, cpu_intensity=0.0)
         compute = NodeUtilization(cpu_active_fraction=1.0, cpu_intensity=1.0)
         idle = model.power(NodeUtilization.idle())

@@ -12,6 +12,7 @@ breakpoint-snapping guarantees directly.
 """
 
 import time
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -132,8 +133,8 @@ def _assert_equivalent(vec, ref):
     )
     if mids.size:
         np.testing.assert_allclose(
-            vec.truth.power_at_many(mids),
-            ref.truth.power_at_many(mids),
+            vec.truth.power_at(mids),
+            ref.truth.power_at(mids),
             rtol=1e-9,
             atol=1e-9,
         )
@@ -246,7 +247,8 @@ class TestSnapping:
 
 
 class TestBatchedPowerAPIs:
-    """power_many must be bitwise identical to mapping the scalar models."""
+    """A whole array of slices must price bitwise identically to mapping
+    the same models over the slices one scalar utilization at a time."""
 
     def _random_utils(self, n=64, seed=0):
         rng = np.random.default_rng(seed)
@@ -263,11 +265,14 @@ class TestBatchedPowerAPIs:
     def test_node_model_many_matches_scalar(self, preset):
         model = NodePowerModel(node=preset(1).node)
         utils = self._random_utils()
-        wall_many = model.wall_power_many(utils)
-        dc_many = model.dc_power_many(utils)
-        parts_many = model.component_breakdown_many(utils)
+        wall_many = model.wall_power(utils)
+        dc_many = model.dc_power(utils)
+        parts_many = model.component_breakdown(utils)
         for i in range(len(utils)):
-            u = utils.at(i)
+            u = NodeUtilization(
+                **{f.name: float(getattr(utils, f.name)[i]) for f in fields(NodeUtilization)}
+            )
+            assert type(model.wall_power(u)) is float
             assert wall_many[i] == model.wall_power(u)
             assert dc_many[i] == model.dc_power(u)
             scalar_parts = model.component_breakdown(u)
@@ -278,16 +283,17 @@ class TestBatchedPowerAPIs:
     def test_psu_many_matches_scalar(self):
         psu = PSUModel(rated_watts=800.0)
         dc = np.linspace(0.0, 1000.0, 57)  # includes 0 and beyond-rated loads
-        wall_many = psu.wall_watts_many(dc)
-        eff_many = psu.efficiency_many(dc)
+        wall_many = psu.wall_watts(dc)
+        eff_many = psu.efficiency(dc)
         for i, watts in enumerate(dc):
+            assert type(psu.wall_watts(float(watts))) is float
             assert wall_many[i] == psu.wall_watts(float(watts))
             assert eff_many[i] == psu.efficiency(float(watts))
-
-    def test_psu_many_rejects_negative(self):
-        psu = PSUModel(rated_watts=800.0)
-        with pytest.raises(PowerModelError):
-            psu.wall_watts_many(np.array([100.0, -1.0]))
+        # One supply per system: the same curve on per-element ratings.
+        ratings = np.linspace(500.0, 1500.0, dc.size)
+        per_system = PSUModel(rated_watts=ratings).wall_watts(dc)
+        for i, watts in enumerate(dc):
+            assert per_system[i] == PSUModel(rated_watts=float(ratings[i])).wall_watts(float(watts))
 
     def test_utilization_array_validates_shape(self):
         with pytest.raises(PowerModelError):
@@ -299,13 +305,6 @@ class TestBatchedPowerAPIs:
                 nic=np.zeros(3),
                 accelerator=np.zeros(3),
             )
-
-    def test_utilization_array_round_trip(self):
-        utils = [NodeUtilization.idle(), NodeUtilization(cpu_active_fraction=0.5, cpu_intensity=1.0)]
-        arr = NodeUtilizationArray.from_utilizations(utils)
-        assert len(arr) == 2
-        assert arr.at(0) == NodeUtilization.idle()
-        assert arr.at(1) == utils[1]
 
 
 class TestFromArrays:

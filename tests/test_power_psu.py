@@ -1,5 +1,6 @@
 """PSU efficiency-curve tests."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import PowerModelError
@@ -28,8 +29,11 @@ class TestPSUModel:
         assert psu.efficiency(500) == pytest.approx(psu.efficiency(100))
 
     def test_rejects_negative_dc(self):
+        psu = PSUModel(rated_watts=100)
         with pytest.raises(PowerModelError):
-            PSUModel(rated_watts=100).efficiency(-1)
+            psu.efficiency(-1)
+        with pytest.raises(PowerModelError):
+            psu.wall_watts(np.array([100.0, -1.0]))
 
     def test_ideal_psu_is_lossless(self):
         assert IDEAL_PSU.wall_watts(123.4) == pytest.approx(123.4)

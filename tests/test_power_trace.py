@@ -33,8 +33,9 @@ class TestPiecewisePower:
     def test_power_at_many_matches_scalar(self):
         truth = PiecewisePower([(0, 10, 100), (10, 30, 200)])
         times = [0.5, 9.9, 10.1, 29.9]
-        many = truth.power_at_many(times)
+        many = truth.power_at(np.array(times))
         assert list(many) == [truth.power_at(t) for t in times]
+        assert all(type(truth.power_at(t)) is float for t in times)
 
     def test_rejects_gap(self):
         with pytest.raises(PowerModelError):
@@ -290,7 +291,7 @@ class TestPiecewiseResampleDownsample:
         truth = self._curve()
         times = np.linspace(truth.t_start, truth.t_start + truth.duration, 64)
         np.testing.assert_array_equal(
-            truth.resample(times), truth.power_at_many(times)
+            truth.resample(times), truth.power_at(times)
         )
 
     def test_downsample_preserves_energy(self):

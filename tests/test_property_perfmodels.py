@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.cluster import presets
 from repro.cluster.cluster import ClusterSpec
 from repro.perfmodels import HPLModel, IOzoneModel, StreamModel
+from repro.perfmodels.iozone import CACHE_BANDWIDTH
 
 
 @st.composite
@@ -106,7 +107,7 @@ class TestIOzoneProperties:
         model = IOzoneModel(cluster=cluster)
         pred = model.predict(1, file_bytes=file_gb * 1e9)
         assert model.device_rate() - 1e-9 <= pred.per_node_bandwidth
-        assert pred.per_node_bandwidth <= model.cache_bandwidth + 1e-9
+        assert pred.per_node_bandwidth <= CACHE_BANDWIDTH + 1e-9
 
     @given(
         cluster=fire_variants(),
