@@ -13,9 +13,10 @@ and produces a :class:`CampaignResult`:
    start or dies mid-run) or on a process pool.  Worker slots keep a
    home-shard affinity and steal from the deepest backlog once their home
    runs dry, so skewed job durations do not leave slots idle;
-4. each outcome records wall time and cache status, and the whole run is
-   summarized in a machine-readable manifest (see
-   :mod:`repro.campaign.manifest`).
+4. each outcome records wall time, cache status and the digest of its
+   payload's canonical JSON (taken once, where the payload was computed,
+   and kept in its cache entry), and the whole run is summarized in a
+   machine-readable manifest (see :mod:`repro.campaign.manifest`).
 
 Ordering is part of the contract: outcomes and manifest rows follow job
 submission order, never completion order, so parallel, sharded, and
@@ -101,7 +102,7 @@ from ..benchmarks.runner import SweepResult
 from ..benchmarks.suite import SuiteResult
 from ..exceptions import CampaignExecutionError, ReproError
 from ..rng import child_rng
-from .cache import ResultCache, cache_key
+from .cache import ResultCache, cache_key, canonical_digest
 from .jobs import CampaignJob, execute_job, job_to_dict, payload_sweep
 from .manifest import MANIFEST_VERSION, manifest_fingerprint, write_manifest
 from .scheduler import ShardPlan, plan_shards
@@ -327,6 +328,9 @@ class JobOutcome:
     ``payload=None`` and a structured ``error`` dict (``type``,
     ``message``, ``traceback``).  ``attempts`` counts executions of the
     job this run (0 for a cache hit — nothing executed).
+    ``payload_sha256`` is the digest of the payload's canonical JSON,
+    taken once where the payload was computed and kept in its cache
+    entry (``None`` for a failed job).
     """
 
     job: CampaignJob
@@ -337,6 +341,7 @@ class JobOutcome:
     status: str = "ok"
     error: Optional[Dict] = None
     attempts: int = 1
+    payload_sha256: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -479,6 +484,7 @@ class WorkResult:
     spans: Optional[List[Dict]] = None
     metrics: Optional[Dict] = None
     cache_puts: int = 0  # publishes by a worker-side cache (pool workers only)
+    payload_sha256: Optional[str] = None  # digest of the payload's canonical JSON
 
 
 def execute_work_item(
@@ -487,17 +493,19 @@ def execute_work_item(
     journal: Optional[jrnl.JournalWriter] = None,
     cache: Optional[ResultCache] = None,
 ) -> WorkResult:
-    """Execute (contained, with retries) → publish, for one item.
+    """Execute (contained, with retries) → digest → publish, for one item.
 
     The single execution path every transport funnels through.  The
     parent has already probed the cache and missed; keys are unique within
     a campaign, so probing again here could only hit when another campaign
     publishes the same key concurrently, and republishing identical
-    content is safe.  On success the payload is published to the shared
-    cache *from the executing process* (atomic rename; unique staging
-    name), and only then does the ``job.stored`` event land — so a
-    journal that contains ``job.stored`` implies a durable cache entry,
-    which is exactly the order crash resume relies on.
+    content is safe.  On success the payload is serialized to its
+    canonical JSON and hashed exactly once, here in the executing process;
+    the digest goes back in the result (cache or no cache) and the same
+    text is published to the shared cache (atomic rename; unique staging
+    name).  Only then does the ``job.stored`` event land — so a journal
+    that contains ``job.stored`` implies a durable cache entry, which is
+    exactly the order crash resume relies on.
     """
     timeline_dir = Path(item.timeline_dir) if item.timeline_dir is not None else None
     payload, error, attempts, wall = _attempt_job(
@@ -519,8 +527,9 @@ def execute_work_item(
             cache_status="failed",
         )
     with tele.span("job.store", job=item.job.job_id, skipped=cache is None):
+        text, digest = canonical_digest(payload)
         if cache is not None:
-            cache.put(item.key, payload)
+            cache.put(item.key, text, digest)
     if cache is not None and journal is not None:
         journal.emit("job.stored", job=item.job.job_id, key=item.key)
     return WorkResult(
@@ -531,6 +540,7 @@ def execute_work_item(
         attempts=attempts,
         wall_s=wall,
         cache_status="uncached" if cache is None else "computed",
+        payload_sha256=digest,
     )
 
 
@@ -935,6 +945,7 @@ class CampaignRunner:
                         )
 
                 payloads: Dict[int, Dict] = {}
+                digests: Dict[int, str] = {}
                 statuses: Dict[int, str] = {}
                 walls: Dict[int, float] = {}
                 errors: Dict[int, Dict] = {}
@@ -950,7 +961,7 @@ class CampaignRunner:
                             t0 = time.perf_counter()
                             cached = self.cache.get(key)
                             if cached is not None:
-                                payloads[index] = cached
+                                payloads[index], digests[index] = cached
                                 statuses[index] = "hit"
                                 walls[index] = time.perf_counter() - t0
                                 attempts[index] = 0
@@ -993,6 +1004,7 @@ class CampaignRunner:
                             errors[index] = result.error
                         else:
                             payloads[index] = result.payload
+                            digests[index] = result.payload_sha256
                         if self.cache is not None:
                             # Pool workers publish through their own cache
                             # objects; fold those puts into the parent's books.
@@ -1045,6 +1057,7 @@ class CampaignRunner:
                 status="failed" if i in errors else "ok",
                 error=errors.get(i),
                 attempts=attempts[i],
+                payload_sha256=digests.get(i),
             )
             for i in range(len(jobs))
         ]
@@ -1324,7 +1337,7 @@ def build_manifest(
                 "job_id": o.job.job_id,
                 "key": o.key,
                 "status": o.status,
-                "payload_sha256": cache_key(o.payload) if o.ok else None,
+                "payload_sha256": o.payload_sha256,
                 "cluster_name": o.payload["cluster_name"] if o.ok else None,
                 "core_counts": list(o.job.core_counts),
                 "spec": job_to_dict(o.job),

@@ -11,7 +11,10 @@ Each oracle is the slow, independently simple implementation of something
   :meth:`repro.sim.executor.ClusterExecutor.integrate_power`'s sweep line;
 * :func:`evaluate_system` and :func:`scalar_fleet` — the per-system fleet
   scorer through the very model objects the simulator compiles, against
-  :func:`repro.fleet.evaluate_fleet`'s batched pass.
+  :func:`repro.fleet.evaluate_fleet`'s batched pass;
+* :func:`canonical_json_walk` — canonical JSON through a recursive Python
+  walk that rebuilds every value, against
+  :func:`repro.campaign.cache.canonical_json`'s single ``json.dumps`` call.
 
 The first two work on the per-rank :class:`RankInterval` list view;
 :func:`interval_lists` and :func:`interval_arrays` convert between it and
@@ -23,8 +26,10 @@ Pytest does not collect this module (its name does not match
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
+import json
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -33,7 +38,7 @@ import numpy as np
 from repro.benchmarks import hpl as hpl_bench
 from repro.benchmarks import iozone as iozone_bench
 from repro.cluster.cluster import ClusterSpec
-from repro.exceptions import FleetError, SimulationError
+from repro.exceptions import FleetError, ReproError, SimulationError
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
 from repro.fleet.columns import require_batchable
 from repro.fleet.evaluate import FLEET_BENCHMARKS, FleetEvaluation, FleetScores
@@ -58,6 +63,7 @@ __all__ = [
     "integrate_midpoint",
     "evaluate_system",
     "scalar_fleet",
+    "canonical_json_walk",
 ]
 
 
@@ -494,3 +500,30 @@ def scalar_fleet(
         scores=scores,
         memo_unique={b: len(rows) for b in FLEET_BENCHMARKS},
     )
+
+
+# ----------------------------------------------------------------------
+# Canonical JSON
+# ----------------------------------------------------------------------
+
+def _jsonable(obj):
+    """Recursively convert dataclasses/tuples into JSON-compatible values."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            field.name: _jsonable(getattr(obj, field.name))
+            for field in dataclasses.fields(obj)
+        }
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(item) for item in obj]
+    if isinstance(obj, dict):
+        return {str(key): _jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return obj
+    raise ReproError(
+        f"cannot canonically serialize {type(obj).__name__!r} for cache keying"
+    )
+
+
+def canonical_json_walk(obj) -> str:
+    """Stable JSON text for hashing: sorted keys, no whitespace drift."""
+    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))

@@ -1,5 +1,5 @@
 """Result-cache tests: canonical keying, the hit/miss/invalidation books,
-validation-aware membership, and multi-process sharing.
+validation-aware membership, payload digests, and multi-process sharing.
 
 The concurrency contracts pinned here:
 
@@ -13,10 +13,14 @@ The concurrency contracts pinned here:
 """
 
 import dataclasses
+import hashlib
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignJob,
@@ -25,14 +29,75 @@ from repro.campaign import (
     ResultCache,
     cache_key,
     canonical_json,
+    fleet_jobs,
+    manifest_core,
+    paper_jobs,
 )
+from repro.campaign import cache as cache_module
+from repro.campaign.cache import canonical_digest
 from repro.exceptions import ReproError
 from repro.experiments import PAPER_CONFIG
+from repro.faults import FaultPlan
+
+from .oracles import canonical_json_walk
 
 
 @pytest.fixture
 def job():
     return CampaignJob(job_id="j1", cluster=ClusterRef(kind="preset", name="fire"))
+
+
+_TEXT = st.one_of(
+    st.text(max_size=8), st.sampled_from(["Grün", "東京", "⚡💡", 'a"\\\n\x00'])
+)
+_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, float("nan")]))
+
+#: JSON-native values with string keys; tuples stand in for lists.
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+_CLUSTER_REFS = st.one_of(
+    st.builds(
+        ClusterRef,
+        kind=st.just("preset"),
+        name=st.sampled_from(["fire", "system_g", "gpu_cluster", "modern_cluster"]),
+        num_nodes=st.integers(0, 512),
+    ),
+    st.builds(
+        ClusterRef,
+        kind=st.just("generated"),
+        name=_TEXT,
+        era=st.sampled_from(["2008", "2011", "2015", "2021"]),
+        seed=st.integers(0, 2**32),
+    ),
+)
+
+_FAULT_PLANS = st.builds(
+    FaultPlan,
+    transient_failures=st.integers(0, 3),
+    transient_probability=st.floats(0.0, 1.0),
+    meter_dropout=st.floats(0.0, 0.99),
+    node_crash_probability=st.floats(0.0, 1.0),
+    containment=st.sampled_from(["job", "benchmark"]),
+    seed=st.integers(0, 2**31),
+)
+
+_JOBS = st.builds(
+    CampaignJob,
+    job_id=st.text(min_size=1, max_size=8),
+    cluster=_CLUSTER_REFS,
+    core_counts=st.lists(st.integers(0, 4096), max_size=4).map(tuple),
+    seed=st.integers(0, 2**63),
+    reference_suite=st.booleans(),
+    faults=st.none() | _FAULT_PLANS,
+)
 
 
 class TestCanonicalJson:
@@ -66,14 +131,36 @@ class TestCanonicalJson:
         assert len(key) == 64
         int(key, 16)  # parses as hex
 
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_VALUES)
+    def test_json_values_match_the_recursive_walk(self, value):
+        assert canonical_json(value) == canonical_json_walk(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_JOBS)
+    def test_drawn_jobs_match_the_recursive_walk(self, drawn):
+        assert canonical_json(drawn) == canonical_json_walk(drawn)
+
+    @pytest.mark.parametrize(
+        "campaign_job", paper_jobs() + fleet_jobs(50), ids=lambda j: j.job_id
+    )
+    def test_campaign_jobs_match_the_recursive_walk(self, campaign_job):
+        assert canonical_json(campaign_job) == canonical_json_walk(campaign_job)
+
+    def test_manifest_core_matches_the_recursive_walk(self):
+        manifest = CampaignRunner().run(paper_jobs()).manifest
+        text = canonical_json_walk(manifest_core(manifest))
+        assert canonical_json(manifest_core(manifest)) == text
+        assert manifest["fingerprint"] == hashlib.sha256(text.encode()).hexdigest()
+
 
 class TestResultCache:
     def test_miss_then_put_then_hit(self, tmp_path, job):
         cache = ResultCache(tmp_path)
         key = cache_key(job)
         assert cache.get(key) is None
-        cache.put(key, {"x": 1})
-        assert cache.get(key) == {"x": 1}
+        cache.put(key, *canonical_digest({"x": 1}))
+        assert cache.get(key).payload == {"x": 1}
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1
         assert cache.stats.puts == 1
@@ -81,35 +168,34 @@ class TestResultCache:
     def test_entry_path_is_content_addressed(self, tmp_path, job):
         cache = ResultCache(tmp_path)
         key = cache_key(job)
-        path = cache.put(key, {"x": 1})
+        path = cache.put(key, *canonical_digest({"x": 1}))
         assert path == tmp_path / key[:2] / f"{key}.json"
         assert path.exists()
 
     def test_contains_and_len(self, tmp_path):
         cache = ResultCache(tmp_path)
         assert len(cache) == 0
-        cache.put("ab" + "0" * 62, {"x": 1})
-        cache.put("cd" + "0" * 62, {"x": 2})
+        cache.put("ab" + "0" * 62, *canonical_digest({"x": 1}))
+        cache.put("cd" + "0" * 62, *canonical_digest({"x": 2}))
         assert len(cache) == 2
         assert "ab" + "0" * 62 in cache
         assert "ef" + "0" * 62 not in cache
 
     def test_stale_code_version_is_invalidated(self, tmp_path):
         key = "ab" + "0" * 62
-        old = ResultCache(tmp_path, code_version="0.9.0")
-        old.put(key, {"x": 1})
+        ResultCache(tmp_path, code_version="0.9.0").put(key, *canonical_digest({"x": 1}))
         new = ResultCache(tmp_path, code_version="1.0.0")
         assert new.get(key) is None
         assert new.stats.invalidations == 1
         assert new.stats.hits == 0
         # the stale entry was dropped, so the rerun repopulates cleanly
-        new.put(key, {"x": 2})
-        assert new.get(key) == {"x": 2}
+        new.put(key, *canonical_digest({"x": 2}))
+        assert new.get(key).payload == {"x": 2}
 
     def test_corrupt_entry_is_invalidated(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "ab" + "0" * 62
-        path = cache.put(key, {"x": 1})
+        path = cache.put(key, *canonical_digest({"x": 1}))
         path.write_text("{not json")
         assert cache.get(key) is None
         assert cache.stats.invalidations == 1
@@ -119,7 +205,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key_a = "ab" + "0" * 62
         key_b = "cd" + "0" * 62
-        path_a = cache.put(key_a, {"x": 1})
+        path_a = cache.put(key_a, *canonical_digest({"x": 1}))
         # simulate a mis-filed entry
         target = cache.path_for(key_b)
         target.parent.mkdir(parents=True, exist_ok=True)
@@ -131,7 +217,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = "ab" + "0" * 62
         cache.get(key)  # miss
-        cache.put(key, {"x": 1})
+        cache.put(key, *canonical_digest({"x": 1}))
         cache.get(key)  # hit
         cache.get(key)  # hit
         assert cache.stats.lookups == 3
@@ -146,6 +232,105 @@ class TestResultCache:
 
         assert ResultCache(tmp_path).code_version == repro.__version__
 
+    def test_hit_carries_the_digest_of_the_canonical_text(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ab" + "0" * 62
+        payload = {"b": [1, 2.5], "a": "Grün"}
+        cache.put(key, *canonical_digest(payload))
+        hit = cache.get(key)
+        assert hit.payload == payload
+        assert hit.payload_sha256 == cache_key(payload)
+        # the entry is a header line, then the canonical text that was hashed
+        header, body = cache.path_for(key).read_text(encoding="utf-8").split("\n")
+        assert body == canonical_json(payload)
+        assert json.loads(header)["payload_sha256"] == hit.payload_sha256
+
+
+def _entry_version_1(cache, key):
+    """An entry in the layout version 1 wrote: one JSON object, payload inline."""
+    path = cache.path_for(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    entry = {
+        "entry_version": 1,
+        "key": key,
+        "code_version": cache.code_version,
+        "payload": {"x": 1},
+    }
+    path.write_text(json.dumps(entry, sort_keys=True))
+    return path
+
+
+def _body_cut_midway(cache, key):
+    """A current entry whose payload text was cut short on disk."""
+    path = cache.put(key, *canonical_digest({"x": 1, "blob": "y" * 200}))
+    header, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" + body[: len(body) // 2])
+    return path
+
+
+class TestEntryMigration:
+    """Old-layout and damaged entries are invalidated once, then recomputed."""
+
+    @pytest.mark.parametrize("write", [_entry_version_1, _body_cut_midway])
+    def test_entry_is_invalidated_and_excluded(self, tmp_path, write):
+        cache = ResultCache(tmp_path)
+        key = "ab" + "0" * 62
+        path = write(cache, key)
+        assert key not in cache
+        assert len(cache) == 0
+        assert cache.get(key) is None
+        assert cache.stats.invalidations == 1
+        assert cache.stats.hits == 0
+        assert not path.exists()
+
+
+class TestPayloadDigest:
+    """Each payload is serialized and hashed once, where it is computed."""
+
+    def test_edited_payload_is_recomputed_not_served(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        clean = CampaignRunner(cache=cache).run(paper_jobs())
+        kept, edited = clean.outcomes
+        path = cache.path_for(edited.key)
+        text = path.read_text()
+        # one measured number changes; the entry stays valid JSON
+        tampered = re.sub(r'("performance":\s?)(\d)', r"\g<1>1\2", text, count=1)
+        assert tampered != text
+        path.write_text(tampered)
+        assert edited.key not in cache
+        assert kept.key in cache
+
+        rerun = CampaignRunner(cache=ResultCache(tmp_path)).run(paper_jobs())
+        outcome = rerun[edited.job.job_id]
+        assert outcome.cache_status == "computed"
+        assert rerun[kept.job.job_id].cache_status == "hit"
+        assert rerun.manifest["cache_run"]["invalidations"] == 1
+        assert outcome.payload == edited.payload
+        assert [row["payload_sha256"] for row in rerun.manifest["jobs"]] == [
+            row["payload_sha256"] for row in clean.manifest["jobs"]
+        ]
+        assert rerun.manifest["fingerprint"] == clean.manifest["fingerprint"]
+
+    def test_warm_run_serializes_no_payload(self, tmp_path, monkeypatch):
+        serialized = []
+        canonical = cache_module.canonical_json
+
+        def spy(obj):
+            if isinstance(obj, dict) and "sweep" in obj:
+                serialized.append(obj["job_id"])
+            return canonical(obj)
+
+        monkeypatch.setattr(cache_module, "canonical_json", spy)
+        jobs = paper_jobs()
+        cache = ResultCache(tmp_path)
+        cold = CampaignRunner(cache=cache).run(jobs)
+        assert sorted(serialized) == sorted(job.job_id for job in jobs)
+        serialized.clear()
+        warm = CampaignRunner(cache=cache).run(jobs)
+        assert warm.cache_hits == len(jobs)
+        assert serialized == []
+        assert warm.manifest["fingerprint"] == cold.manifest["fingerprint"]
+
 
 class TestValidationAwareMembership:
     """``in`` / ``len`` answer "is this entry usable?", not "does a file exist?"."""
@@ -153,7 +338,7 @@ class TestValidationAwareMembership:
     def test_corrupt_entry_is_not_a_member(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "ab" + "0" * 62
-        path = cache.put(key, {"x": 1})
+        path = cache.put(key, *canonical_digest({"x": 1}))
         path.write_text("{not json")
         assert key not in cache
         assert len(cache) == 0
@@ -165,7 +350,7 @@ class TestValidationAwareMembership:
 
     def test_stale_code_version_is_not_a_member(self, tmp_path):
         key = "ab" + "0" * 62
-        ResultCache(tmp_path, code_version="0.9.0").put(key, {"x": 1})
+        ResultCache(tmp_path, code_version="0.9.0").put(key, *canonical_digest({"x": 1}))
         new = ResultCache(tmp_path, code_version="1.0.0")
         assert key not in new
         assert len(new) == 0
@@ -179,7 +364,7 @@ class TestValidationAwareMembership:
         cache = ResultCache(tmp_path)
         key_a = "ab" + "0" * 62
         key_b = "cd" + "0" * 62
-        path_a = cache.put(key_a, {"x": 1})
+        path_a = cache.put(key_a, *canonical_digest({"x": 1}))
         target = cache.path_for(key_b)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(path_a.read_text())
@@ -196,7 +381,7 @@ class TestValidationAwareMembership:
     def test_put_leaves_no_staging_droppings(self, tmp_path):
         cache = ResultCache(tmp_path)
         for i in range(10):
-            cache.put(f"{i:02d}" + "0" * 62, {"x": i})
+            cache.put(f"{i:02d}" + "0" * 62, *canonical_digest({"x": i}))
         stray = [p for p in tmp_path.rglob("*") if p.is_file() and p.suffix != ".json"]
         assert stray == []
         assert len(cache) == 10
@@ -225,9 +410,9 @@ def _stress_worker(cache_dir, keys, rounds):
             try:
                 value = cache.get(key)
                 if value is None:
-                    cache.put(key, _payload_for(key))
+                    cache.put(key, *canonical_digest(_payload_for(key)))
                     value = cache.get(key)
-                if value != _payload_for(key):
+                if value is None or value.payload != _payload_for(key):
                     errors.append(f"torn or foreign payload under {key[:8]}")
             except Exception as exc:  # noqa: BLE001 - reported to the parent
                 errors.append(f"{type(exc).__name__}: {exc}")
@@ -287,7 +472,7 @@ class TestSharedCacheStress:
         survivor = ResultCache(tmp_path)
         assert len(survivor) == len(keys)
         for key in keys:
-            assert survivor.get(key) == _payload_for(key)
+            assert survivor.get(key).payload == _payload_for(key)
         # at least one worker published each key; duplicates are benign
         total_puts = sum(stats["puts"] for stats, _ in outcomes)
         assert total_puts >= len(keys)
@@ -301,8 +486,8 @@ class TestSharedCacheStress:
         a = ResultCache(tmp_path)
         b = ResultCache(tmp_path)
         key = "ab" + "0" * 62
-        a.put(key, {"x": 1})
-        assert b.get(key) == {"x": 1}
+        a.put(key, *canonical_digest({"x": 1}))
+        assert b.get(key).payload == {"x": 1}
         assert b.stats.hits == 1
         assert a.stats.puts == 1
         assert key in a and key in b
