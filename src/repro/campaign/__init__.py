@@ -13,15 +13,12 @@ This package is the substrate that runs them at scale:
     :class:`ResultCache` — content-addressed on-disk payload cache with
     hit/miss/invalidation accounting.
 :mod:`~repro.campaign.runner`
-    :class:`CampaignRunner` — the one executor: cache probe, sharded
-    work-stealing dispatch over a transport-shaped worker API (inline or
-    process pool), and journal-replay crash resume — and
-    :class:`CampaignResult`.
+    :class:`CampaignRunner` — the one executor: cache probe, job-order
+    dispatch over a transport-shaped worker API (inline or process pool),
+    and journal-replay crash resume (see ``docs/distributed_campaigns.md``)
+    — and :class:`CampaignResult`.
 :mod:`~repro.campaign.manifest`
     Machine-readable run manifests and their reproducibility fingerprint.
-:mod:`~repro.campaign.scheduler`
-    The pure, deterministic shard plan (:func:`shard_of`,
-    :func:`plan_shards`); see ``docs/distributed_campaigns.md``.
 
 Quick tour:
 
@@ -63,7 +60,6 @@ from .runner import (
     execute_work_item,
     run_cache_stats,
 )
-from .scheduler import ShardPlan, plan_shards, shard_of
 
 __all__ = [
     "CacheStats",
@@ -89,9 +85,6 @@ __all__ = [
     "run_cache_stats",
     "check_jobs",
     "build_manifest",
-    "shard_of",
-    "ShardPlan",
-    "plan_shards",
     "WorkItem",
     "WorkResult",
     "execute_work_item",

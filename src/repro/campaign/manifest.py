@@ -53,9 +53,11 @@ VOLATILE_CAMPAIGN_FIELDS = (
     # Failure accounting: a warm cache skips executions, so retry counts
     # differ between cold and warm runs of the same campaign.
     "failures",
-    # Sharded-scheduler block: shard plan, transport, steal/recovery
-    # counts describe one execution; sharded, resumed, and plain-runner
-    # runs of the same jobs must fingerprint alike.
+    # Execution block: transport and resume recovery describe one
+    # execution; inline, pooled and resumed runs must fingerprint alike.
+    "execution",
+    # The execution block's name in manifests written by older code;
+    # kept so those manifests still re-fingerprint to their stored value.
     "sharding",
     # Not volatile, but derived from the core — excluded so that
     # recomputing manifest_fingerprint(manifest) reproduces the stored one.

@@ -1,4 +1,4 @@
-"""The campaign executor: key, probe, shard, dispatch, keep the books.
+"""The campaign executor: key, probe, dispatch, keep the books.
 
 :class:`CampaignRunner` takes a list of :class:`~repro.campaign.jobs.CampaignJob`
 and produces a :class:`CampaignResult`:
@@ -6,22 +6,20 @@ and produces a :class:`CampaignResult`:
 1. every job is keyed by the SHA-256 of its canonical serialization;
 2. keyed jobs are probed once against the (optional) on-disk
    :class:`~repro.campaign.cache.ResultCache` — hits skip execution;
-3. the remaining jobs are split into deterministic shards
-   (:func:`~repro.campaign.scheduler.plan_shards`, a pure function of each
-   job's key) and drained through a :class:`WorkerTransport`: inline
-   (``workers == 1``, and automatically as a fallback when a pool cannot
-   start or dies mid-run) or on a process pool.  Worker slots keep a
-   home-shard affinity and steal from the deepest backlog once their home
-   runs dry, so skewed job durations do not leave slots idle;
+3. the remaining jobs are drained in job order through a
+   :class:`WorkerTransport`: inline (``workers == 1``, and automatically as
+   a fallback when a pool cannot start or dies mid-run) or on a process
+   pool.  Up to ``slots`` jobs are outstanding at once, and each collected
+   result frees a slot for the next job;
 4. each outcome records wall time, cache status and the digest of its
    payload's canonical JSON (taken once, where the payload was computed,
    and kept in its cache entry), and the whole run is summarized in a
    machine-readable manifest (see :mod:`repro.campaign.manifest`).
 
 Ordering is part of the contract: outcomes and manifest rows follow job
-submission order, never completion order, so parallel, sharded, and
-resumed runs are manifest-identical to serial runs modulo the volatile
-timing, cache, and ``sharding`` fields.
+submission order, never completion order, so parallel and resumed runs
+are manifest-identical to serial runs modulo the volatile timing, cache,
+and ``execution`` fields.
 
 Failure containment
 -------------------
@@ -56,7 +54,7 @@ Telemetry
 When a telemetry session is active (:mod:`repro.telemetry`) the runner
 traces each job's lifecycle — ``job.serialize`` → ``job.cache_probe`` →
 ``job.execute`` (one span per attempt) → ``job.store`` — and counts jobs,
-failures, retries, steals, and cache behaviour into the metrics registry.
+failures, retries, and cache behaviour into the metrics registry.
 Pool workers collect spans and metrics in their own process and ship them
 back beside the payload; the parent absorbs worker spans under its
 ``campaign.pool`` span and merges worker metric state.  Telemetry never
@@ -66,14 +64,14 @@ byte-identical with telemetry on or off.
 Flight recorder
 ---------------
 ``journal=`` arms the append-only run journal (:mod:`repro.journal`): the
-parent records the run lifecycle, shard plan, schedule, steals, and cache
-hits; whichever process executes a job appends its attempt-level events
-(start, contained failure, retry, completion with ``getrusage`` CPU/RSS
-accounting, and ``job.stored`` once the payload is durably cached) to the
-*same* file via atomic ``O_APPEND`` line writes, so ``tgi watch`` can
-follow an in-flight campaign from another process.  The manifest records
-the journal's path, run id, and content digest as a volatile block —
-like telemetry, journaling never changes payloads or fingerprints.
+parent records the run lifecycle, schedule, and cache hits; whichever
+process executes a job appends its attempt-level events (start, contained
+failure, retry, completion with ``getrusage`` CPU/RSS accounting, and
+``job.stored`` once the payload is durably cached) to the *same* file via
+atomic ``O_APPEND`` line writes, so ``tgi watch`` can follow an in-flight
+campaign from another process.  The manifest records the journal's path,
+run id, and content digest as a volatile block — like telemetry,
+journaling never changes payloads or fingerprints.
 
 See ``docs/campaign_runner.md`` and ``docs/distributed_campaigns.md``.
 """
@@ -105,7 +103,6 @@ from ..rng import child_rng
 from .cache import ResultCache, cache_key, canonical_digest
 from .jobs import CampaignJob, execute_job, job_to_dict, payload_sweep
 from .manifest import MANIFEST_VERSION, manifest_fingerprint, write_manifest
-from .scheduler import ShardPlan, plan_shards
 
 __all__ = [
     "JobOutcome",
@@ -456,7 +453,6 @@ class WorkItem:
     """
 
     index: int  # position in the campaign's job list (ordering contract)
-    shard: int  # shard the plan assigned it to (pre-steal)
     job: CampaignJob
     key: str
     retries: int = 0
@@ -475,7 +471,6 @@ class WorkResult:
     """What came back for one :class:`WorkItem`."""
 
     index: int
-    shard: int
     payload: Optional[Dict]
     error: Optional[Dict]
     attempts: int
@@ -519,7 +514,6 @@ def execute_work_item(
     if error is not None:
         return WorkResult(
             index=item.index,
-            shard=item.shard,
             payload=None,
             error=error,
             attempts=attempts,
@@ -534,7 +528,6 @@ def execute_work_item(
         journal.emit("job.stored", job=item.job.job_id, key=item.key)
     return WorkResult(
         index=item.index,
-        shard=item.shard,
         payload=payload,
         error=None,
         attempts=attempts,
@@ -605,12 +598,13 @@ class WorkerTransport:
 
     A transport owns a fixed number of worker ``slots`` and moves
     :class:`WorkItem`\\ s to them.  The runner drives it with a strict
-    protocol — at most ``slots`` items outstanding, ``next_result()``
-    only while ``outstanding() > 0`` — and handles policy (stealing,
-    fail-fast, fallback) itself, so a transport implements mechanics
-    only.  Implementations today run inline or on a local process pool;
-    a multi-host transport needs nothing beyond this interface because
-    items carry paths (shared journal, shared cache), never live handles.
+    protocol — items submitted in job order, at most ``slots`` of them
+    outstanding, ``next_result()`` only while ``outstanding() > 0`` — and
+    handles policy (fail-fast, fallback) itself, so a transport implements
+    mechanics only.  Implementations today run inline or on a local
+    process pool; a multi-host transport needs nothing beyond this
+    interface because items carry paths (shared journal, shared cache),
+    never live handles.
     """
 
     name = "abstract"
@@ -673,7 +667,7 @@ class InlineTransport(WorkerTransport):
 class ProcessPoolTransport(WorkerTransport):
     """Executes items on a local ``ProcessPoolExecutor``.
 
-    ``submit`` feeds one item per call (the runner's stealing loop decides
+    ``submit`` feeds one item per call (the runner's refill loop decides
     what runs next); ``next_result`` blocks on the first completed future.
     Pool-level failures propagate to the runner, which re-runs uncollected
     items inline.
@@ -721,7 +715,7 @@ class ProcessPoolTransport(WorkerTransport):
 
 
 class CampaignRunner:
-    """Executes campaigns of independent jobs: caching, sharding, resume.
+    """Executes campaigns of independent jobs: caching, retries, resume.
 
     Parameters
     ----------
@@ -731,9 +725,6 @@ class CampaignRunner:
         start (restricted platforms) or die mid-campaign degrade to inline
         execution, which is result-identical by construction and only
         re-executes jobs whose results were not already collected.
-    shards:
-        Shard count for the deterministic plan; ``0`` (default) means one
-        shard per worker slot.
     cache:
         A :class:`ResultCache`, or ``None`` to always execute.  Required
         for resume — the journal records what finished, the cache holds
@@ -771,7 +762,6 @@ class CampaignRunner:
         self,
         *,
         workers: int = 1,
-        shards: int = 0,
         cache: Optional[ResultCache] = None,
         retries: int = 0,
         keep_going: bool = False,
@@ -783,14 +773,11 @@ class CampaignRunner:
     ):
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
-        if shards < 0:
-            raise ReproError(f"shards must be >= 0 (0 = one per worker), got {shards}")
         if retries < 0:
             raise ReproError(f"retries must be >= 0, got {retries}")
         if backoff_s < 0:
             raise ReproError(f"backoff_s must be >= 0, got {backoff_s}")
         self.workers = workers
-        self.shards = shards
         self.cache = cache
         self.retries = retries
         self.keep_going = keep_going
@@ -880,9 +867,8 @@ class CampaignRunner:
 
         With ``resume=True`` the journal must already exist: its events
         are replayed first, recovered jobs are served from the shared
-        cache without re-execution, and the remainder is re-sharded and
-        re-dispatched while the same journal file grows under the
-        original run id.
+        cache without re-execution, and the remainder is re-dispatched
+        while the same journal file grows under the original run id.
 
         Raises :class:`~repro.exceptions.CampaignExecutionError` when a
         job exhausts its retries under the fail-fast policy (the default);
@@ -911,7 +897,6 @@ class CampaignRunner:
                 }
 
             writer, owns_writer = self._journal_writer(label, prior)
-            num_shards = self.shards or self.workers
             attached_ambient = False
             # Ambient emission is what lets deeply nested code (the fault
             # injector) journal on the inline path; pool workers attach
@@ -922,7 +907,6 @@ class CampaignRunner:
 
             t_start = time.perf_counter()
             invalidations_before = self.cache.stats.invalidations if self.cache is not None else 0
-            stolen = 0
             recovered = 0
             workers_used = 1
             transport_name = "inline"
@@ -936,7 +920,6 @@ class CampaignRunner:
                         retries_allowed=self.retries,
                         keep_going=self.keep_going,
                         cache_enabled=self.cache is not None,
-                        shards=num_shards,
                     )
                 if writer is not None:
                     for index, (job, key) in enumerate(zip(jobs, keys)):
@@ -982,17 +965,11 @@ class CampaignRunner:
                         "run.resumed",
                         jobs_recovered=recovered,
                         jobs_pending=len(pending),
-                        shards=num_shards,
                     )
 
-                plan = plan_shards([keys[i] for i in pending], num_shards)
-                if writer is not None:
-                    for shard, members in enumerate(plan.assignments):
-                        writer.emit("shard.planned", shard=shard, jobs=len(members))
-
                 if pending:
-                    items = self._work_items(jobs, keys, pending, plan, writer)
-                    results, stolen, workers_used, transport_name = self._dispatch(
+                    items = self._work_items(jobs, keys, pending, writer)
+                    results, workers_used, transport_name = self._dispatch(
                         items, writer
                     )
                     for result in results.values():
@@ -1032,8 +1009,6 @@ class CampaignRunner:
                         tele.count("tgi_campaign_jobs_failed_total", len(failed))
                     if retries_total:
                         tele.count("tgi_campaign_jobs_retried_total", retries_total)
-                    if stolen:
-                        tele.count("tgi_campaign_jobs_stolen_total", stolen)
             except CampaignExecutionError as exc:
                 if writer is not None and owns_writer:
                     writer.finalize(
@@ -1101,18 +1076,10 @@ class CampaignRunner:
             invalidations=invalidations,
             journal_info=journal_info,
             timeline_info=timeline_info,
-            extra={
-                "sharding": {
-                    "shards": num_shards,
-                    "plan": [
-                        [jobs[pending[p]].job_id for p in members]
-                        for members in plan.assignments
-                    ],
-                    "transport": transport_name,
-                    "stolen": stolen,
-                    "resumed": prior is not None,
-                    "jobs_recovered": recovered,
-                }
+            execution_info={
+                "transport": transport_name,
+                "resumed": prior is not None,
+                "jobs_recovered": recovered,
             },
         )
         return CampaignResult(outcomes, manifest)
@@ -1123,18 +1090,12 @@ class CampaignRunner:
         jobs: Sequence[CampaignJob],
         keys: Sequence[str],
         pending: Sequence[int],
-        plan: ShardPlan,
         writer: Optional[jrnl.JournalWriter],
     ) -> List[WorkItem]:
-        """Materialize work items for the pending jobs, shard-annotated."""
-        shard_by_position = {}
-        for shard, members in enumerate(plan.assignments):
-            for position in members:
-                shard_by_position[position] = shard
+        """Materialize work items for the pending jobs, in job order."""
         return [
             WorkItem(
                 index=index,
-                shard=shard_by_position[position],
                 job=jobs[index],
                 key=keys[index],
                 retries=self.retries,
@@ -1147,67 +1108,33 @@ class CampaignRunner:
                 cache_dir=str(self.cache.directory) if self.cache is not None else None,
                 code_version=self.cache.code_version if self.cache is not None else None,
             )
-            for position, index in enumerate(pending)
+            for index in pending
         ]
 
     def _dispatch(
         self, items: List[WorkItem], writer: Optional[jrnl.JournalWriter]
-    ) -> Tuple[Dict[int, WorkResult], int, int, str]:
-        """Drive the transport to drain all items; the stealing loop.
+    ) -> Tuple[Dict[int, WorkResult], int, str]:
+        """Drive the transport to drain all items.
 
-        Returns ``(results by job index, steals, workers used, transport
-        name)``.  Worker slots keep a home-shard affinity: a finished
-        slot refills from the shard of the item it just completed and
-        steals from the deepest backlog once that shard drains
-        (``job.stolen`` events).  Fail-fast stops refilling on the first
-        exhausted job but still collects everything in flight, so no
-        completed work is dropped.  A pool that cannot start (or dies
-        mid-run) degrades to inline execution for the uncollected
-        remainder — result-identical, re-executing only what never came
-        back.
+        Returns ``(results by job index, workers used, transport name)``.
+        A pool that cannot start degrades to inline execution for every
+        item.  A pool that dies mid-run is closed, and the uncollected
+        remainder re-enters the same refill loop inline — result-identical,
+        re-executing only what never came back — unless fail-fast has
+        already stopped refilling.  The run still reports the pool's name
+        and width then.
         """
-        session = tele.current()
         transport = self._make_transport(len(items), writer)
-        is_inline = isinstance(transport, InlineTransport)
-        if not is_inline:
+        if not isinstance(transport, InlineTransport):
             try:
                 transport.start()
             except _POOL_FAILURES:
                 transport.close(cancel=True)
                 transport = InlineTransport(cache=self.cache, journal=writer)
-                is_inline = True
-        workers_used = 1 if is_inline else min(transport.slots, len(items))
+        inline = isinstance(transport, InlineTransport)
+        workers_used = 1 if inline else min(transport.slots, len(items))
 
-        backlog: Dict[int, Deque[WorkItem]] = {}
-        for item in items:
-            backlog.setdefault(item.shard, deque()).append(item)
-
-        stolen = 0
         results: Dict[int, WorkResult] = {}
-        stop_refill = False
-
-        def take(home: int) -> Optional[WorkItem]:
-            nonlocal stolen
-            queue = backlog.get(home)
-            if queue:
-                return queue.popleft()
-            donors = [shard for shard, queue in backlog.items() if queue]
-            if not donors:
-                return None
-            # Steal from the deepest backlog (ties: lowest shard id),
-            # taking from the tail so the victim's head stays local.
-            donor = max(donors, key=lambda shard: (len(backlog[shard]), -shard))
-            item = backlog[donor].pop()
-            stolen += 1
-            if writer is not None:
-                writer.emit(
-                    "job.stolen",
-                    job=item.job.job_id,
-                    from_shard=item.shard,
-                    by_shard=home,
-                )
-            return item
-
         with tele.span(
             "campaign.pool",
             transport=transport.name,
@@ -1215,50 +1142,57 @@ class CampaignRunner:
             jobs=len(items),
         ) as pool_span:
             try:
-                homes = sorted(shard for shard, queue in backlog.items() if queue)
-                for slot in range(min(max(1, transport.slots), len(items))):
-                    item = take(homes[slot % len(homes)])
-                    if item is None:
-                        break
-                    transport.submit(item)
-                while transport.outstanding():
-                    result = transport.next_result()
-                    results[result.index] = result
-                    if session is not None and result.spans:
-                        session.tracer.absorb(
-                            result.spans,
-                            parent_id=pool_span.span_id,
-                            offset_s=pool_span.t_start,
-                        )
-                    if session is not None and result.metrics:
-                        session.metrics.merge(result.metrics)
-                    if result.error is not None and not self.keep_going:
-                        stop_refill = True
-                    if not stop_refill:
-                        item = take(result.shard)
-                        if item is not None:
-                            transport.submit(item)
-                transport.close(cancel=stop_refill)
+                self._refill(transport, items, results, pool_span)
             except _POOL_FAILURES:
-                # The pool died under us: abandon it and finish every
-                # uncollected item inline.
                 transport.close(cancel=True)
-                leftovers = [it for it in items if it.index not in results]
+                leftovers = [item for item in items if item.index not in results]
                 if tele.active() and leftovers:
                     tele.count(
                         "tgi_campaign_pool_fallback_total",
                         resumed_jobs=len(leftovers),
                     )
-                inline = InlineTransport(cache=self.cache, journal=writer)
-                for item in leftovers:
-                    if stop_refill:
-                        break
-                    inline.submit(item)
-                    result = inline.next_result()
-                    results[result.index] = result
-                    if result.error is not None and not self.keep_going:
-                        stop_refill = True
-        return results, stolen, workers_used, transport.name
+                failed_fast = not self.keep_going and any(
+                    result.error is not None for result in results.values()
+                )
+                if not failed_fast:
+                    fallback = InlineTransport(cache=self.cache, journal=writer)
+                    self._refill(fallback, leftovers, results, pool_span)
+        return results, workers_used, transport.name
+
+    def _refill(
+        self,
+        transport: WorkerTransport,
+        items: List[WorkItem],
+        results: Dict[int, WorkResult],
+        pool_span,
+    ) -> None:
+        """Submit up to ``slots`` items in job order, then one per result.
+
+        Collected results land in ``results`` by job index.  Fail-fast
+        stops refilling on the first exhausted job but still collects
+        everything in flight, so no completed work is dropped.
+        """
+        session = tele.current()
+        slots = max(1, transport.slots)
+        queue = deque(items)
+        stop = False
+        while True:
+            while queue and not stop and transport.outstanding() < slots:
+                transport.submit(queue.popleft())
+            if not transport.outstanding():
+                break
+            result = transport.next_result()
+            results[result.index] = result
+            if session is not None and result.spans:
+                session.tracer.absorb(
+                    result.spans,
+                    parent_id=pool_span.span_id,
+                    offset_s=pool_span.t_start,
+                )
+            if session is not None and result.metrics:
+                session.metrics.merge(result.metrics)
+            stop = stop or (result.error is not None and not self.keep_going)
+        transport.close(cancel=stop)
 
 
 def build_manifest(
@@ -1274,17 +1208,10 @@ def build_manifest(
     invalidations: int,
     journal_info: Optional[Dict] = None,
     timeline_info: Optional[Dict] = None,
-    extra: Optional[Dict] = None,
+    execution_info: Optional[Dict] = None,
 ) -> Dict:
-    """Assemble (and fingerprint) the run manifest from job outcomes.
-
-    ``extra`` merges additional top-level blocks (e.g. the runner's
-    ``sharding`` block); every extra key must be listed in
-    :data:`repro.campaign.manifest.VOLATILE_CAMPAIGN_FIELDS`, keeping
-    fingerprints invariant however a campaign was executed.
-    """
+    """Assemble (and fingerprint) the run manifest from job outcomes."""
     from .. import __version__
-    from .manifest import VOLATILE_CAMPAIGN_FIELDS
 
     session = tele.current()
     jobs_failed = sum(1 for o in outcomes if not o.ok)
@@ -1322,6 +1249,10 @@ def build_manifest(
         # landed and how many.  Excluded from the fingerprint — runs
         # with and without timeline capture are fingerprint-identical.
         "timeline": timeline_info,
+        # Volatile execution block: the transport that ran the jobs and
+        # what a resume recovered.  Excluded from the fingerprint —
+        # inline, pooled and resumed runs are fingerprint-identical.
+        "execution": execution_info,
         # Volatile observability summary; the full export is written by
         # the CLI beside the manifest.  Excluded from the fingerprint.
         "telemetry": None
@@ -1349,13 +1280,5 @@ def build_manifest(
             for o in outcomes
         ],
     }
-    if extra:
-        rogue = sorted(set(extra) - set(VOLATILE_CAMPAIGN_FIELDS))
-        if rogue:
-            raise ReproError(
-                f"extra manifest block(s) {rogue} are not fingerprint-volatile; "
-                "add them to VOLATILE_CAMPAIGN_FIELDS or drop them"
-            )
-        manifest.update(extra)
     manifest["fingerprint"] = manifest_fingerprint(manifest)
     return manifest

@@ -10,7 +10,6 @@
     tgi campaign --workers 4     # parallel, cached measurement campaign
     tgi campaign --journal r.jl  # ... with the flight recorder armed
     tgi campaign --timeline tl/  # ... with per-job power timelines captured
-    tgi campaign --shards 8 --cache-dir c/ --journal r.jl   # 8 work-stealing shards
     tgi campaign --resume r.jl --cache-dir c/   # crash-resume a journaled run
     tgi fleet rank --count 500   # Green500-style list of a generated fleet
     tgi watch r.jl               # live progress of an in-flight journaled run
@@ -35,9 +34,9 @@ parser (``build_parser`` lists them all).  The recorder outputs are
 flight recorder of ``docs/observability.md``; ``--telemetry PATH`` (those
 three and bench run), which writes a JSON trace with a ``.prom``
 Prometheus dump beside it; and ``--timeline DIR`` (campaign, fleet rank,
-which also share ``--workers/--shards/--cache-dir`` and
-``--era/--fleet-seed``).  In ``dashboard`` and ``trace export`` the three
-recorder option names denote input files.
+which also share ``--workers/--cache-dir`` and ``--era/--fleet-seed``).
+In ``dashboard`` and ``trace export`` the three recorder option names
+denote input files.
 
 Also reachable as ``python -m repro``.
 """
@@ -170,14 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     execution = shared()
     execution.add_argument(
         "--workers", type=int, default=1, help="process-pool width (1 = serial)"
-    )
-    execution.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="split the campaign into N deterministic work-stealing shards "
-        "(0 = one shard per worker)",
     )
     execution.add_argument(
         "--cache-dir",
@@ -853,10 +844,9 @@ def _cmd_trace(args) -> int:
 
 #: Per-type fields worth showing in the human `tgi tail` rendering.
 _TAIL_DETAIL_FIELDS = {
-    "run.start": ("label", "jobs", "workers", "shards"),
-    "run.resumed": ("jobs_recovered", "jobs_pending", "shards"),
+    "run.start": ("label", "jobs", "workers"),
+    "run.resumed": ("jobs_recovered", "jobs_pending"),
     "run.stop": ("status", "jobs_failed", "total_wall_s"),
-    "shard.planned": ("shard", "jobs"),
     "job.scheduled": ("job", "index"),
     "job.cache_hit": ("job", "attempt"),
     "job.started": ("job", "attempt"),
@@ -864,7 +854,6 @@ _TAIL_DETAIL_FIELDS = {
     "job.retried": ("job", "attempt", "delay_s"),
     "job.completed": ("job", "attempts", "wall_s"),
     "job.stored": ("job",),
-    "job.stolen": ("job", "from_shard", "by_shard"),
     "job.failed": ("job", "attempts", "error_type"),
     "worker.heartbeat": ("jobs_done", "max_rss_bytes"),
     "fault.injected": ("kind", "scope", "attempt"),
@@ -1404,7 +1393,6 @@ def _cmd_campaign(args) -> int:
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
     runner = CampaignRunner(
         workers=args.workers,
-        shards=args.shards,
         cache=cache,
         retries=args.retries,
         keep_going=args.keep_going,
@@ -1486,13 +1474,12 @@ def _cmd_campaign(args) -> int:
             f"timelines: {timeline_block['artifacts']} artifact(s) in "
             f"{timeline_block['dir']}"
         )
-    sharding = manifest["sharding"]
+    execution = manifest["execution"]
     _console.status(
-        f"sharding: {sharding['shards']} shard(s) over "
-        f"{sharding['transport']} transport, {sharding['stolen']} job(s) stolen"
+        f"execution: {execution['transport']} transport"
         + (
-            f", {sharding['jobs_recovered']} recovered on resume"
-            if sharding["resumed"]
+            f", {execution['jobs_recovered']} job(s) recovered on resume"
+            if execution["resumed"]
             else ""
         )
     )
@@ -1547,7 +1534,6 @@ def _cmd_fleet_rank(args) -> int:
         full_sim=args.full_sim,
         chunk_size=args.chunk_size,
         workers=args.workers,
-        shards=args.shards,
         cache_dir=args.cache_dir,
         journal=args.journal,
         timeline=args.timeline,

@@ -8,7 +8,7 @@ The sub-modules split along the data flow:
   and its content-keyed memoizer;
 * :mod:`repro.fleet.pipeline` — chunked ranking pipeline: batchable
   systems take the analytic path inline, the rest fall back to the
-  (sharded) campaign scheduler; output is a Green500-style TGI list.
+  campaign executor; output is a Green500-style TGI list.
 """
 
 from .columns import FleetColumns, is_batchable, require_batchable

@@ -6,7 +6,7 @@ batched path covers (CPU-only nodes) are scored inline, chunk by chunk,
 through :func:`repro.fleet.evaluate.evaluate_fleet`; everything else
 (accelerated nodes, or ``full_sim=True``) falls back to the campaign
 executor, :class:`~repro.campaign.runner.CampaignRunner`, with its full
-shard/cache/retry/journal/timeline surface.  Both legs land in the same
+worker/cache/retry/journal/timeline surface.  Both legs land in the same
 row schema, so the output list is indifferent to which path scored a
 system.
 
@@ -280,9 +280,8 @@ class FleetRankingPipeline:
         pre-batched behaviour; meter noise included).
     chunk_size:
         Systems per vectorized evaluation chunk (bounds peak memory).
-    workers / shards / cache_dir / retries / keep_going:
-        Campaign-leg execution policy (``shards=0`` means one shard per
-        worker).  All idle when everything batches.
+    workers / cache_dir / retries / keep_going:
+        Campaign-leg execution policy.  All idle when everything batches.
     journal:
         Flight-recorder path or caller-owned writer.  The campaign leg
         logs its usual events into it; the pipeline appends one
@@ -304,7 +303,6 @@ class FleetRankingPipeline:
         full_sim: bool = False,
         chunk_size: int = 1024,
         workers: int = 1,
-        shards: int = 0,
         cache_dir: Optional[Union[str, Path]] = None,
         retries: int = 0,
         keep_going: bool = False,
@@ -318,8 +316,6 @@ class FleetRankingPipeline:
             raise FleetError(f"chunk_size must be >= 1, got {chunk_size}")
         if workers < 1:
             raise FleetError(f"workers must be >= 1, got {workers}")
-        if shards < 0:
-            raise FleetError(f"shards must be >= 0 (0 = one per worker), got {shards}")
         self.config = config
         self.reference = reference
         self.reference_suite = reference_suite
@@ -336,7 +332,6 @@ class FleetRankingPipeline:
         self.full_sim = full_sim
         self.chunk_size = chunk_size
         self.workers = workers
-        self.shards = shards
         self.cache_dir = cache_dir
         self.retries = retries
         self.keep_going = keep_going
@@ -359,7 +354,6 @@ class FleetRankingPipeline:
     def _campaign_executor(self, writer: Optional[jrnl.JournalWriter]) -> CampaignRunner:
         return CampaignRunner(
             workers=self.workers,
-            shards=self.shards,
             cache=ResultCache(self.cache_dir) if self.cache_dir else None,
             retries=self.retries,
             keep_going=self.keep_going,

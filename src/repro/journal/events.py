@@ -31,23 +31,15 @@ Event types
 ``run.start`` / ``run.stop``
     Campaign lifecycle.  ``run.stop`` carries the terminal ``status``
     (``ok``/``failed``/``aborted``) — its *absence* is how a reader
-    detects a crashed or in-flight run.  ``run.start`` also carries the
-    run's ``shards`` count (optional in the schema).
+    detects a crashed or in-flight run.
 ``run.resumed``
     A crash-resumed campaign picked the journal back up: how many jobs
     were recovered (terminal in the replayed state *and* recoverable from
     the shared result cache) versus re-scheduled.  The resumed run keeps
     the original ``run_id`` and extends the same file, so one journal
     tells the whole story.
-``shard.planned``
-    One per shard of the campaign's plan: the shard ordinal and how many
-    jobs the deterministic plan placed in it.
 ``job.scheduled``
     One per job, in submission order, with the content-addressed job key.
-``job.stolen``
-    Work-stealing: an idle worker slot (affinity ``by_shard``) took a job
-    planned into ``from_shard``.  Pure scheduling telemetry — replay does
-    not change job state on it.
 ``job.stored``
     The executing process published a job's payload into the shared
     result cache (emitted *after* the atomic rename lands, so its
@@ -80,6 +72,23 @@ Event types
     summarizes, and their total true energy.  A pointer, not a payload —
     replay ignores it, so journals stay replayable whether or not the
     timeline layer was armed.
+
+Written only by older code
+--------------------------
+Campaigns once split their jobs into shards and let idle worker slots
+steal from other shards.  Current code writes none of what that left in
+the journal, but the schema keeps it so journals written before still
+validate, replay and resume:
+
+``shard.planned``
+    One per shard of the campaign's plan: the shard ordinal and how many
+    jobs the plan placed in it.  Replay ignores it.
+``job.stolen``
+    An idle worker slot (affinity ``by_shard``) took a job planned into
+    ``from_shard``.  Replay does not change job state on it.
+``shards``
+    The shard count, an optional field of ``run.start`` and
+    ``run.resumed``.
 """
 
 from __future__ import annotations
@@ -125,13 +134,14 @@ EVENT_FIELDS: Dict[str, Tuple[Tuple[str, tuple, bool], ...]] = {
         ("retries_allowed", (int,), True),
         ("keep_going", (bool,), True),
         ("cache_enabled", (bool,), True),
-        ("shards", (int,), False),
+        ("shards", (int,), False),  # written only by older code
     ),
     "run.resumed": (
         ("jobs_recovered", (int,), True),
         ("jobs_pending", (int,), True),
-        ("shards", (int,), True),
+        ("shards", (int,), False),  # written only by older code
     ),
+    # Written only by older code.
     "shard.planned": (
         ("shard", (int,), True),
         ("jobs", (int,), True),
@@ -155,6 +165,7 @@ EVENT_FIELDS: Dict[str, Tuple[Tuple[str, tuple, bool], ...]] = {
         ("job", (str,), True),
         ("attempt", (int,), True),
     ),
+    # Written only by older code.
     "job.stolen": (
         ("job", (str,), True),
         ("from_shard", (int,), True),

@@ -202,7 +202,6 @@ class RunState:
     faults: List[Dict] = field(default_factory=list)
     heartbeats: List[Dict] = field(default_factory=list)
     resumes: int = 0
-    shards: List[Dict] = field(default_factory=list)
     last_t_mono: Optional[float] = None
     events_seen: int = 0
 
@@ -253,9 +252,6 @@ def _apply(state: RunState, event: Dict) -> None:
         # A resumed run extends the same file under the same run_id; the
         # counter lets replay distinguish "resumed N times" from "ran once".
         state.resumes += 1
-        return
-    if kind == "shard.planned":
-        state.shards.append(event)
         return
     if kind == "fault.injected":
         state.faults.append(event)

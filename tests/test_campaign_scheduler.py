@@ -1,25 +1,25 @@
-"""Sharded-scheduler tests: planning, stealing, parity, crash resume.
+"""Executor tests: dispatch, parity, fallback, crash resume, old artifacts.
 
 The contracts pinned here:
 
-* shard assignment is a pure function of the cache key — every run (and
-  host) that agrees on the jobs agrees on the plan, and the plan is a
-  partition: every pending job lands in exactly one shard;
-* scheduler manifests are fingerprint-identical to plain
-  :class:`CampaignRunner` manifests for the same jobs — inline, pooled,
-  resumed, or fault-injected, "how it ran" never leaks into "what it
-  computed";
-* work stealing drains skewed shards: a single worker slot with several
-  planned shards finishes everything and journals each steal;
-* failure policy matches the runner: fail-fast raises
-  :class:`CampaignExecutionError`, keep-going records the damage;
+* manifests are fingerprint-identical to the plain serial
+  :class:`CampaignRunner` manifest for the same jobs — inline, pooled,
+  resumed, fault-injected, or degraded to inline, "how it ran" never
+  leaks into "what it computed";
+* the refill protocol: items are submitted in job order, never more than
+  ``slots`` are outstanding, and fail-fast stops refilling on the first
+  failed result while still collecting what is in flight;
+* failure policy: fail-fast raises :class:`CampaignExecutionError`,
+  keep-going records the damage;
 * resume demands its inputs (journal + cache), rejects journals from a
   different campaign, and rejects jobs whose definition changed since the
   crash (key mismatch);
 * the crash drill: killing the run after *every* journal event, then
   resuming, always reconverges to the uninterrupted fingerprint, never
   re-executes a job whose result was durably published (``job.stored``),
-  and extends the same journal under the original run id.
+  and extends the same journal under the original run id;
+* journals and manifests written by older code, which planned shards and
+  stole work, still validate, resume and re-fingerprint.
 """
 
 import dataclasses
@@ -33,10 +33,16 @@ from repro.campaign import (
     ClusterRef,
     InlineTransport,
     ResultCache,
+    WorkerTransport,
     cache_key,
-    plan_shards,
-    shard_of,
+    execute_work_item,
+    load_manifest,
+    manifest_fingerprint,
+    write_manifest,
 )
+from repro.campaign.cache import canonical_digest
+from repro.campaign.jobs import execute_job
+from repro.cli import main
 from repro.exceptions import CampaignExecutionError, ReproError
 from repro.faults import FaultPlan
 from repro.experiments import PAPER_CONFIG
@@ -81,50 +87,9 @@ def _no_leaked_ambient():
 
 @pytest.fixture(scope="module")
 def reference_fingerprint():
-    """The plain-runner fingerprint every scheduler variant must match."""
+    """The serial-runner fingerprint every execution variant must match."""
     result = CampaignRunner(workers=1).run(_jobs(3), label=LABEL)
     return result.manifest["fingerprint"]
-
-
-# ---------------------------------------------------------------------------
-# Planning
-
-
-class TestShardPlanning:
-    def test_shard_of_is_deterministic_and_in_range(self):
-        keys = [cache_key(job) for job in _jobs(6)]
-        for key in keys:
-            for n in (1, 2, 3, 7):
-                shard = shard_of(key, n)
-                assert 0 <= shard < n
-                assert shard == shard_of(key, n)  # pure
-
-    def test_shard_of_rejects_bad_count(self):
-        with pytest.raises(ReproError):
-            shard_of("ab" * 32, 0)
-
-    def test_plan_is_a_partition(self):
-        keys = [cache_key(job) for job in _jobs(8)]
-        plan = plan_shards(keys, 3)
-        seen = sorted(p for members in plan.assignments for p in members)
-        assert seen == list(range(len(keys)))  # every position exactly once
-        assert plan.jobs == len(keys)
-        assert plan.num_shards == 3
-
-    def test_plan_is_stable_across_calls_and_job_order(self):
-        keys = [cache_key(job) for job in _jobs(8)]
-        plan = plan_shards(keys, 4)
-        assert plan == plan_shards(keys, 4)
-        # shard membership is per-key, not per-position
-        by_key = {key: shard_of(key, 4) for key in keys}
-        for shard, members in enumerate(plan.assignments):
-            for position in members:
-                assert by_key[keys[position]] == shard
-
-    def test_empty_shards_are_allowed(self):
-        plan = plan_shards([cache_key(_jobs(1)[0])], 5)
-        assert sum(plan.sizes) == 1
-        assert plan.sizes.count(0) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +98,12 @@ class TestShardPlanning:
 
 class TestSchedulerParity:
     def test_inline_fingerprint_matches_runner(self, reference_fingerprint):
-        result = CampaignRunner(workers=1, shards=2).run(
+        result = CampaignRunner(workers=1).run(
             _jobs(3), label=LABEL
         )
         assert result.manifest["fingerprint"] == reference_fingerprint
-        assert result.manifest["sharding"]["shards"] == 2
-        assert result.manifest["sharding"]["transport"] == "inline"
-        assert result.manifest["sharding"]["resumed"] is False
+        assert result.manifest["execution"]["transport"] == "inline"
+        assert result.manifest["execution"]["resumed"] is False
 
     def test_pool_fingerprint_matches_runner(self, reference_fingerprint, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -147,18 +111,9 @@ class TestSchedulerParity:
             _jobs(3), label=LABEL
         )
         assert result.manifest["fingerprint"] == reference_fingerprint
-        assert result.manifest["sharding"]["transport"] == "process-pool"
+        assert result.manifest["execution"]["transport"] == "process-pool"
         # every computed payload was published worker-side
         assert len(cache) == 3
-
-    def test_plan_block_covers_every_pending_job(self, tmp_path):
-        result = CampaignRunner(workers=1, shards=3).run(
-            _jobs(4), label="plan"
-        )
-        planned = sorted(
-            job_id for shard in result.manifest["sharding"]["plan"] for job_id in shard
-        )
-        assert planned == [f"j{i}" for i in range(4)]
 
     def test_failfast_raises_like_runner(self):
         jobs = _jobs(3, faulty=("j1",), transient_failures=99)
@@ -188,45 +143,113 @@ class TestSchedulerParity:
     def test_explicit_transport_is_used(self):
         transport = InlineTransport()
         result = CampaignRunner(
-            workers=4, shards=2, transport=transport
+            workers=4, transport=transport
         ).run(_jobs(2), label="custom")
-        assert result.manifest["sharding"]["transport"] == "inline"
+        assert result.manifest["execution"]["transport"] == "inline"
 
     def test_constructor_validation(self):
         with pytest.raises(ReproError):
             CampaignRunner(workers=0)
         with pytest.raises(ReproError):
-            CampaignRunner(shards=-1)
-        with pytest.raises(ReproError):
             CampaignRunner(retries=-1)
 
 
 # ---------------------------------------------------------------------------
-# Work stealing
+# The refill protocol
 
 
-class TestWorkStealing:
-    def test_single_slot_steals_across_shards(self, tmp_path):
-        """One worker slot, several shards: it drains its home, then steals."""
-        path = tmp_path / "steal.jsonl"
-        result = CampaignRunner(workers=1, shards=3, journal=path).run(
-            _jobs(5), label="steal"
+class _RecordingTransport(InlineTransport):
+    """Two inline slots that log how the runner drives them."""
+
+    slots = 2
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def submit(self, item):
+        super().submit(item)
+        self.log.append(("submit", item.job.job_id, self.outstanding()))
+
+    def next_result(self):
+        result = super().next_result()
+        self.log.append(("result", f"j{result.index}"))
+        return result
+
+    def close(self, *, cancel=False):
+        self.log.append(("close", cancel))
+        super().close(cancel=cancel)
+
+
+class TestRefillProtocol:
+    def test_submits_in_job_order_within_the_slots(self):
+        transport = _RecordingTransport()
+        CampaignRunner(workers=2, transport=transport).run(_jobs(5), label=LABEL)
+        submits = [entry for entry in transport.log if entry[0] == "submit"]
+        assert [job_id for _, job_id, _ in submits] == [f"j{i}" for i in range(5)]
+        assert max(outstanding for _, _, outstanding in submits) == 2
+        assert transport.log[-1] == ("close", False)
+
+    def test_failfast_stops_refilling_but_collects_in_flight(self):
+        transport = _RecordingTransport()
+        jobs = _jobs(5, faulty=("j1",), transient_failures=99)
+        with pytest.raises(CampaignExecutionError):
+            CampaignRunner(workers=2, transport=transport).run(jobs, label="boom")
+        assert transport.log == [
+            ("submit", "j0", 1),
+            ("submit", "j1", 2),
+            ("result", "j0"),
+            ("submit", "j2", 2),
+            ("result", "j1"),  # j1 failed: nothing is submitted after this
+            ("result", "j2"),  # ...but the in-flight j2 is still collected
+            ("close", True),
+        ]
+
+
+class _FailingPool(WorkerTransport):
+    """A process-pool stand-in that fails at start-up or after one result."""
+
+    name = "process-pool"
+    slots = 2
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.queued = []
+        self.delivered = False
+
+    def start(self):
+        if self.fail_at == "start":
+            raise PermissionError("simulated: no process pool on this platform")
+
+    def submit(self, item):
+        self.queued.append(item)
+
+    def next_result(self):
+        if self.delivered:
+            raise OSError("simulated pool death after one result")
+        self.delivered = True
+        return execute_work_item(self.queued.pop(0))
+
+    def outstanding(self):
+        return len(self.queued)
+
+
+class TestPoolFallback:
+    @pytest.mark.parametrize(
+        "fail_at, transport_name, workers_used",
+        [("start", "inline", 1), ("result", "process-pool", 2)],
+        ids=["start", "mid-run"],
+    )
+    def test_fallback_finishes_inline_with_the_serial_fingerprint(
+        self, reference_fingerprint, fail_at, transport_name, workers_used
+    ):
+        result = CampaignRunner(workers=2, transport=_FailingPool(fail_at)).run(
+            _jobs(3), label=LABEL
         )
-        sharding = result.manifest["sharding"]
-        occupied = sum(1 for shard in sharding["plan"] if shard)
-        assert sharding["stolen"] >= occupied - 1  # every non-home shard is robbed
-        events = jrnl.read_events(path)
-        steals = [e for e in events if e["event"] == "job.stolen"]
-        assert len(steals) == sharding["stolen"]
-        for steal in steals:
-            assert steal["from_shard"] != steal["by_shard"]
-        assert jrnl.validate_events(events) == []
-
-    def test_no_steals_needed_with_one_shard(self, tmp_path):
-        result = CampaignRunner(workers=1, shards=1).run(
-            _jobs(3), label="home"
-        )
-        assert result.manifest["sharding"]["stolen"] == 0
+        assert result.ok
+        assert result.manifest["fingerprint"] == reference_fingerprint
+        assert result.manifest["workers_used"] == workers_used
+        assert result.manifest["execution"]["transport"] == transport_name
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +328,9 @@ class TestResume:
             _jobs(3), label=LABEL, resume=True
         )
         assert second.manifest["fingerprint"] == reference_fingerprint
-        sharding = second.manifest["sharding"]
-        assert sharding["resumed"] is True
-        assert sharding["jobs_recovered"] == 3
+        execution = second.manifest["execution"]
+        assert execution["resumed"] is True
+        assert execution["jobs_recovered"] == 3
         assert all(o.cache_status == "hit" for o in second.outcomes)
         state = jrnl.replay(jrnl.read_events(path))
         assert state.resumes == 1
@@ -415,3 +438,59 @@ class TestResume:
         events = jrnl.read_events(path)
         assert jrnl.validate_events(events) == []
         assert any(e["event"] == "fault.injected" for e in events)
+
+
+# ---------------------------------------------------------------------------
+# Artifacts written by older code
+
+
+class TestOldArtifacts:
+    def test_old_journal_validates_and_resumes(self, reference_fingerprint, tmp_path):
+        """A torn journal with shard plans and steals, as older code wrote it."""
+        jobs = _jobs(3)
+        keys = [cache_key(job) for job in jobs]
+        cache = ResultCache(tmp_path / "c")
+        cache.put(keys[0], *canonical_digest(execute_job(jobs[0])))
+        path = tmp_path / "old.jsonl"
+        writer = jrnl.JournalWriter(path, label=LABEL)
+        writer.emit("run.start", label=LABEL, jobs=3, workers=1, retries_allowed=0,
+                    keep_going=False, cache_enabled=True, shards=2)
+        for index, (job, key) in enumerate(zip(jobs, keys)):
+            writer.emit("job.scheduled", job=job.job_id, key=key, index=index)
+        writer.emit("shard.planned", shard=0, jobs=2)
+        writer.emit("shard.planned", shard=1, jobs=1)
+        writer.emit("job.stolen", job="j2", from_shard=1, by_shard=0)
+        writer.emit("job.started", job="j0", attempt=0)
+        writer.emit("job.completed", job="j0", attempts=1, wall_s=0.1)
+        writer.emit("job.stored", job="j0", key=keys[0])
+        writer.close()  # torn: no run.stop
+
+        assert jrnl.validate_events(jrnl.read_events(path)) == []
+        assert main(["journal", "validate", str(path)]) == 0
+        result = CampaignRunner(cache=cache, journal=path).run(
+            jobs, label=LABEL, resume=True
+        )
+        assert result.manifest["fingerprint"] == reference_fingerprint
+        assert result.manifest["execution"]["jobs_recovered"] == 1
+        events = jrnl.read_events(path)
+        assert jrnl.validate_events(events) == []
+        starts = [e for e in events if e["event"] == "job.started" and e["job"] == "j0"]
+        assert len(starts) == 1, "the recovered job ran again"
+
+    def test_old_manifest_refingerprints_to_its_stored_value(
+        self, reference_fingerprint, tmp_path
+    ):
+        manifest = dict(CampaignRunner().run(_jobs(3), label=LABEL).manifest)
+        del manifest["execution"]
+        manifest["sharding"] = {
+            "shards": 2,
+            "plan": [["j0", "j1"], ["j2"]],
+            "transport": "inline",
+            "stolen": 1,
+            "resumed": False,
+            "jobs_recovered": 0,
+        }
+        write_manifest(manifest, tmp_path / "old.json")
+        old = load_manifest(tmp_path / "old.json")
+        assert old["fingerprint"] == reference_fingerprint
+        assert manifest_fingerprint(old) == old["fingerprint"]

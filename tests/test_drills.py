@@ -157,7 +157,7 @@ class TestResumeDrill:
         reference = CampaignRunner(workers=1, retries=3, keep_going=True).run(
             jobs, label="resume-drill"
         )
-        # Leg 1: a sharded run killed mid-campaign by the drill writer.
+        # Leg 1: a run killed mid-campaign by the drill writer.
         # Inline (workers=1) so every event funnels through the crashing
         # parent writer; pool workers would journal via their own handles.
         cache = ResultCache(tmp_path / "cache")
@@ -165,7 +165,7 @@ class TestResumeDrill:
         crasher = jrnl.CrashingJournalWriter(path, crash_after=40, label="resume-drill")
         with pytest.raises(jrnl.SimulatedCrash):
             CampaignRunner(
-                workers=1, shards=4, cache=cache, journal=crasher,
+                workers=1, cache=cache, journal=crasher,
                 retries=3, keep_going=True,
             ).run(jobs, label="resume-drill")
         state = jrnl.replay_journal(path)
@@ -173,7 +173,7 @@ class TestResumeDrill:
 
         # Leg 2: resume the same journal against the same cache, pooled.
         result = CampaignRunner(
-            workers=2, shards=4, cache=cache, journal=path,
+            workers=2, cache=cache, journal=path,
             retries=3, keep_going=True,
         ).run(jobs, label="resume-drill", resume=True)
         result.write_manifest(tmp_path / "manifest.json")
@@ -183,32 +183,32 @@ class TestResumeDrill:
         final = jrnl.replay_journal(path)
         assert final.stopped and final.resumes == 1
         assert final.run_id == state.run_id, "resume minted a new run id"
-        sharding = result.manifest["sharding"]
-        assert sharding["resumed"] and sharding["jobs_recovered"] > 0
+        execution = result.manifest["execution"]
+        assert execution["resumed"] and execution["jobs_recovered"] > 0
         assert final.faults, "node-crash faults never journaled"
 
         # The extended journal validates event for event.
         assert main(["journal", "validate", str(path)]) == 0
 
-    def test_cli_shards_then_resume_keeps_the_fingerprint(self, tmp_path):
+    def test_cli_workers_then_resume_keeps_the_fingerprint(self, tmp_path):
         cache_dir = str(tmp_path / "cli-cache")
         journal = str(tmp_path / "cli.jsonl")
-        sharded_path = tmp_path / "cli-sharded.json"
+        pooled_path = tmp_path / "cli-pooled.json"
         resumed_path = tmp_path / "cli-resumed.json"
         assert main([
-            "campaign", "--workers", "2", "--shards", "4",
+            "campaign", "--workers", "2",
             "--cache-dir", cache_dir, "--journal", journal,
-            "--manifest", str(sharded_path),
+            "--manifest", str(pooled_path),
         ]) == 0
         assert main([
             "campaign", "--resume", journal, "--cache-dir", cache_dir,
             "--manifest", str(resumed_path),
         ]) == 0
-        sharded = json.loads(sharded_path.read_text())
+        pooled = json.loads(pooled_path.read_text())
         resumed = json.loads(resumed_path.read_text())
-        assert sharded["fingerprint"] == resumed["fingerprint"]
-        assert resumed["sharding"]["resumed"] is True
-        assert resumed["sharding"]["jobs_recovered"] == len(resumed["jobs"])
+        assert pooled["fingerprint"] == resumed["fingerprint"]
+        assert resumed["execution"]["resumed"] is True
+        assert resumed["execution"]["jobs_recovered"] == len(resumed["jobs"])
 
 
 class TestDashboardDrill:

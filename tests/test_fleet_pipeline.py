@@ -102,10 +102,9 @@ class TestValidation:
         [
             (lambda: quick_pipeline(chunk_size=0), "chunk_size must be >= 1"),
             (lambda: quick_pipeline(workers=0), "workers must be >= 1"),
-            (lambda: quick_pipeline(shards=-1), "shards must be >= 0"),
             (lambda: fleet_jobs(-1), "fleet size must be >= 0"),
         ],
-        ids=["chunk_size", "workers", "shards", "fleet_jobs"],
+        ids=["chunk_size", "workers", "fleet_jobs"],
     )
     def test_bad_chunk_size_rejected(self, build, message):
         with pytest.raises(ReproError, match=message):
