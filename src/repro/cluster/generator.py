@@ -11,6 +11,18 @@ with correlated perturbations: a machine with faster DRAM also tends to get
 a faster interconnect tier, higher-clock parts burn proportionally more
 power, and so on.  Everything is driven by a named RNG stream, so
 ``generate_cluster(seed=k)`` is stable across runs and platforms.
+
+The draws go through :func:`_pick` and :func:`_uniform`, which make the
+same draws as NumPy's ``Generator.choice(seq)`` and ``Generator.uniform``
+without their per-call overhead: ``choice`` with replacement and no ``p``
+draws ``integers(0, len(seq))``, and ``uniform`` is
+``lo + (hi - lo) * random()``.  Each consumes the same bits in the same
+order, so the stream and the generator's end state match those methods
+exactly.  The arithmetic runs in Python, which rounds every operation and
+never fuses a multiply and an add, so no value depends on how a NumPy
+build compiles ``uniform``.  Batching the draws into one ``random(k)``
+would change the stream: ``integers`` below 2**32 takes 32-bit halves
+that the bit generator buffers between doubles.
 """
 
 from __future__ import annotations
@@ -145,6 +157,16 @@ ERAS: Dict[str, EraTemplate] = {
 }
 
 
+def _pick(rng: np.random.Generator, seq: Tuple[int, ...]) -> int:
+    """``int(rng.choice(seq))``: the same index draw, without the array."""
+    return seq[int(rng.integers(len(seq)))]
+
+
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)``: the same double from the same draw."""
+    return lo + (hi - lo) * rng.random()
+
+
 def generate_cluster(seed: RandomState, *, era: str = "2011", name: str = "") -> ClusterSpec:
     """One plausible machine of the given era, fully determined by ``seed``."""
     if era not in ERAS:
@@ -152,9 +174,9 @@ def generate_cluster(seed: RandomState, *, era: str = "2011", name: str = "") ->
     template = ERAS[era]
     rng = ensure_rng(seed)
 
-    clock = rng.uniform(*template.clock_ghz)
-    cores = int(rng.choice(template.cores_per_socket))
-    tdp = cores * template.tdp_per_core_w * rng.uniform(0.85, 1.2)
+    clock = _uniform(rng, *template.clock_ghz)
+    cores = _pick(rng, template.cores_per_socket)
+    tdp = cores * template.tdp_per_core_w * _uniform(rng, 0.85, 1.2)
     cpu = CPUSpec(
         model=f"{template.name}-gen CPU {clock:.1f} GHz x{cores}",
         cores=cores,
@@ -165,27 +187,27 @@ def generate_cluster(seed: RandomState, *, era: str = "2011", name: str = "") ->
     )
     # correlated quality draw: one "budget tier" knob nudges memory, disk,
     # and network together
-    tier = rng.uniform(0.0, 1.0)
-    channels = int(rng.choice(template.channels))
+    tier = _uniform(rng, 0.0, 1.0)
+    channels = _pick(rng, template.channels)
     stream_eff = (
         template.stream_efficiency[0]
         + (template.stream_efficiency[1] - template.stream_efficiency[0])
-        * min(1.0, tier + rng.uniform(-0.15, 0.15))
+        * min(1.0, tier + _uniform(rng, -0.15, 0.15))
     )
     stream_eff = min(max(stream_eff, template.stream_efficiency[0]), template.stream_efficiency[1])
     memory = MemorySpec(
         technology=f"{template.name}-gen DRAM",
-        capacity_bytes=int(rng.choice(template.mem_per_core_gib)) * cores * GIB,
+        capacity_bytes=_pick(rng, template.mem_per_core_gib) * cores * GIB,
         channels=channels,
         channel_bandwidth=template.channel_bw_gbs * 1e9,
         stream_efficiency=stream_eff,
-        cores_to_saturate=max(1, min(cores, int(round(cores * rng.uniform(0.3, 0.9))))),
+        cores_to_saturate=max(1, min(cores, int(round(cores * _uniform(rng, 0.3, 0.9))))),
         dimms=channels,
-        dimm_idle_watts=rng.uniform(1.0, 3.0),
-        dimm_active_watts=rng.uniform(3.5, 6.0),
+        dimm_idle_watts=_uniform(rng, 1.0, 3.0),
+        dimm_active_watts=_uniform(rng, 3.5, 6.0),
     )
     disk_lo, disk_hi = template.disk_mbps
-    disk_rate = disk_lo + (disk_hi - disk_lo) * min(1.0, tier + rng.uniform(-0.2, 0.2))
+    disk_rate = disk_lo + (disk_hi - disk_lo) * min(1.0, tier + _uniform(rng, -0.2, 0.2))
     disk_rate = min(max(disk_rate, disk_lo), disk_hi)
     storage = StorageSpec(
         model=f"{template.name}-gen {template.disk_kind.value}",
@@ -193,8 +215,8 @@ def generate_cluster(seed: RandomState, *, era: str = "2011", name: str = "") ->
         capacity_bytes=1e12,
         seq_write_bandwidth=mbps(disk_rate),
         seq_read_bandwidth=mbps(disk_rate * 1.2),
-        idle_watts=rng.uniform(1.0, 6.0),
-        active_watts=rng.uniform(6.0, 11.0),
+        idle_watts=_uniform(rng, 1.0, 6.0),
+        active_watts=_uniform(rng, 6.0, 11.0),
     )
     nic_name, nic_gbs, nic_us = template.nic_tiers[
         1 if tier > 0.5 else 0
@@ -203,8 +225,8 @@ def generate_cluster(seed: RandomState, *, era: str = "2011", name: str = "") ->
         name=nic_name,
         latency_s=nic_us * 1e-6,
         bandwidth=gbps(nic_gbs),
-        idle_watts=rng.uniform(2.0, 10.0),
-        active_watts=rng.uniform(10.0, 18.0),
+        idle_watts=_uniform(rng, 2.0, 10.0),
+        active_watts=_uniform(rng, 10.0, 18.0),
     )
     node = NodeSpec(
         name=f"{template.name}-gen node (2x {cores} cores)",
@@ -213,9 +235,9 @@ def generate_cluster(seed: RandomState, *, era: str = "2011", name: str = "") ->
         memory=memory,
         storage=storage,
         nic=nic,
-        base_watts=rng.uniform(*template.base_watts),
+        base_watts=_uniform(rng, *template.base_watts),
     )
-    num_nodes = int(rng.choice(template.node_counts))
+    num_nodes = _pick(rng, template.node_counts)
     cluster_name = name or f"{template.name}-sys-{rng.integers(0, 10_000):04d}"
     return ClusterSpec(name=cluster_name, node=node, num_nodes=num_nodes)
 

@@ -15,6 +15,9 @@ Each oracle is the slow, independently simple implementation of something
 * :func:`canonical_json_walk` — canonical JSON through a recursive Python
   walk that rebuilds every value, against
   :func:`repro.campaign.cache.canonical_json`'s single ``json.dumps`` call.
+* :func:`generate_cluster_numpy` — the cluster generator drawing through
+  ``Generator.choice`` and ``Generator.uniform``, against
+  :func:`repro.cluster.generate_cluster`'s direct index and double draws.
 
 The first two work on the per-rank :class:`RankInterval` list view;
 :func:`interval_lists` and :func:`interval_arrays` convert between it and
@@ -38,7 +41,13 @@ import numpy as np
 from repro.benchmarks import hpl as hpl_bench
 from repro.benchmarks import iozone as iozone_bench
 from repro.cluster.cluster import ClusterSpec
-from repro.exceptions import FleetError, ReproError, SimulationError
+from repro.cluster.cpu import CPUSpec
+from repro.cluster.generator import ERAS
+from repro.cluster.memory import MemorySpec
+from repro.cluster.nic import InterconnectSpec
+from repro.cluster.node import NodeSpec
+from repro.cluster.storage import StorageSpec
+from repro.exceptions import FleetError, ReproError, SimulationError, SpecError
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
 from repro.fleet.columns import require_batchable
 from repro.fleet.evaluate import FLEET_BENCHMARKS, FleetEvaluation, FleetScores
@@ -49,10 +58,12 @@ from repro.perfmodels.stream import StreamModel
 from repro.power.components import NodeUtilization
 from repro.power.node_power import NodePowerModel
 from repro.power.trace import PiecewisePower
+from repro.rng import RandomState, ensure_rng
 from repro.sim.engine import _EPS, _WAIT_PHASE, IntervalArrays, SimulationEngine
 from repro.sim.executor import ClusterExecutor, _assert_tiling, _snap_cuts
 from repro.sim.placement import Placement
 from repro.sim.workload import Phase, PhaseKind, RankProgram
+from repro.units import GIB, gbps, mbps
 
 __all__ = [
     "RankInterval",
@@ -64,6 +75,7 @@ __all__ = [
     "evaluate_system",
     "scalar_fleet",
     "canonical_json_walk",
+    "generate_cluster_numpy",
 ]
 
 
@@ -527,3 +539,89 @@ def _jsonable(obj):
 def canonical_json_walk(obj) -> str:
     """Stable JSON text for hashing: sorted keys, no whitespace drift."""
     return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+
+
+# ----------------------------------------------------------------------
+# Cluster generator
+# ----------------------------------------------------------------------
+
+def generate_cluster_numpy(
+    seed: RandomState, *, era: str = "2011", name: str = ""
+) -> ClusterSpec:
+    """:func:`repro.cluster.generate_cluster` drawing through NumPy's methods.
+
+    The generator as it was before its draws became direct index and double
+    draws: four ``int(rng.choice(seq))`` and thirteen ``rng.uniform(lo, hi)``
+    calls, in the same order as production.
+    """
+    if era not in ERAS:
+        raise SpecError(f"unknown era {era!r}; available: {sorted(ERAS)}")
+    template = ERAS[era]
+    rng = ensure_rng(seed)
+
+    clock = rng.uniform(*template.clock_ghz)
+    cores = int(rng.choice(template.cores_per_socket))
+    tdp = cores * template.tdp_per_core_w * rng.uniform(0.85, 1.2)
+    cpu = CPUSpec(
+        model=f"{template.name}-gen CPU {clock:.1f} GHz x{cores}",
+        cores=cores,
+        base_clock_hz=clock * 1e9,
+        flops_per_cycle=template.flops_per_cycle,
+        tdp_watts=tdp,
+        idle_watts=template.idle_fraction * tdp,
+    )
+    # correlated quality draw: one "budget tier" knob nudges memory, disk,
+    # and network together
+    tier = rng.uniform(0.0, 1.0)
+    channels = int(rng.choice(template.channels))
+    stream_eff = (
+        template.stream_efficiency[0]
+        + (template.stream_efficiency[1] - template.stream_efficiency[0])
+        * min(1.0, tier + rng.uniform(-0.15, 0.15))
+    )
+    stream_eff = min(max(stream_eff, template.stream_efficiency[0]), template.stream_efficiency[1])
+    memory = MemorySpec(
+        technology=f"{template.name}-gen DRAM",
+        capacity_bytes=int(rng.choice(template.mem_per_core_gib)) * cores * GIB,
+        channels=channels,
+        channel_bandwidth=template.channel_bw_gbs * 1e9,
+        stream_efficiency=stream_eff,
+        cores_to_saturate=max(1, min(cores, int(round(cores * rng.uniform(0.3, 0.9))))),
+        dimms=channels,
+        dimm_idle_watts=rng.uniform(1.0, 3.0),
+        dimm_active_watts=rng.uniform(3.5, 6.0),
+    )
+    disk_lo, disk_hi = template.disk_mbps
+    disk_rate = disk_lo + (disk_hi - disk_lo) * min(1.0, tier + rng.uniform(-0.2, 0.2))
+    disk_rate = min(max(disk_rate, disk_lo), disk_hi)
+    storage = StorageSpec(
+        model=f"{template.name}-gen {template.disk_kind.value}",
+        kind=template.disk_kind,
+        capacity_bytes=1e12,
+        seq_write_bandwidth=mbps(disk_rate),
+        seq_read_bandwidth=mbps(disk_rate * 1.2),
+        idle_watts=rng.uniform(1.0, 6.0),
+        active_watts=rng.uniform(6.0, 11.0),
+    )
+    nic_name, nic_gbs, nic_us = template.nic_tiers[
+        1 if tier > 0.5 else 0
+    ]
+    nic = InterconnectSpec(
+        name=nic_name,
+        latency_s=nic_us * 1e-6,
+        bandwidth=gbps(nic_gbs),
+        idle_watts=rng.uniform(2.0, 10.0),
+        active_watts=rng.uniform(10.0, 18.0),
+    )
+    node = NodeSpec(
+        name=f"{template.name}-gen node (2x {cores} cores)",
+        sockets=2,
+        cpu=cpu,
+        memory=memory,
+        storage=storage,
+        nic=nic,
+        base_watts=rng.uniform(*template.base_watts),
+    )
+    num_nodes = int(rng.choice(template.node_counts))
+    cluster_name = name or f"{template.name}-sys-{rng.integers(0, 10_000):04d}"
+    return ClusterSpec(name=cluster_name, node=node, num_nodes=num_nodes)

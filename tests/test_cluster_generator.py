@@ -1,9 +1,176 @@
 """Cluster-generator tests."""
 
+from functools import lru_cache
+
+import numpy as np
 import pytest
 
 from repro.cluster import ERAS, generate_cluster, generate_fleet
+from repro.cluster.generator import _pick, _uniform, fleet_seeds
 from repro.exceptions import SpecError
+from repro.units import GIB, gbps, mbps
+
+from .oracles import generate_cluster_numpy
+
+
+@lru_cache(maxsize=len(ERAS))
+def _era_sample(era):
+    """Forty generated machines of ``era`` (seeds 0-39), shared by the
+    per-field template checks."""
+    return tuple(generate_cluster(seed, era=era) for seed in range(40))
+
+
+def _tier(seed, template):
+    """The "budget tier" draw of ``generate_cluster(seed)``, replayed with
+    NumPy's own methods: it follows the clock, core-count and TDP draws."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(*template.clock_ghz)
+    rng.choice(template.cores_per_socket)
+    rng.uniform(0.85, 1.2)
+    return rng.uniform(0.0, 1.0)
+
+
+def _within(value, lo, hi):
+    return lo <= value <= hi
+
+
+def _clock(t, c, seed):
+    return _within(c.node.cpu.base_clock_hz / 1e9, *t.clock_ghz)
+
+
+def _cores(t, c, seed):
+    return c.node.cpu.cores in t.cores_per_socket
+
+
+def _node_count(t, c, seed):
+    return c.num_nodes in t.node_counts
+
+
+def _channels(t, c, seed):
+    memory = c.node.memory
+    return memory.channels in t.channels and memory.dimms == memory.channels
+
+
+def _memory_per_core(t, c, seed):
+    per_core, rest = divmod(c.node.memory.capacity_bytes, c.node.cpu.cores * GIB)
+    return rest == 0 and per_core in t.mem_per_core_gib
+
+
+def _stream_efficiency(t, c, seed):
+    return _within(c.node.memory.stream_efficiency, *t.stream_efficiency)
+
+
+def _cores_to_saturate(t, c, seed):
+    cores = c.node.cpu.cores
+    return _within(
+        c.node.memory.cores_to_saturate,
+        max(1, round(cores * 0.3)),
+        min(cores, round(cores * 0.9)),
+    )
+
+
+def _disk_rate(t, c, seed):
+    storage = c.node.storage
+    lo, hi = t.disk_mbps
+    return (
+        storage.kind is t.disk_kind
+        and _within(storage.seq_write_bandwidth, mbps(lo), mbps(hi))
+        and _within(storage.seq_read_bandwidth, mbps(lo * 1.2), mbps(hi * 1.2))
+    )
+
+
+def _cpu_watts(t, c, seed):
+    cpu = c.node.cpu
+    scale = cpu.cores * t.tdp_per_core_w
+    return (
+        _within(cpu.tdp_watts, scale * 0.85, scale * 1.2)
+        and cpu.idle_watts == t.idle_fraction * cpu.tdp_watts
+    )
+
+
+def _dimm_watts(t, c, seed):
+    memory = c.node.memory
+    return _within(memory.dimm_idle_watts, 1.0, 3.0) and _within(
+        memory.dimm_active_watts, 3.5, 6.0
+    )
+
+
+def _disk_watts(t, c, seed):
+    storage = c.node.storage
+    return _within(storage.idle_watts, 1.0, 6.0) and _within(
+        storage.active_watts, 6.0, 11.0
+    )
+
+
+def _nic_watts(t, c, seed):
+    nic = c.node.nic
+    return _within(nic.idle_watts, 2.0, 10.0) and _within(
+        nic.active_watts, 10.0, 18.0
+    )
+
+
+def _base_watts(t, c, seed):
+    return _within(c.node.base_watts, *t.base_watts)
+
+
+def _nic_tier(t, c, seed):
+    name, gbs, latency_us = t.nic_tiers[1 if _tier(seed, t) > 0.5 else 0]
+    nic = c.node.nic
+    return (
+        nic.name == name
+        and nic.bandwidth == gbps(gbs)
+        and nic.latency_s == latency_us * 1e-6
+    )
+
+
+#: One check per drawn field: ``check(template, cluster, seed) -> bool``.
+TEMPLATE_CHECKS = {
+    check.__name__.lstrip("_"): check
+    for check in (
+        _clock,
+        _cores,
+        _node_count,
+        _channels,
+        _memory_per_core,
+        _stream_efficiency,
+        _cores_to_saturate,
+        _disk_rate,
+        _cpu_watts,
+        _dimm_watts,
+        _disk_watts,
+        _nic_watts,
+        _base_watts,
+        _nic_tier,
+    )
+}
+
+#: Every ``(lo, hi)`` that ``generate_cluster`` hands to ``_uniform``: the
+#: era templates' ranges plus the fixed perturbation and watt ranges.
+UNIFORM_BOUNDS = sorted(
+    {bounds for t in ERAS.values() for bounds in (t.clock_ghz, t.base_watts)}
+    | {
+        (0.85, 1.2),
+        (0.0, 1.0),
+        (-0.15, 0.15),
+        (0.3, 0.9),
+        (1.0, 3.0),
+        (3.5, 6.0),
+        (-0.2, 0.2),
+        (1.0, 6.0),
+        (6.0, 11.0),
+        (2.0, 10.0),
+        (10.0, 18.0),
+    }
+)
+
+#: Every tuple that ``generate_cluster`` hands to ``_pick``.
+PICK_SEQUENCES = sorted(
+    {
+        seq
+        for t in ERAS.values()
+        for seq in (t.cores_per_socket, t.channels, t.mem_per_core_gib, t.node_counts)
+    }
+)
 
 
 class TestGenerateCluster:
@@ -36,14 +203,18 @@ class TestGenerateCluster:
             assert cluster.total_cores >= 8
             assert node.memory.cores_to_saturate <= node.cpu.cores
 
-    def test_era_parameters_within_template(self):
-        template = ERAS["2011"]
-        for seed in range(20):
-            cluster = generate_cluster(seed, era="2011")
-            clock = cluster.node.cpu.base_clock_hz / 1e9
-            assert template.clock_ghz[0] <= clock <= template.clock_ghz[1]
-            assert cluster.node.cpu.cores in template.cores_per_socket
-            assert cluster.num_nodes in template.node_counts
+    @pytest.mark.parametrize("field", sorted(TEMPLATE_CHECKS))
+    @pytest.mark.parametrize("era", sorted(ERAS))
+    def test_era_parameters_within_template(self, era, field):
+        template, check = ERAS[era], TEMPLATE_CHECKS[field]
+        for seed, cluster in enumerate(_era_sample(era)):
+            assert check(template, cluster, seed), (era, field, seed)
+
+    @pytest.mark.parametrize("era", sorted(ERAS))
+    def test_both_nic_tiers_appear(self, era):
+        """The tier check above is vacuous unless both tiers are drawn."""
+        names = {cluster.node.nic.name for cluster in _era_sample(era)}
+        assert names == {tier[0] for tier in ERAS[era].nic_tiers}
 
     def test_later_eras_are_denser(self):
         """A 2021 machine's peak per node dwarfs a 2008 one's (sanity on
@@ -122,3 +293,48 @@ class TestFleetSeedIndependence:
 
         with pytest.raises(SpecError):
             fleet_member_seed(-1, 0)
+
+
+class TestDrawsMatchTheNumpyOracle:
+    """``generate_cluster`` draws the same stream as the oracle, which
+    calls ``Generator.choice`` and ``Generator.uniform`` directly."""
+
+    #: Per era, seeds 0-249; plus the 2,000 members of the default
+    #: ``tgi fleet rank`` fleet, which is a 2011 fleet.
+    SEED_SETS = {
+        **{era: (era, range(250)) for era in sorted(ERAS)},
+        "fleet-2000": ("2011", fleet_seeds(2000, 20110615)),
+    }
+
+    @pytest.mark.parametrize("name", ["", "named"], ids=["unnamed", "named"])
+    @pytest.mark.parametrize("seed_set", sorted(SEED_SETS))
+    def test_specs_and_end_state_are_bit_identical(self, seed_set, name):
+        era, seeds = self.SEED_SETS[seed_set]
+        for seed in seeds:
+            spec = generate_cluster(seed, era=era, name=name)
+            oracle = generate_cluster_numpy(seed, era=era, name=name)
+            assert spec == oracle, (era, seed)
+            # repr round-trips every float, so equal text means equal bits
+            assert repr(spec) == repr(oracle), (era, seed)
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            generate_cluster(rng, era=era, name=name)
+            generate_cluster_numpy(oracle_rng, era=era, name=name)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state, (era, seed)
+
+    @pytest.mark.parametrize("seq", PICK_SEQUENCES, ids=lambda seq: "-".join(map(str, seq)))
+    def test_pick_is_choice(self, seq):
+        rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(200):
+            value = _pick(rng, seq)
+            assert type(value) is int
+            assert value == int(oracle_rng.choice(seq))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bounds", UNIFORM_BOUNDS, ids=lambda b: f"{b[0]}..{b[1]}")
+    def test_uniform_is_uniform(self, bounds):
+        rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for _ in range(200):
+            value = _uniform(rng, *bounds)
+            assert type(value) is float
+            assert repr(value) == repr(oracle_rng.uniform(*bounds))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
