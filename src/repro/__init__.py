@@ -56,95 +56,51 @@ Subpackages
     and partial-TGI degradation paths.
 """
 
-from .cluster import presets
-from .cluster.cluster import ClusterSpec
-from .cluster.node import NodeSpec
-from .benchmarks import (
-    Benchmark,
-    BenchmarkResult,
-    BenchmarkSuite,
-    HPLBenchmark,
-    IOzoneBenchmark,
-    ScalingSweep,
-    StreamBenchmark,
-    SuiteResult,
-    SweepResult,
-)
-from .core import (
-    ArithmeticMeanWeights,
-    CustomWeights,
-    EnergyWeights,
-    PowerWeights,
-    ReferenceSet,
-    TGICalculator,
-    TGIResult,
-    TGISeries,
-    TimeWeights,
-    rank_systems,
-    tgi_from_components,
-)
-from .power import NodePowerModel, PowerTrace, WallPlugMeter
-from .sim import ClusterExecutor
-from .exceptions import CampaignExecutionError, InjectedFault, ReproError
-from .faults import FaultInjector, FaultPlan
+from . import _lazy
 
 __version__ = "1.10.0"
 
-from .campaign import (  # noqa: E402 - needs __version__ for cache stamps
-    CampaignJob,
-    CampaignResult,
-    CampaignRunner,
-    ClusterRef,
-    ResultCache,
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "cluster": ("presets", "ClusterSpec", "NodeSpec"),
+        "benchmarks": (
+            "Benchmark",
+            "BenchmarkResult",
+            "BenchmarkSuite",
+            "HPLBenchmark",
+            "StreamBenchmark",
+            "IOzoneBenchmark",
+            "ScalingSweep",
+            "SweepResult",
+            "SuiteResult",
+        ),
+        "core": (
+            "ReferenceSet",
+            "TGICalculator",
+            "TGIResult",
+            "TGISeries",
+            "ArithmeticMeanWeights",
+            "TimeWeights",
+            "EnergyWeights",
+            "PowerWeights",
+            "CustomWeights",
+            "rank_systems",
+            "tgi_from_components",
+        ),
+        "power": ("NodePowerModel", "PowerTrace", "WallPlugMeter"),
+        "sim": ("ClusterExecutor",),
+        "campaign": (
+            "CampaignJob",
+            "CampaignResult",
+            "CampaignRunner",
+            "ClusterRef",
+            "ResultCache",
+        ),
+        "telemetry": ("TelemetrySession",),
+        "fleet": ("FleetRanking", "FleetRankingPipeline", "evaluate_fleet"),
+        "exceptions": ("ReproError", "CampaignExecutionError", "InjectedFault"),
+        "faults": ("FaultPlan", "FaultInjector"),
+    },
 )
-from .telemetry import TelemetrySession  # noqa: E402 - instrumented layers above
-from .fleet import (  # noqa: E402 - rides the campaign subsystem
-    FleetRanking,
-    FleetRankingPipeline,
-    evaluate_fleet,
-)
-
-__all__ = [
-    "presets",
-    "ClusterSpec",
-    "NodeSpec",
-    "Benchmark",
-    "BenchmarkResult",
-    "BenchmarkSuite",
-    "HPLBenchmark",
-    "StreamBenchmark",
-    "IOzoneBenchmark",
-    "ScalingSweep",
-    "SweepResult",
-    "SuiteResult",
-    "ReferenceSet",
-    "TGICalculator",
-    "TGIResult",
-    "TGISeries",
-    "ArithmeticMeanWeights",
-    "TimeWeights",
-    "EnergyWeights",
-    "PowerWeights",
-    "CustomWeights",
-    "rank_systems",
-    "tgi_from_components",
-    "NodePowerModel",
-    "PowerTrace",
-    "WallPlugMeter",
-    "ClusterExecutor",
-    "CampaignJob",
-    "CampaignResult",
-    "CampaignRunner",
-    "ClusterRef",
-    "ResultCache",
-    "TelemetrySession",
-    "FleetRanking",
-    "FleetRankingPipeline",
-    "evaluate_fleet",
-    "ReproError",
-    "CampaignExecutionError",
-    "InjectedFault",
-    "FaultPlan",
-    "FaultInjector",
-    "__version__",
-]
+__all__.append("__version__")

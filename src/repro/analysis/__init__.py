@@ -8,56 +8,38 @@ curves (:mod:`~repro.analysis.scaling`), and the weight-space sensitivity
 study the paper lists as future work (:mod:`~repro.analysis.sensitivity`).
 """
 
-from .correlation import pearson, spearman, correlation_matrix
-from .bootstrap import (
-    BootstrapCI,
-    bootstrap_mean_ci,
-    bootstrap_pearson_ci,
-    jackknife_pearson,
-)
-from .reference_sensitivity import (
-    tgi_under_reference,
-    ranking_under_references,
-    find_reference_flip,
-)
-from .pareto import ParetoPoint, pareto_front, dominated_by
-from .stats import (
-    arithmetic_mean,
-    geometric_mean,
-    harmonic_mean,
-    weighted_arithmetic_mean,
-    weighted_harmonic_mean,
-    weighted_geometric_mean,
-)
-from .scaling import CurveShape, characterize_curve, relative_range
-from .sensitivity import WeightSensitivity, dominant_benchmark, sweep_weight_simplex
-from .tables import render_table
+from .. import _lazy
 
-__all__ = [
-    "pearson",
-    "spearman",
-    "correlation_matrix",
-    "BootstrapCI",
-    "bootstrap_mean_ci",
-    "bootstrap_pearson_ci",
-    "jackknife_pearson",
-    "tgi_under_reference",
-    "ranking_under_references",
-    "find_reference_flip",
-    "ParetoPoint",
-    "pareto_front",
-    "dominated_by",
-    "arithmetic_mean",
-    "geometric_mean",
-    "harmonic_mean",
-    "weighted_arithmetic_mean",
-    "weighted_harmonic_mean",
-    "weighted_geometric_mean",
-    "CurveShape",
-    "characterize_curve",
-    "relative_range",
-    "WeightSensitivity",
-    "dominant_benchmark",
-    "sweep_weight_simplex",
-    "render_table",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "correlation": ("pearson", "spearman", "correlation_matrix"),
+        "bootstrap": (
+            "BootstrapCI",
+            "bootstrap_mean_ci",
+            "bootstrap_pearson_ci",
+            "jackknife_pearson",
+        ),
+        "reference_sensitivity": (
+            "tgi_under_reference",
+            "ranking_under_references",
+            "find_reference_flip",
+        ),
+        "pareto": ("ParetoPoint", "pareto_front", "dominated_by"),
+        "stats": (
+            "arithmetic_mean",
+            "geometric_mean",
+            "harmonic_mean",
+            "weighted_arithmetic_mean",
+            "weighted_harmonic_mean",
+            "weighted_geometric_mean",
+        ),
+        "scaling": ("CurveShape", "characterize_curve", "relative_range"),
+        "sensitivity": (
+            "WeightSensitivity",
+            "dominant_benchmark",
+            "sweep_weight_simplex",
+        ),
+        "tables": ("render_table",),
+    },
+)

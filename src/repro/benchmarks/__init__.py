@@ -14,27 +14,18 @@ runs all members at one scale point; :class:`~repro.benchmarks.runner.ScalingSwe
 sweeps the suite over core counts the way the paper's figures do.
 """
 
-from .base import Benchmark, BenchmarkResult
-from .hpl import HPLBenchmark
-from .stream import StreamBenchmark
-from .iozone import IOzoneBenchmark
-from .randomaccess import RandomAccessBenchmark
-from .network import EffectiveBandwidthBenchmark
-from .suite import BenchmarkSuite, SuiteResult
-from .runner import ScalingSweep, SweepResult, ScalePoint, run_sweep
+from .. import _lazy
 
-__all__ = [
-    "Benchmark",
-    "BenchmarkResult",
-    "HPLBenchmark",
-    "StreamBenchmark",
-    "IOzoneBenchmark",
-    "RandomAccessBenchmark",
-    "EffectiveBandwidthBenchmark",
-    "BenchmarkSuite",
-    "SuiteResult",
-    "ScalingSweep",
-    "SweepResult",
-    "ScalePoint",
-    "run_sweep",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "base": ("Benchmark", "BenchmarkResult"),
+        "hpl": ("HPLBenchmark",),
+        "stream": ("StreamBenchmark",),
+        "iozone": ("IOzoneBenchmark",),
+        "randomaccess": ("RandomAccessBenchmark",),
+        "network": ("EffectiveBandwidthBenchmark",),
+        "suite": ("BenchmarkSuite", "SuiteResult"),
+        "runner": ("ScalingSweep", "SweepResult", "ScalePoint", "run_sweep"),
+    },
+)

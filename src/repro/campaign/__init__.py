@@ -28,67 +28,42 @@ Quick tour:
 >>> result.manifest["cache_run"]["hit_rate"]     # doctest: +SKIP
 """
 
-from .cache import CacheStats, ResultCache, cache_key, canonical_json
-from .jobs import (
-    CampaignJob,
-    ClusterRef,
-    execute_job,
-    fleet_jobs,
-    job_from_dict,
-    job_to_dict,
-    paper_jobs,
-    payload_sweep,
-)
-from .manifest import (
-    MANIFEST_VERSION,
-    load_manifest,
-    manifest_core,
-    manifest_fingerprint,
-    write_manifest,
-)
-from .runner import (
-    CampaignResult,
-    CampaignRunner,
-    InlineTransport,
-    JobOutcome,
-    ProcessPoolTransport,
-    WorkerTransport,
-    WorkItem,
-    WorkResult,
-    build_manifest,
-    check_jobs,
-    execute_work_item,
-    run_cache_stats,
-)
+from .. import _lazy
 
-__all__ = [
-    "CacheStats",
-    "ResultCache",
-    "cache_key",
-    "canonical_json",
-    "CampaignJob",
-    "ClusterRef",
-    "execute_job",
-    "fleet_jobs",
-    "job_from_dict",
-    "job_to_dict",
-    "paper_jobs",
-    "payload_sweep",
-    "MANIFEST_VERSION",
-    "load_manifest",
-    "manifest_core",
-    "manifest_fingerprint",
-    "write_manifest",
-    "CampaignResult",
-    "CampaignRunner",
-    "JobOutcome",
-    "run_cache_stats",
-    "check_jobs",
-    "build_manifest",
-    "WorkItem",
-    "WorkResult",
-    "execute_work_item",
-    "WorkerTransport",
-    "InlineTransport",
-    "ProcessPoolTransport",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "cache": ("CacheStats", "ResultCache", "cache_key", "canonical_json"),
+        "jobs": (
+            "CampaignJob",
+            "ClusterRef",
+            "execute_job",
+            "fleet_jobs",
+            "job_from_dict",
+            "job_to_dict",
+            "paper_jobs",
+            "payload_sweep",
+        ),
+        "manifest": (
+            "MANIFEST_VERSION",
+            "load_manifest",
+            "manifest_core",
+            "manifest_fingerprint",
+            "write_manifest",
+        ),
+        "runner": (
+            "CampaignResult",
+            "CampaignRunner",
+            "InlineTransport",
+            "JobOutcome",
+            "ProcessPoolTransport",
+            "WorkerTransport",
+            "WorkItem",
+            "WorkResult",
+            "build_manifest",
+            "check_jobs",
+            "execute_work_item",
+            "run_cache_stats",
+        ),
+    },
+)

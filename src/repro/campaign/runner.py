@@ -82,16 +82,10 @@ import os
 import time
 import traceback as traceback_module
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .. import journal as jrnl
 from .. import telemetry as tele
@@ -103,6 +97,9 @@ from ..rng import child_rng
 from .cache import ResultCache, cache_key, canonical_digest
 from .jobs import CampaignJob, execute_job, job_to_dict, payload_sweep
 from .manifest import MANIFEST_VERSION, manifest_fingerprint, write_manifest
+
+if TYPE_CHECKING:  # annotation only: serial campaigns never load the pool
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "JobOutcome",
@@ -685,6 +682,8 @@ class ProcessPoolTransport(WorkerTransport):
 
     def start(self) -> None:
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = ProcessPoolExecutor(max_workers=self.workers)
             # Surface spawn failures now, not at first submit: submitting
             # a no-op forces worker startup on platforms that lazily fork.

@@ -12,33 +12,20 @@ envelopes but no behaviour.  Power draw as a function of utilization lives in
 :mod:`repro.perfmodels`.
 """
 
-from .cpu import CPUSpec
-from .memory import MemorySpec
-from .storage import StorageSpec, StorageKind
-from .nic import InterconnectSpec
-from .node import NodeSpec
-from .cluster import ClusterSpec
-from .topology import Topology, star_topology, fat_tree_topology, ring_topology
-from .accelerator import AcceleratorSpec
-from .generator import EraTemplate, ERAS, generate_cluster, generate_fleet
-from . import presets
+from .. import _lazy
 
-__all__ = [
-    "CPUSpec",
-    "MemorySpec",
-    "StorageSpec",
-    "StorageKind",
-    "InterconnectSpec",
-    "NodeSpec",
-    "ClusterSpec",
-    "AcceleratorSpec",
-    "Topology",
-    "star_topology",
-    "fat_tree_topology",
-    "ring_topology",
-    "EraTemplate",
-    "ERAS",
-    "generate_cluster",
-    "generate_fleet",
-    "presets",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "cpu": ("CPUSpec",),
+        "memory": ("MemorySpec",),
+        "storage": ("StorageSpec", "StorageKind"),
+        "nic": ("InterconnectSpec",),
+        "node": ("NodeSpec",),
+        "cluster": ("ClusterSpec",),
+        "topology": ("Topology", "star_topology", "fat_tree_topology", "ring_topology"),
+        "accelerator": ("AcceleratorSpec",),
+        "generator": ("EraTemplate", "ERAS", "generate_cluster", "generate_fleet"),
+        "presets": ("presets",),
+    },
+)

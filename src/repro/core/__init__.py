@@ -19,79 +19,46 @@ energy, and the algebraic identities of Eqs. 13-15);
 :mod:`~repro.core.report` renders results as text tables.
 """
 
-from .efficiency import (
-    EfficiencyMetric,
-    PerformancePerWatt,
-    InverseEDP,
-    energy_efficiency,
-)
-from .ree import ReferenceSet, relative_efficiency
-from .weights import (
-    WeightingScheme,
-    ArithmeticMeanWeights,
-    TimeWeights,
-    EnergyWeights,
-    PowerWeights,
-    CustomWeights,
-    renormalize_weights,
-    validate_weights,
-)
-from .tgi import TGICalculator, TGIResult, TGISeries, tgi_from_components
-from .edp import edp_efficiency
-from .alternatives import GeometricTGICalculator, geometric_tgi_from_components
-from .workload_weights import (
-    ApplicationProfile,
-    WorkloadWeights,
-    CFD_PROFILE,
-    GENOMICS_PROFILE,
-    CHECKPOINT_HEAVY_PROFILE,
-    DENSE_LINALG_PROFILE,
-)
-from .ranking import RankedSystem, rank_systems, spec_rating
-from .properties import (
-    inverse_energy_property_holds,
-    time_weighted_identity,
-    energy_weighted_identity,
-    power_weighted_identity,
-)
-from .report import format_suite_result, format_tgi_result, format_ranking
+from .. import _lazy
 
-__all__ = [
-    "EfficiencyMetric",
-    "PerformancePerWatt",
-    "InverseEDP",
-    "energy_efficiency",
-    "ReferenceSet",
-    "relative_efficiency",
-    "WeightingScheme",
-    "ArithmeticMeanWeights",
-    "TimeWeights",
-    "EnergyWeights",
-    "PowerWeights",
-    "CustomWeights",
-    "renormalize_weights",
-    "validate_weights",
-    "TGICalculator",
-    "TGIResult",
-    "TGISeries",
-    "tgi_from_components",
-    "edp_efficiency",
-    "GeometricTGICalculator",
-    "geometric_tgi_from_components",
-    "ApplicationProfile",
-    "WorkloadWeights",
-    "CFD_PROFILE",
-    "GENOMICS_PROFILE",
-    "CHECKPOINT_HEAVY_PROFILE",
-    "DENSE_LINALG_PROFILE",
-    "RankedSystem",
-    "rank_systems",
-    "spec_rating",
-    "inverse_energy_property_holds",
-    "time_weighted_identity",
-    "energy_weighted_identity",
-    "power_weighted_identity",
-    "format_suite_result",
-    "format_tgi_result",
-    "format_ranking",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "efficiency": (
+            "EfficiencyMetric",
+            "PerformancePerWatt",
+            "InverseEDP",
+            "energy_efficiency",
+        ),
+        "ree": ("ReferenceSet", "relative_efficiency"),
+        "weights": (
+            "WeightingScheme",
+            "ArithmeticMeanWeights",
+            "TimeWeights",
+            "EnergyWeights",
+            "PowerWeights",
+            "CustomWeights",
+            "renormalize_weights",
+            "validate_weights",
+        ),
+        "tgi": ("TGICalculator", "TGIResult", "TGISeries", "tgi_from_components"),
+        "edp": ("edp_efficiency",),
+        "alternatives": ("GeometricTGICalculator", "geometric_tgi_from_components"),
+        "workload_weights": (
+            "ApplicationProfile",
+            "WorkloadWeights",
+            "CFD_PROFILE",
+            "GENOMICS_PROFILE",
+            "CHECKPOINT_HEAVY_PROFILE",
+            "DENSE_LINALG_PROFILE",
+        ),
+        "ranking": ("RankedSystem", "rank_systems", "spec_rating"),
+        "properties": (
+            "inverse_energy_property_holds",
+            "time_weighted_identity",
+            "energy_weighted_identity",
+            "power_weighted_identity",
+        ),
+        "report": ("format_suite_result", "format_tgi_result", "format_ranking"),
+    },
+)

@@ -19,30 +19,26 @@ table2     Table II — PCC between benchmark EEs and TGI variants
 =========  ==========================================================
 """
 
-from .config import (
-    ExperimentConfig,
-    PAPER_CONFIG,
-    build_suite,
-    build_reference,
-    build_executor,
-    config_to_dict,
-    config_from_dict,
-)
-from .registry import EXPERIMENTS, get_experiment, run_experiment, execute_experiment
-from .runner import run_all, SharedContext
+from .. import _lazy
 
-__all__ = [
-    "ExperimentConfig",
-    "PAPER_CONFIG",
-    "build_suite",
-    "build_reference",
-    "build_executor",
-    "config_to_dict",
-    "config_from_dict",
-    "EXPERIMENTS",
-    "get_experiment",
-    "run_experiment",
-    "execute_experiment",
-    "run_all",
-    "SharedContext",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "config": (
+            "ExperimentConfig",
+            "PAPER_CONFIG",
+            "build_suite",
+            "build_reference",
+            "build_executor",
+            "config_to_dict",
+            "config_from_dict",
+        ),
+        "registry": (
+            "EXPERIMENTS",
+            "get_experiment",
+            "run_experiment",
+            "execute_experiment",
+        ),
+        "runner": ("run_all", "SharedContext"),
+    },
+)

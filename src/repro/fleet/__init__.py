@@ -11,36 +11,26 @@ The sub-modules split along the data flow:
   campaign executor; output is a Green500-style TGI list.
 """
 
-from .columns import FleetColumns, is_batchable, require_batchable
-from .evaluate import (
-    FLEET_BENCHMARKS,
-    FleetEvaluation,
-    FleetScores,
-    evaluate_fleet,
-)
-from .pipeline import (
-    FleetDiagnostics,
-    FleetMember,
-    FleetRanking,
-    FleetRankingPipeline,
-    FleetRankingRow,
-    generated_fleet_members,
-    parse_weight_spec,
-)
+from .. import _lazy
 
-__all__ = [
-    "FLEET_BENCHMARKS",
-    "FleetColumns",
-    "FleetDiagnostics",
-    "FleetEvaluation",
-    "FleetMember",
-    "FleetRanking",
-    "FleetRankingPipeline",
-    "FleetRankingRow",
-    "FleetScores",
-    "evaluate_fleet",
-    "generated_fleet_members",
-    "is_batchable",
-    "parse_weight_spec",
-    "require_batchable",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "columns": ("FleetColumns", "is_batchable", "require_batchable"),
+        "evaluate": (
+            "FLEET_BENCHMARKS",
+            "FleetEvaluation",
+            "FleetScores",
+            "evaluate_fleet",
+        ),
+        "pipeline": (
+            "FleetDiagnostics",
+            "FleetMember",
+            "FleetRanking",
+            "FleetRankingPipeline",
+            "FleetRankingRow",
+            "generated_fleet_members",
+            "parse_weight_spec",
+        ),
+    },
+)

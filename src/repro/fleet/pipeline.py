@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from ..analysis.correlation import pearson, spearman
 from ..analysis.tables import render_table
 from ..campaign.cache import ResultCache
 from ..campaign.jobs import CampaignJob, ClusterRef
-from ..campaign.runner import CampaignRunner
 from ..cluster.cluster import ClusterSpec
 from ..cluster.generator import fleet_seeds
 from ..core.weights import validate_weights
@@ -40,6 +39,9 @@ from ..experiments.config import PAPER_CONFIG, ExperimentConfig
 from ..rng import ensure_rng
 from .columns import is_batchable
 from .evaluate import FLEET_BENCHMARKS, evaluate_fleet
+
+if TYPE_CHECKING:  # annotation only: a batched fleet never loads the executor
+    from ..campaign.runner import CampaignRunner
 
 __all__ = [
     "FleetMember",
@@ -352,6 +354,8 @@ class FleetRankingPipeline:
         return jrnl.JournalWriter(Path(self.journal), label=label), True
 
     def _campaign_executor(self, writer: Optional[jrnl.JournalWriter]) -> CampaignRunner:
+        from ..campaign.runner import CampaignRunner
+
         return CampaignRunner(
             workers=self.workers,
             cache=ResultCache(self.cache_dir) if self.cache_dir else None,

@@ -25,106 +25,67 @@ all pool workers share via atomic ``O_APPEND`` line writes.  Consumers:
 See ``docs/observability.md`` for the event taxonomy and CLI verbs.
 """
 
-from .events import (
-    EVENT_TYPES,
-    JOURNAL_VERSION,
-    RUN_STATUSES,
-    check_event,
-    validate_event,
-)
-from .progress import (
-    RunProgress,
-    now_mono,
-    progress_from_state,
-    progress_to_dict,
-    render_progress,
-)
-from .reader import (
-    JobState,
-    JournalFollower,
-    RunState,
-    ScanResult,
-    apply_event,
-    attempt_table,
-    journal_digest,
-    read_events,
-    replay,
-    replay_journal,
-    scan_journal,
-    validate_events,
-)
-from .report import (
-    Anomaly,
-    JournalReport,
-    analyze_state,
-    render_report,
-    report_to_dict,
-)
-from .trace_export import (
-    TRACE_FORMATS,
-    chrome_trace,
-    journal_trace_events,
-    telemetry_trace_events,
-    validate_trace,
-)
-from .writer import (
-    CrashingJournalWriter,
-    JournalWriter,
-    SimulatedCrash,
-    ambient,
-    attach,
-    detach,
-    emit,
-    journaling,
-    new_run_id,
-    rusage_delta,
-    rusage_fields,
-    use_writer,
-)
+from .. import _lazy
+from . import writer  # noqa: F401 - every journaled op emits through it
 
-__all__ = [
-    "JOURNAL_VERSION",
-    "EVENT_TYPES",
-    "RUN_STATUSES",
-    "validate_event",
-    "check_event",
-    "JournalWriter",
-    "CrashingJournalWriter",
-    "SimulatedCrash",
-    "new_run_id",
-    "rusage_fields",
-    "rusage_delta",
-    "attach",
-    "detach",
-    "ambient",
-    "journaling",
-    "emit",
-    "use_writer",
-    "ScanResult",
-    "scan_journal",
-    "read_events",
-    "validate_events",
-    "journal_digest",
-    "JournalFollower",
-    "JobState",
-    "RunState",
-    "apply_event",
-    "replay",
-    "replay_journal",
-    "attempt_table",
-    "RunProgress",
-    "progress_from_state",
-    "progress_to_dict",
-    "render_progress",
-    "now_mono",
-    "Anomaly",
-    "JournalReport",
-    "analyze_state",
-    "render_report",
-    "report_to_dict",
-    "TRACE_FORMATS",
-    "chrome_trace",
-    "journal_trace_events",
-    "telemetry_trace_events",
-    "validate_trace",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "events": (
+            "EVENT_TYPES",
+            "JOURNAL_VERSION",
+            "RUN_STATUSES",
+            "check_event",
+            "validate_event",
+        ),
+        "progress": (
+            "RunProgress",
+            "now_mono",
+            "progress_from_state",
+            "progress_to_dict",
+            "render_progress",
+        ),
+        "reader": (
+            "JobState",
+            "JournalFollower",
+            "RunState",
+            "ScanResult",
+            "apply_event",
+            "attempt_table",
+            "journal_digest",
+            "read_events",
+            "replay",
+            "replay_journal",
+            "scan_journal",
+            "validate_events",
+        ),
+        "report": (
+            "Anomaly",
+            "JournalReport",
+            "analyze_state",
+            "render_report",
+            "report_to_dict",
+        ),
+        "trace_export": (
+            "TRACE_FORMATS",
+            "chrome_trace",
+            "journal_trace_events",
+            "telemetry_trace_events",
+            "validate_trace",
+        ),
+        "writer": (
+            "CrashingJournalWriter",
+            "JournalWriter",
+            "SimulatedCrash",
+            "ambient",
+            "attach",
+            "detach",
+            "emit",
+            "journaling",
+            "new_run_id",
+            "rusage_delta",
+            "rusage_fields",
+            "use_writer",
+        ),
+    },
+)

@@ -15,18 +15,14 @@ is exactly the gap the simulated substrate fills); the kernels report
 performance only.
 """
 
-from .timing import Timer
-from .linalg import lu_solve_gflops, LinalgKernelResult
-from .stream import triad_bandwidth, stream_kernels, StreamKernelResult
-from .io import file_write_bandwidth, IOKernelResult
+from .. import _lazy
 
-__all__ = [
-    "Timer",
-    "lu_solve_gflops",
-    "LinalgKernelResult",
-    "triad_bandwidth",
-    "stream_kernels",
-    "StreamKernelResult",
-    "file_write_bandwidth",
-    "IOKernelResult",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "timing": ("Timer",),
+        "linalg": ("lu_solve_gflops", "LinalgKernelResult"),
+        "stream": ("triad_bandwidth", "stream_kernels", "StreamKernelResult"),
+        "io": ("file_write_bandwidth", "IOKernelResult"),
+    },
+)

@@ -17,34 +17,22 @@ The predictions are consumed by :mod:`repro.benchmarks`, which compiles them
 into per-rank phase programs for the simulator.
 """
 
-from .hpl import HPLModel, HPLPrediction
-from .stream import StreamModel, StreamPrediction
-from .iozone import IOzoneModel, IOzonePrediction
-from .randomaccess import RandomAccessModel, RandomAccessPrediction
-from .network import EffectiveBandwidthModel, EffectiveBandwidthPrediction
-from .amdahl import (
-    amdahl_speedup,
-    gustafson_speedup,
-    karp_flatt_serial_fraction,
-    parallel_efficiency,
-)
-from .roofline import RooflineModel, arithmetic_intensity
+from .. import _lazy
 
-__all__ = [
-    "HPLModel",
-    "HPLPrediction",
-    "StreamModel",
-    "StreamPrediction",
-    "IOzoneModel",
-    "IOzonePrediction",
-    "RandomAccessModel",
-    "RandomAccessPrediction",
-    "EffectiveBandwidthModel",
-    "EffectiveBandwidthPrediction",
-    "amdahl_speedup",
-    "gustafson_speedup",
-    "karp_flatt_serial_fraction",
-    "parallel_efficiency",
-    "RooflineModel",
-    "arithmetic_intensity",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "hpl": ("HPLModel", "HPLPrediction"),
+        "stream": ("StreamModel", "StreamPrediction"),
+        "iozone": ("IOzoneModel", "IOzonePrediction"),
+        "randomaccess": ("RandomAccessModel", "RandomAccessPrediction"),
+        "network": ("EffectiveBandwidthModel", "EffectiveBandwidthPrediction"),
+        "amdahl": (
+            "amdahl_speedup",
+            "gustafson_speedup",
+            "karp_flatt_serial_fraction",
+            "parallel_efficiency",
+        ),
+        "roofline": ("RooflineModel", "arithmetic_intensity"),
+    },
+)

@@ -28,87 +28,53 @@ Surfaced on the CLI as ``tgi bench run | list | report | compare``; see
 ``docs/perfwatch.md``.
 """
 
-from .baseline import (
-    MetricVerdict,
-    Verdict,
-    classify_record,
-    classify_value,
-    overall_verdict,
-)
-from .contexts import reset_shared_context, shared_context
-from .registry import (
-    TIERS,
-    BenchScenario,
-    clear_registry,
-    default_bench_dir,
-    discover,
-    get_scenario,
-    register,
-    scenario,
-    scenarios,
-)
-from .report import (
-    ScenarioReport,
-    build_report,
-    render_compare,
-    render_report,
-    render_trajectory,
-    report_to_dict,
-)
-from .runner import run_scenario
-from .schema import (
-    HIGHER_IS_BETTER,
-    LOWER_IS_BETTER,
-    PERFWATCH_VERSION,
-    BenchRecord,
-    MetricSpec,
-    MetricValue,
-    canonical_json,
-    environment_fingerprint,
-    record_from_dict,
-    record_key,
-    record_to_dict,
-    utc_timestamp,
-)
-from .store import DEFAULT_HISTORY_DIR, HistoryStore, trajectory_path
+from .. import _lazy
 
-__all__ = [
-    "MetricVerdict",
-    "Verdict",
-    "classify_record",
-    "classify_value",
-    "overall_verdict",
-    "reset_shared_context",
-    "shared_context",
-    "TIERS",
-    "BenchScenario",
-    "clear_registry",
-    "default_bench_dir",
-    "discover",
-    "get_scenario",
-    "register",
-    "scenario",
-    "scenarios",
-    "ScenarioReport",
-    "build_report",
-    "render_compare",
-    "render_report",
-    "render_trajectory",
-    "report_to_dict",
-    "run_scenario",
-    "HIGHER_IS_BETTER",
-    "LOWER_IS_BETTER",
-    "PERFWATCH_VERSION",
-    "BenchRecord",
-    "MetricSpec",
-    "MetricValue",
-    "canonical_json",
-    "environment_fingerprint",
-    "record_from_dict",
-    "record_key",
-    "record_to_dict",
-    "utc_timestamp",
-    "DEFAULT_HISTORY_DIR",
-    "HistoryStore",
-    "trajectory_path",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "baseline": (
+            "MetricVerdict",
+            "Verdict",
+            "classify_record",
+            "classify_value",
+            "overall_verdict",
+        ),
+        "contexts": ("reset_shared_context", "shared_context"),
+        "registry": (
+            "TIERS",
+            "BenchScenario",
+            "clear_registry",
+            "default_bench_dir",
+            "discover",
+            "get_scenario",
+            "register",
+            "scenario",
+            "scenarios",
+        ),
+        "report": (
+            "ScenarioReport",
+            "build_report",
+            "render_compare",
+            "render_report",
+            "render_trajectory",
+            "report_to_dict",
+        ),
+        "runner": ("run_scenario",),
+        "schema": (
+            "HIGHER_IS_BETTER",
+            "LOWER_IS_BETTER",
+            "PERFWATCH_VERSION",
+            "BenchRecord",
+            "MetricSpec",
+            "MetricValue",
+            "canonical_json",
+            "environment_fingerprint",
+            "record_from_dict",
+            "record_key",
+            "record_to_dict",
+            "utc_timestamp",
+        ),
+        "store": ("DEFAULT_HISTORY_DIR", "HistoryStore", "trajectory_path"),
+    },
+)

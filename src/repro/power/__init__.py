@@ -15,45 +15,26 @@ The chain mirrors the paper's measurement setup (Figure 1):
    it from a real meter log.
 """
 
-from .components import (
-    NodeUtilization,
-    NodeUtilizationArray,
-    CPUPowerModel,
-    MemoryPowerModel,
-    StoragePowerModel,
-    NICPowerModel,
-    AcceleratorPowerModel,
-)
-from .node_power import NodePowerModel
-from .psu import PSUModel, IDEAL_PSU
-from .trace import PowerTrace, PiecewisePower
-from .meter import WallPlugMeter, MeterSpec, WATTS_UP_PRO
-from .energy import energy_delay_product, average_power, energy_to_solution
-from .cooling import CoolingModel, FixedPUECooling, COPCooling
-from .dvfs import DVFSOperatingPoint, DVFSModel
+from .. import _lazy
 
-__all__ = [
-    "NodeUtilization",
-    "NodeUtilizationArray",
-    "CPUPowerModel",
-    "MemoryPowerModel",
-    "StoragePowerModel",
-    "NICPowerModel",
-    "AcceleratorPowerModel",
-    "NodePowerModel",
-    "PSUModel",
-    "IDEAL_PSU",
-    "PowerTrace",
-    "PiecewisePower",
-    "WallPlugMeter",
-    "MeterSpec",
-    "WATTS_UP_PRO",
-    "energy_delay_product",
-    "average_power",
-    "energy_to_solution",
-    "CoolingModel",
-    "FixedPUECooling",
-    "COPCooling",
-    "DVFSOperatingPoint",
-    "DVFSModel",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "components": (
+            "NodeUtilization",
+            "NodeUtilizationArray",
+            "CPUPowerModel",
+            "MemoryPowerModel",
+            "StoragePowerModel",
+            "NICPowerModel",
+            "AcceleratorPowerModel",
+        ),
+        "node_power": ("NodePowerModel",),
+        "psu": ("PSUModel", "IDEAL_PSU"),
+        "trace": ("PowerTrace", "PiecewisePower"),
+        "meter": ("WallPlugMeter", "MeterSpec", "WATTS_UP_PRO"),
+        "energy": ("energy_delay_product", "average_power", "energy_to_solution"),
+        "cooling": ("CoolingModel", "FixedPUECooling", "COPCooling"),
+        "dvfs": ("DVFSOperatingPoint", "DVFSModel"),
+    },
+)

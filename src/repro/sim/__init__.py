@@ -12,28 +12,25 @@ nodes of the cluster (idle nodes included — the meter wraps the whole system,
 paper Figure 1), and meters the result.
 """
 
-from .workload import Phase, PhaseKind, RankProgram, barrier, compute_phase, memory_phase, io_phase, comm_phase, idle_phase
-from .placement import Placement, breadth_first_placement, packed_placement
-from .communication import CommunicationModel
-from .engine import SimulationEngine, IntervalArrays
-from .executor import ClusterExecutor, RunRecord
+from .. import _lazy
 
-__all__ = [
-    "Phase",
-    "PhaseKind",
-    "RankProgram",
-    "barrier",
-    "compute_phase",
-    "memory_phase",
-    "io_phase",
-    "comm_phase",
-    "idle_phase",
-    "Placement",
-    "breadth_first_placement",
-    "packed_placement",
-    "CommunicationModel",
-    "SimulationEngine",
-    "IntervalArrays",
-    "ClusterExecutor",
-    "RunRecord",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "workload": (
+            "Phase",
+            "PhaseKind",
+            "RankProgram",
+            "barrier",
+            "compute_phase",
+            "memory_phase",
+            "io_phase",
+            "comm_phase",
+            "idle_phase",
+        ),
+        "placement": ("Placement", "breadth_first_placement", "packed_placement"),
+        "communication": ("CommunicationModel",),
+        "engine": ("SimulationEngine", "IntervalArrays"),
+        "executor": ("ClusterExecutor", "RunRecord"),
+    },
+)

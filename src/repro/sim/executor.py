@@ -42,7 +42,7 @@ energy, attribution, and the power curve itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from .. import telemetry as tele
 from .. import timeline as tline
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import SimulationError
-from ..faults import FaultInjector
 from ..power.components import NodeUtilization, NodeUtilizationArray
 from ..power.meter import WATTS_UP_PRO, WallPlugMeter
 from ..power.node_power import NodePowerModel
@@ -59,6 +58,9 @@ from ..rng import RandomState
 from .engine import IntervalArrays, SimulationEngine
 from .placement import Placement
 from .workload import RankProgram
+
+if TYPE_CHECKING:  # annotation only: the paper path never loads repro.faults
+    from ..faults import FaultInjector
 
 __all__ = ["ClusterExecutor", "RunRecord"]
 

@@ -27,71 +27,49 @@ active):
 See ``docs/telemetry.md`` for the full API and exporter formats.
 """
 
-from .attribution import (
-    AttributionRow,
-    attribution_to_dicts,
-    campaign_attribution,
-    render_attribution,
-    suite_attribution,
-)
-from .metrics import (
-    DEFAULT_TIME_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .profiling import Hotspot, profile_callable, profile_hotspots
-from .render import render_slowest, render_span_tree, slowest_spans
-from .session import (
-    TELEMETRY_VERSION,
-    TelemetrySession,
-    activate,
-    active,
-    count,
-    current,
-    deactivate,
-    gauge,
-    observe,
-    span,
-    traced,
-    use,
-)
-from .spans import NULL_TRACER, NullTracer, Span, Tracer, span_from_dict, span_to_dict
+from .. import _lazy
+from . import session  # noqa: F401 - every op calls its span hooks
 
-__all__ = [
-    "AttributionRow",
-    "attribution_to_dicts",
-    "campaign_attribution",
-    "render_attribution",
-    "suite_attribution",
-    "DEFAULT_TIME_BUCKETS_S",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Hotspot",
-    "profile_callable",
-    "profile_hotspots",
-    "render_slowest",
-    "render_span_tree",
-    "slowest_spans",
-    "TELEMETRY_VERSION",
-    "TelemetrySession",
-    "activate",
-    "active",
-    "count",
-    "current",
-    "deactivate",
-    "gauge",
-    "observe",
-    "span",
-    "traced",
-    "use",
-    "NULL_TRACER",
-    "NullTracer",
-    "Span",
-    "Tracer",
-    "span_from_dict",
-    "span_to_dict",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "attribution": (
+            "AttributionRow",
+            "attribution_to_dicts",
+            "campaign_attribution",
+            "render_attribution",
+            "suite_attribution",
+        ),
+        "metrics": (
+            "DEFAULT_TIME_BUCKETS_S",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+        ),
+        "profiling": ("Hotspot", "profile_callable", "profile_hotspots"),
+        "render": ("render_slowest", "render_span_tree", "slowest_spans"),
+        "session": (
+            "TELEMETRY_VERSION",
+            "TelemetrySession",
+            "activate",
+            "active",
+            "count",
+            "current",
+            "deactivate",
+            "gauge",
+            "observe",
+            "span",
+            "traced",
+            "use",
+        ),
+        "spans": (
+            "NULL_TRACER",
+            "NullTracer",
+            "Span",
+            "Tracer",
+            "span_from_dict",
+            "span_to_dict",
+        ),
+    },
+)

@@ -35,57 +35,36 @@ Quick tour::
     flags = [a for a in tline.scan_run(tl) if a["flagged"]]
 """
 
-from .aggregate import (
-    TIMELINE_SCHEMA_VERSION,
-    FleetAggregator,
-    artifact_path,
-    discover_artifacts,
-    load_artifacts,
-    read_job_artifact,
-    run_summary,
-    write_job_artifact,
-)
-from .audit import DEFAULT_TOLERANCE, AuditReport, audit_run_timeline
-from .capture import (
-    MemorySink,
-    TimelineCapture,
-    ambient_sink,
-    attach_sink,
-    capturing,
-    collecting,
-    detach_sink,
-    record,
-)
-from .dashboard import render_dashboard
-from .downsample import lttb_indices, minmax_bins
-from .lenses import DEFAULT_THRESHOLDS, scan_run
-from .model import RunTimeline, build_run_timeline
+from .. import _lazy
+from . import capture  # noqa: F401 - every executor run checks its sink
 
-__all__ = [
-    "TIMELINE_SCHEMA_VERSION",
-    "DEFAULT_TOLERANCE",
-    "DEFAULT_THRESHOLDS",
-    "AuditReport",
-    "FleetAggregator",
-    "MemorySink",
-    "RunTimeline",
-    "TimelineCapture",
-    "ambient_sink",
-    "artifact_path",
-    "attach_sink",
-    "audit_run_timeline",
-    "build_run_timeline",
-    "capturing",
-    "collecting",
-    "detach_sink",
-    "discover_artifacts",
-    "lttb_indices",
-    "load_artifacts",
-    "minmax_bins",
-    "read_job_artifact",
-    "record",
-    "render_dashboard",
-    "run_summary",
-    "scan_run",
-    "write_job_artifact",
-]
+__getattr__, __dir__, __all__ = _lazy.exports(
+    __name__,
+    {
+        "aggregate": (
+            "TIMELINE_SCHEMA_VERSION",
+            "FleetAggregator",
+            "artifact_path",
+            "discover_artifacts",
+            "load_artifacts",
+            "read_job_artifact",
+            "run_summary",
+            "write_job_artifact",
+        ),
+        "audit": ("DEFAULT_TOLERANCE", "AuditReport", "audit_run_timeline"),
+        "capture": (
+            "MemorySink",
+            "TimelineCapture",
+            "ambient_sink",
+            "attach_sink",
+            "capturing",
+            "collecting",
+            "detach_sink",
+            "record",
+        ),
+        "dashboard": ("render_dashboard",),
+        "downsample": ("lttb_indices", "minmax_bins"),
+        "lenses": ("DEFAULT_THRESHOLDS", "scan_run"),
+        "model": ("RunTimeline", "build_run_timeline"),
+    },
+)

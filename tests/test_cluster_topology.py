@@ -215,15 +215,23 @@ DECLARED = {"numpy", "scipy", "repro"}
 
 
 def test_import_loads_only_declared_dependencies():
-    """A fresh ``tgi`` process loads no module from an undeclared
-    distribution; fabrics are closed forms, so no graph library."""
+    """No module of the package loads a module from an undeclared
+    distribution; fabrics are closed forms, so no graph library.
+
+    The package roots are lazy, so ``import repro`` loads little; the probe
+    imports every module instead, bar ``__main__`` (it runs the CLI) and the
+    host kernels, which no verb imports and whose ``scipy.linalg`` lets
+    ``numpy.f2py`` pick up ``charset_normalizer`` when it is installed."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys\n"
+        "import importlib, pkgutil, sys\n"
         "from importlib.metadata import packages_distributions\n"
         "before = set(sys.modules)\n"
         "import repro, repro.cli\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    if info.name != 'repro.__main__' and not info.name.startswith('repro.kernels.'):\n"
+        "        importlib.import_module(info.name)\n"
         "owners = packages_distributions()\n"
         "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
         "print(' '.join(sorted({d for m in loaded for d in owners.get(m, ())})))\n"
