@@ -1,11 +1,13 @@
 """Timeline overhead bench: watt-level capture must not slow the watts.
 
-Two claims pinned here, mirroring the journal and telemetry benches:
+Two claims pinned here, mirroring the journal and telemetry benches.
+Capture is armed per executor, by giving it a list
+(``ClusterExecutor(..., timelines=[])``); each bench builds a bare and an
+armed executor from the same cluster and seed:
 
-1. With no sink attached, the one ``tline.capturing()`` check the
-   executor performs per run is nanoseconds — the same disarmed-ambient
-   contract as journal emits and telemetry spans.
-2. With the sink armed, capture is reference-stashing plus an O(1)
+1. A bare executor's disarmed path is the one ``self.timelines is not
+   None`` check ``execute`` makes per run — nanoseconds.
+2. An armed executor's capture is reference-stashing plus an O(1)
    ``build_run_timeline`` — all heavy analysis (component grids, audits,
    binning) is deferred to artifact/dashboard time.  The armed cost stays
    **< 3%** of a full 4096-rank execute.
@@ -24,7 +26,6 @@ import time
 import numpy as np
 
 from repro import telemetry as tele
-from repro import timeline as tline
 from repro.cluster import presets
 from repro.perfwatch import MetricSpec, scenario
 from repro.sim import ClusterExecutor
@@ -36,10 +37,11 @@ PAIRS = 15
 
 
 def _execute_state():
-    """Executor + placement + staggered programs for a 4096-rank run."""
+    """Bare and armed executors + placement + programs for a 4096-rank run."""
     cluster = presets.fire(NUM_NODES)
     num_ranks = NUM_NODES * cluster.node.cores
-    executor = ClusterExecutor(cluster, rng=7)
+    bare = ClusterExecutor(cluster, rng=7)
+    armed = ClusterExecutor(cluster, rng=7, timelines=[])
     placement = breadth_first_placement(cluster, num_ranks)
     programs = [
         RankProgram(
@@ -52,44 +54,46 @@ def _execute_state():
         )
         for r in range(num_ranks)
     ]
-    executor.execute(placement, programs)  # warm caches and allocators
-    return executor, placement, programs
+    for executor in (bare, armed):  # warm caches and allocators
+        executor.execute(placement, programs)
+    armed.timelines.clear()
+    return bare, armed, placement, programs
 
 
-def _paired_overhead_fraction(executor, placement, programs, pairs=PAIRS):
+def _paired_overhead_fraction(bare, armed, placement, programs, pairs=PAIRS):
     """Median of interleaved (armed - bare) diffs over the bare median."""
-    bare, armed = [], []
+    bare_s, armed_s = [], []
     for _ in range(pairs):
         t0 = time.perf_counter()
-        executor.execute(placement, programs)
-        bare.append(time.perf_counter() - t0)
-        with tline.collecting():
-            t0 = time.perf_counter()
-            executor.execute(placement, programs)
-            armed.append(time.perf_counter() - t0)
-    diffs = np.array(armed) - np.array(bare)
-    return max(0.0, float(np.median(diffs) / np.median(bare)))
+        bare.execute(placement, programs)
+        bare_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        armed.execute(placement, programs)
+        armed_s.append(time.perf_counter() - t0)
+        armed.timelines.clear()
+    diffs = np.array(armed_s) - np.array(bare_s)
+    return max(0.0, float(np.median(diffs) / np.median(bare_s)))
 
 
-def _capture_span_fraction(executor, placement, programs):
+def _capture_span_fraction(armed, placement, programs):
     """Direct build cost: the sim.timeline.capture span over execute wall."""
     with tele.use(tele.TelemetrySession(label="timeline-bench")) as session:
-        with tline.collecting():
-            t0 = time.perf_counter()
-            executor.execute(placement, programs)
-            wall = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        armed.execute(placement, programs)
+        wall = time.perf_counter() - t0
+    armed.timelines.clear()
     build = sum(
         s.duration_s for s in session.spans if s.name == "sim.timeline.capture"
     )
     return build / wall
 
 
-def _disarmed_check_ns(samples=500_000):
-    """Per-call cost of the disarmed tline.capturing() check."""
-    assert not tline.capturing()
+def _disarmed_check_ns(bare, samples=500_000):
+    """Per-call cost of the check ``execute`` makes on a bare executor."""
+    assert bare.timelines is None
     t0 = time.perf_counter()
     for _ in range(samples):
-        tline.capturing()
+        bare.timelines is not None  # the disarmed path, as execute runs it
     return (time.perf_counter() - t0) / samples * 1e9
 
 
@@ -108,33 +112,31 @@ def _disarmed_check_ns(samples=500_000):
         MetricSpec(
             "capture_build_fraction",
             direction="lower",
-            help="sim.timeline.capture span (build + record) over armed execute wall",
+            help="sim.timeline.capture span (build + append) over armed execute wall",
         ),
         MetricSpec(
             "disarmed_check_ns",
             unit="ns",
             direction="lower",
-            help="per-call cost of tline.capturing() with no sink attached",
+            help="per-call cost of execute's timelines-is-None check on a bare executor",
         ),
     ),
 )
 def timeline_overhead_scenario(state):
-    executor, placement, programs = state
+    bare, armed, placement, programs = state
     return {
         "armed_overhead_fraction": _paired_overhead_fraction(
-            executor, placement, programs
+            bare, armed, placement, programs
         ),
-        "capture_build_fraction": _capture_span_fraction(
-            executor, placement, programs
-        ),
-        "disarmed_check_ns": _disarmed_check_ns(samples=200_000),
+        "capture_build_fraction": _capture_span_fraction(armed, placement, programs),
+        "disarmed_check_ns": _disarmed_check_ns(bare, samples=200_000),
     }
 
 
 def test_armed_capture_under_3_percent_at_4096_ranks():
-    executor, placement, programs = _execute_state()
-    overhead = _paired_overhead_fraction(executor, placement, programs)
-    build = _capture_span_fraction(executor, placement, programs)
+    bare, armed, placement, programs = _execute_state()
+    overhead = _paired_overhead_fraction(bare, armed, placement, programs)
+    build = _capture_span_fraction(armed, placement, programs)
     print(
         f"\n4096-rank execute: paired-median overhead {100 * overhead:.3f}%, "
         f"direct build span {100 * build:.3f}%"
@@ -149,11 +151,11 @@ def test_armed_capture_under_3_percent_at_4096_ranks():
 
 def test_disarmed_capture_is_a_single_none_check():
     """Disarmed product: one check per execute against the execute wall."""
-    executor, placement, programs = _execute_state()
+    bare, _, placement, programs = _execute_state()
     t0 = time.perf_counter()
-    executor.execute(placement, programs)
+    bare.execute(placement, programs)
     wall = time.perf_counter() - t0
-    per_check_s = _disarmed_check_ns(samples=200_000) / 1e9
+    per_check_s = _disarmed_check_ns(bare, samples=200_000) / 1e9
     fraction = per_check_s / wall
     print(f"\ndisarmed check: {per_check_s * 1e9:.0f} ns -> {100 * fraction:.6f}%")
     assert fraction < 0.005
@@ -165,12 +167,12 @@ def test_timeline_capture_does_not_change_results():
     Fresh executors for each run — the meter's noise stream advances per
     execute, so comparing two runs of one executor would differ anyway.
     """
-    _, placement, programs = _execute_state()
+    _, _, placement, programs = _execute_state()
     bare = ClusterExecutor(placement.cluster, rng=7).execute(placement, programs)
-    with tline.collecting() as captured:
-        armed = ClusterExecutor(placement.cluster, rng=7).execute(
-            placement, programs
-        )
+    captured = []
+    armed = ClusterExecutor(placement.cluster, rng=7, timelines=captured).execute(
+        placement, programs
+    )
     assert len(captured) == 1
     assert armed.true_energy_j == bare.true_energy_j
     assert armed.measured_energy_j == bare.measured_energy_j

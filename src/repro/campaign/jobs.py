@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import presets
 from ..cluster.cluster import ClusterSpec
@@ -36,6 +36,10 @@ from ..experiments.config import (
 from ..faults import FaultInjector, FaultPlan, plan_from_dict, plan_to_dict
 from ..serialization import sweep_result_from_dict, sweep_result_to_dict
 from ..sim.executor import ClusterExecutor
+
+if TYPE_CHECKING:  # annotations only
+    from ..journal.writer import JournalWriter
+    from ..timeline.model import RunTimeline
 
 __all__ = [
     "ClusterRef",
@@ -118,7 +122,13 @@ class CampaignJob:
             raise ReproError(f"core counts must be >= 0, got {self.core_counts}")
 
 
-def execute_job(job: CampaignJob, *, attempt: int = 0) -> Dict:
+def execute_job(
+    job: CampaignJob,
+    *,
+    attempt: int = 0,
+    journal: Optional[JournalWriter] = None,
+    timelines: Optional[List[RunTimeline]] = None,
+) -> Dict:
     """Run one job and return its JSON-compatible payload.
 
     Pure in the caching sense: output depends only on the job (and the code
@@ -130,13 +140,23 @@ def execute_job(job: CampaignJob, *, attempt: int = 0) -> Dict:
     ``N`` succeed with the *same* payload a clean job produces (each
     attempt gets a freshly seeded executor, so success is
     attempt-invariant and the cache stays sound).
+
+    The two instrumentation arguments never change the payload.
+    ``journal`` is the run's writer; the job's fault injector records
+    each ``fault.injected`` event to it.  ``timelines`` arms power-timeline
+    capture: the job's executor appends every run's
+    :class:`~repro.timeline.model.RunTimeline` to it.
     """
     injector: Optional[FaultInjector] = None
     if job.faults is not None and job.faults.injects_anything:
-        injector = FaultInjector(job.faults, scope=job.job_id, attempt=attempt)
+        injector = FaultInjector(
+            job.faults, scope=job.job_id, attempt=attempt, journal=journal
+        )
         injector.check_transient()
     cluster = job.cluster.resolve()
-    executor = ClusterExecutor(cluster, rng=job.seed, faults=injector)
+    executor = ClusterExecutor(
+        cluster, rng=job.seed, faults=injector, timelines=timelines
+    )
     suite = build_suite(job.config, reference=job.reference_suite)
     core_counts = [c or cluster.total_cores for c in (job.core_counts or (0,))]
     on_error = (

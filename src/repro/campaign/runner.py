@@ -69,9 +69,12 @@ process executes a job appends its attempt-level events (start, contained
 failure, retry, completion with ``getrusage`` CPU/RSS accounting, and
 ``job.stored`` once the payload is durably cached) to the *same* file via
 atomic ``O_APPEND`` line writes, so ``tgi watch`` can follow an in-flight
-campaign from another process.  The manifest records the journal's path,
-run id, and content digest as a volatile block — like telemetry,
-journaling never changes payloads or fingerprints.
+campaign from another process.  That process also hands its writer to
+the job through :func:`~repro.campaign.jobs.execute_job`, whose fault
+injector records each ``fault.injected`` event; no journal state is
+ambient.  The manifest records the journal's path, run id, and content
+digest as a volatile block — like telemetry, journaling never changes
+payloads or fingerprints.
 
 See ``docs/campaign_runner.md`` and ``docs/distributed_campaigns.md``.
 """
@@ -198,9 +201,9 @@ def _attempt_job(
     backoff), and the terminal completed/failed event carrying the
     ``getrusage`` CPU/RSS accounting of the executing process.
 
-    With ``timeline_dir`` set, each attempt arms the ambient power-
-    timeline sink (:mod:`repro.timeline`) around the execution; the
-    *successful* attempt's captured run timelines are summarized into
+    With ``timeline_dir`` set, each attempt hands the job's executor a
+    fresh list to capture its run timelines into (:mod:`repro.timeline`);
+    the *successful* attempt's timelines are summarized into
     ``<timeline_dir>/<job_id>.timeline.json`` (atomic write), and a
     ``timeline.captured`` pointer event lands in the journal.  Failed
     attempts discard their partial captures.
@@ -219,17 +222,15 @@ def _attempt_job(
                 time.sleep(delay)
         if journal is not None:
             journal.emit("job.started", job=job.job_id, attempt=attempt)
+        captured = [] if timeline_dir is not None else None
         t0 = time.perf_counter()
         try:
             with tele.span("job.execute", job=job.job_id, attempt=attempt):
-                if timeline_dir is not None:
-                    with tline.collecting() as captured:
-                        payload = execute_job(job, attempt=attempt)
-                else:
-                    captured = []
-                    payload = execute_job(job, attempt=attempt)
+                payload = execute_job(
+                    job, attempt=attempt, journal=journal, timelines=captured
+                )
             wall += time.perf_counter() - t0
-            if timeline_dir is not None and captured:
+            if captured:
                 artifact = tline.write_job_artifact(
                     timeline_dir, job_id=job.job_id, timelines=captured
                 )
@@ -542,23 +543,18 @@ _WORKER_JOBS_DONE = 0
 def _pool_worker(item: WorkItem) -> WorkResult:
     """Pool-side shim: rebuild per-process handles, run one item.
 
-    The worker drops any fork-inherited ambient journal/telemetry
-    bindings, opens its *own* ``O_APPEND`` handle on the shared journal
-    (same run id) and its own view of the shared cache directory, emits a
-    pickup heartbeat, and ships finished telemetry spans/metric state plus
-    its cache-put count back with the payload.
+    The worker opens its *own* ``O_APPEND`` handle on the shared journal
+    (same run id) and its own view of the shared cache directory, drops
+    any fork-inherited telemetry session, emits a pickup heartbeat, and
+    ships finished telemetry spans/metric state plus its cache-put count
+    back with the payload.
     """
     global _WORKER_JOBS_DONE
     journal = None
     if item.journal_path is not None:
-        # A fork-started worker inherits the parent's ambient writer (and
-        # its fd); drop the inherited binding and open our own handle so
-        # close/lifetime stay per-process.
-        jrnl.detach()
         journal = jrnl.JournalWriter(
             item.journal_path, run_id=item.run_id, process=f"worker-{os.getpid()}"
         )
-        jrnl.attach(journal)
         journal.emit(
             "worker.heartbeat", jobs_done=_WORKER_JOBS_DONE, **jrnl.rusage_fields()
         )
@@ -586,7 +582,6 @@ def _pool_worker(item: WorkItem) -> WorkResult:
     finally:
         if journal is not None:
             _WORKER_JOBS_DONE += 1
-            jrnl.detach()
             journal.close()
 
 
@@ -748,8 +743,8 @@ class CampaignRunner:
         for resume.
     timeline:
         Directory for per-job power-timeline artifacts
-        (:mod:`repro.timeline`).  When set, every executed job arms the
-        ambient timeline sink and its captured run timelines land as
+        (:mod:`repro.timeline`).  When set, every executed job's executor
+        captures its run timelines, which land as
         ``<dir>/<job_id>.timeline.json`` — the input of ``tgi dashboard``.
         ``None`` (default) captures nothing; cached jobs never re-capture.
     transport:
@@ -896,13 +891,6 @@ class CampaignRunner:
                 }
 
             writer, owns_writer = self._journal_writer(label, prior)
-            attached_ambient = False
-            # Ambient emission is what lets deeply nested code (the fault
-            # injector) journal on the inline path; pool workers attach
-            # their own per-process handle instead.
-            if writer is not None and jrnl.ambient() is None:
-                jrnl.attach(writer)
-                attached_ambient = True
 
             t_start = time.perf_counter()
             invalidations_before = self.cache.stats.invalidations if self.cache is not None else 0
@@ -1016,9 +1004,6 @@ class CampaignRunner:
                         total_wall_s=time.perf_counter() - t_start,
                     )
                 raise
-            finally:
-                if attached_ambient:
-                    jrnl.detach()
 
         total_wall = time.perf_counter() - t_start
         outcomes = [

@@ -688,7 +688,6 @@ def _cmd_run(args) -> int:
             keep_going=False,
             cache_enabled=False,
         )
-        jrnl.attach(writer)
     status = "aborted"
     try:
         with _telemetry(args.telemetry, f"run:{experiment}") as session:
@@ -707,7 +706,6 @@ def _cmd_run(args) -> int:
         status = "ok"
     finally:
         if writer is not None:
-            jrnl.detach()
             writer.finalize(
                 status=status,
                 jobs_failed=0,

@@ -40,23 +40,26 @@ campaign layer holds under injection too.
 
 Every injection increments the ``tgi_faults_injected_total`` counter
 (labelled by ``kind``) when a telemetry session is active; pool workers
-ship the counts back with their payloads like every other metric.  When a
-run journal is attached (:mod:`repro.journal`) each injection also lands
-as a typed ``fault.injected`` event, so post-mortems can line faults up
-against the retries they caused.
+ship the counts back with their payloads like every other metric.  An
+injector given the run's journal writer (``journal=``, which the campaign
+layer passes in) also appends each injection as a typed
+``fault.injected`` event, so post-mortems can line faults up against the
+retries they caused.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from . import journal as jrnl
 from . import telemetry as tele
 from .exceptions import FaultInjectionError, InjectedFault, NodeCrashFault, TransientFault
 from .power.meter import MeterSpec
 from .rng import child_rng
+
+if TYPE_CHECKING:  # annotation only: an injector never loads repro.journal
+    from .journal.writer import JournalWriter
 
 __all__ = [
     "FAULT_KINDS",
@@ -146,18 +149,28 @@ class FaultInjector:
     """A plan bound to one execution attempt of one job.
 
     The campaign layer builds a fresh injector per attempt
-    (``FaultInjector(plan, scope=job_id, attempt=k)``); the simulation
-    substrate consumes it.  Crash draws for successive simulated runs come
-    from one named stream, so a fixed ``(plan, scope, attempt)`` produces
-    an identical fault sequence in any process.
+    (``FaultInjector(plan, scope=job_id, attempt=k, journal=writer)``); the
+    simulation substrate consumes it.  Crash draws for successive simulated
+    runs come from one named stream, so a fixed ``(plan, scope, attempt)``
+    produces an identical fault sequence in any process.  ``journal`` is
+    the writer each injection is recorded to; without one, nothing is
+    journaled.
     """
 
-    def __init__(self, plan: FaultPlan, *, scope: str = "", attempt: int = 0):
+    def __init__(
+        self,
+        plan: FaultPlan,
+        *,
+        scope: str = "",
+        attempt: int = 0,
+        journal: Optional[JournalWriter] = None,
+    ):
         if attempt < 0:
             raise FaultInjectionError(f"attempt must be >= 0, got {attempt}")
         self.plan = plan
         self.scope = scope
         self.attempt = attempt
+        self.journal = journal
         self._crash_rng = child_rng(plan.seed, f"fault:crash:{scope}:{attempt}")
 
     # -- transient job exceptions --------------------------------------
@@ -225,7 +238,10 @@ class FaultInjector:
         ``fault.injected`` journal event (each a no-op when inactive)."""
         if tele.active():
             tele.count("tgi_faults_injected_total", kind=kind)
-        jrnl.emit("fault.injected", kind=kind, scope=self.scope, attempt=self.attempt)
+        if self.journal is not None:
+            self.journal.emit(
+                "fault.injected", kind=kind, scope=self.scope, attempt=self.attempt
+            )
 
     def __repr__(self) -> str:
         return (

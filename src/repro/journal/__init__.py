@@ -6,8 +6,8 @@ resource accounting, injected faults — to one file that the parent and
 all pool workers share via atomic ``O_APPEND`` line writes.  Consumers:
 
 :mod:`~repro.journal.writer`
-    :class:`JournalWriter` plus the ambient :func:`emit` API (zero-cost
-    when no writer is attached, mirroring :mod:`repro.telemetry`).
+    :class:`JournalWriter`, which the campaign layer passes to whatever
+    emits (there is no ambient writer).
 :mod:`~repro.journal.reader`
     Torn-tail-tolerant parsing, the :class:`JournalFollower` used by
     ``tgi watch`` to tail in-flight runs, and :func:`replay` — exact
@@ -77,15 +77,9 @@ __getattr__, __dir__, __all__ = _lazy.exports(
             "CrashingJournalWriter",
             "JournalWriter",
             "SimulatedCrash",
-            "ambient",
-            "attach",
-            "detach",
-            "emit",
-            "journaling",
             "new_run_id",
             "rusage_delta",
             "rusage_fields",
-            "use_writer",
         ),
     },
 )

@@ -9,10 +9,10 @@ partial lines.  A reader following the file therefore sees complete
 events, live, while the run is still in flight; a crash can tear at most
 the final line, which the reader drops (see :mod:`repro.journal.reader`).
 
-The ambient API mirrors :mod:`repro.telemetry`: deeply nested code (the
-fault injector, the simulation substrate) calls the module-level
-:func:`emit`, which no-ops unless a writer has been :func:`attach`\\ ed.
-The disabled path is one global ``None`` check.
+There is no ambient writer: whoever emits holds the writer.  The campaign
+layer hands it to each job's :class:`~repro.faults.FaultInjector`
+(``journal=``), and code given no writer emits nothing, at the cost of one
+``None`` check.
 
 Finalization writes the terminal ``run.stop`` event, closes the
 descriptor, and persists a small sidecar summary
@@ -29,10 +29,9 @@ import os
 import sys
 import threading
 import time
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..exceptions import JournalError
 from .events import JOURNAL_VERSION, check_event
@@ -44,12 +43,6 @@ __all__ = [
     "new_run_id",
     "rusage_fields",
     "rusage_delta",
-    "attach",
-    "detach",
-    "ambient",
-    "journaling",
-    "emit",
-    "use_writer",
 ]
 
 try:  # POSIX only; Windows ships without it.
@@ -281,51 +274,3 @@ class CrashingJournalWriter(JournalWriter):
                 f"simulated crash after {self.events_written} events (last: {event})"
             )
         return record
-
-
-# Ambient writer --------------------------------------------------------
-
-_AMBIENT: Optional[JournalWriter] = None
-
-
-def ambient() -> Optional[JournalWriter]:
-    """The ambient journal writer, or ``None`` when journaling is off."""
-    return _AMBIENT
-
-
-def journaling() -> bool:
-    """Whether an ambient journal writer is attached."""
-    return _AMBIENT is not None
-
-
-def attach(writer: JournalWriter) -> JournalWriter:
-    """Install ``writer`` as the ambient journal (one at a time)."""
-    global _AMBIENT
-    if _AMBIENT is not None:
-        raise JournalError("a journal writer is already attached")
-    _AMBIENT = writer
-    return writer
-
-
-def detach() -> None:
-    """Remove the ambient writer (no-op when none is attached)."""
-    global _AMBIENT
-    _AMBIENT = None
-
-
-def emit(event: str, **fields: object) -> Optional[Dict]:
-    """Emit through the ambient writer; no-op (``None``) when detached."""
-    writer = _AMBIENT
-    if writer is None:
-        return None
-    return writer.emit(event, **fields)
-
-
-@contextmanager
-def use_writer(writer: JournalWriter) -> Iterator[JournalWriter]:
-    """Attach ``writer`` for the duration of the block (does not close it)."""
-    attach(writer)
-    try:
-        yield writer
-    finally:
-        detach()

@@ -42,12 +42,11 @@ energy, attribution, and the power curve itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry as tele
-from .. import timeline as tline
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import SimulationError
 from ..power.components import NodeUtilization, NodeUtilizationArray
@@ -59,8 +58,9 @@ from .engine import IntervalArrays, SimulationEngine
 from .placement import Placement
 from .workload import RankProgram
 
-if TYPE_CHECKING:  # annotation only: the paper path never loads repro.faults
+if TYPE_CHECKING:  # annotations only: the paper path loads neither package
     from ..faults import FaultInjector
+    from ..timeline.model import RunTimeline, TimelineCapture
 
 __all__ = ["ClusterExecutor", "RunRecord"]
 
@@ -181,6 +181,11 @@ class ClusterExecutor:
         * ``"active-nodes"``: only nodes hosting at least one rank are
           metered (a common lab shortcut).  Kept for the metering-boundary
           ablation; it visibly reshapes every EE curve.
+    timelines:
+        Optional list that arms power-timeline capture
+        (:mod:`repro.timeline`): every :meth:`execute` call appends its
+        run's :class:`~repro.timeline.model.RunTimeline` to it.  Without
+        one, nothing is captured.
     """
 
     #: Valid metering boundaries.
@@ -195,6 +200,7 @@ class ClusterExecutor:
         rng: RandomState = None,
         faults: Optional[FaultInjector] = None,
         metering: str = "system",
+        timelines: Optional[List[RunTimeline]] = None,
     ):
         if metering not in self.METERING_MODES:
             raise SimulationError(
@@ -208,6 +214,7 @@ class ClusterExecutor:
             meter = WallPlugMeter(spec, rng=rng)
         self.meter = meter
         self.metering = metering
+        self.timelines = timelines
 
     # ------------------------------------------------------------------
     def execute(
@@ -232,9 +239,13 @@ class ClusterExecutor:
             self.faults.maybe_crash(
                 label=label, makespan=makespan, num_nodes=self.cluster.num_nodes
             )
-        # Disarmed timeline capture is this one None-backed check — the
-        # same single-global contract as journal emits and telemetry spans.
-        capture = tline.TimelineCapture() if tline.capturing() else None
+        # Disarmed timeline capture is this one None check; the timeline
+        # model loads only when an executor is armed.
+        capture = None
+        if self.timelines is not None:
+            from ..timeline.model import TimelineCapture
+
+            capture = TimelineCapture()
         with tele.span("sim.power.integrate", label=label) as integrate_span:
             truth, breakdown, stats = self.integrate_power(
                 placement, intervals, makespan, capture=capture
@@ -243,8 +254,10 @@ class ClusterExecutor:
         with tele.span("sim.power.meter", label=label):
             trace = self.meter.measure(truth)
         if capture is not None:
+            from ..timeline.model import build_run_timeline
+
             with tele.span("sim.timeline.capture", label=label) as capture_span:
-                run_timeline = tline.build_run_timeline(
+                run_timeline = build_run_timeline(
                     capture,
                     truth=truth,
                     trace=trace,
@@ -260,7 +273,7 @@ class ClusterExecutor:
                         NodeUtilization.idle()
                     ),
                 )
-                tline.record(run_timeline)
+                self.timelines.append(run_timeline)
                 capture_span.set(
                     segments=run_timeline.segments,
                     slices=int(run_timeline.slice_wall_w.size),
@@ -285,7 +298,7 @@ class ClusterExecutor:
         intervals: IntervalArrays,
         makespan: float,
         *,
-        capture: Optional[tline.TimelineCapture] = None,
+        capture: Optional[TimelineCapture] = None,
     ) -> Tuple[PiecewisePower, Dict[str, float], Dict[str, object]]:
         """Fold the engine's columnar intervals into the cluster wall-power curve.
 

@@ -1,17 +1,16 @@
 """Watt-level power timelines: capture, audit, lenses, and the dashboard.
 
-The observability layer over the sweep-line power integrator.  With a
-sink armed (see :func:`collecting`), every
-:meth:`~repro.sim.executor.ClusterExecutor.execute` call captures the
-run's power timelines as struct-of-arrays — the cluster total, per-node
-curves, and per-component DC attribution — at O(1) reference-stash cost;
-disarmed, the executor pays a single ``None`` check.
+The observability layer over the sweep-line power integrator.  An
+executor given a list (``ClusterExecutor(..., timelines=[])``) captures
+every run's power timelines as struct-of-arrays — the cluster total,
+per-node curves, and per-component DC attribution — at O(1)
+reference-stash cost and appends them to it; an executor without one pays
+a single ``None`` check.
 
 Layers, lowest first:
 
-* :mod:`~repro.timeline.capture` — the ambient arm/disarm sink and the
-  raw columnar :class:`TimelineCapture` the integrators fill;
-* :mod:`~repro.timeline.model` — :class:`RunTimeline`, the lazy
+* :mod:`~repro.timeline.model` — the raw columnar :class:`TimelineCapture`
+  the integrator fills, and :class:`RunTimeline`, the lazy
   struct-of-arrays view (component grids, node curves, energies);
 * :mod:`~repro.timeline.downsample` — deterministic min-max binning and
   LTTB reduction;
@@ -27,8 +26,10 @@ Layers, lowest first:
 Quick tour::
 
     from repro import timeline as tline
-    with tline.collecting() as timelines:
-        executor.execute(placement, programs, label="probe")
+    from repro.sim import ClusterExecutor
+    timelines = []
+    executor = ClusterExecutor(cluster, rng=7, timelines=timelines)
+    executor.execute(placement, programs, label="probe")
     tl = timelines[0]
     report = tline.audit_run_timeline(tl)
     assert report.ok
@@ -36,7 +37,6 @@ Quick tour::
 """
 
 from .. import _lazy
-from . import capture  # noqa: F401 - every executor run checks its sink
 
 __getattr__, __dir__, __all__ = _lazy.exports(
     __name__,
@@ -52,19 +52,9 @@ __getattr__, __dir__, __all__ = _lazy.exports(
             "write_job_artifact",
         ),
         "audit": ("DEFAULT_TOLERANCE", "AuditReport", "audit_run_timeline"),
-        "capture": (
-            "MemorySink",
-            "TimelineCapture",
-            "ambient_sink",
-            "attach_sink",
-            "capturing",
-            "collecting",
-            "detach_sink",
-            "record",
-        ),
         "dashboard": ("render_dashboard",),
         "downsample": ("lttb_indices", "minmax_bins"),
         "lenses": ("DEFAULT_THRESHOLDS", "scan_run"),
-        "model": ("RunTimeline", "build_run_timeline"),
+        "model": ("RunTimeline", "TimelineCapture", "build_run_timeline"),
     },
 )

@@ -7,6 +7,11 @@ per-node-slice table, the per-slice component DC watts, and the meter's
 sample log.  Building one is O(1) array stashes plus a handful of scalars,
 which is what keeps armed capture off the sim path's critical cost.
 
+Capture is armed per executor: ``ClusterExecutor(..., timelines=[])``
+has the integrator fill a :class:`TimelineCapture` on every run, and
+:func:`build_run_timeline` wraps it into the timeline appended to that
+list.  An executor without a list builds nothing.
+
 Everything derived — the component grid, per-node energies, closure
 checks — is computed lazily and cached on first use:
 
@@ -27,9 +32,58 @@ import numpy as np
 
 from ..exceptions import TimelineError
 from ..power.trace import PiecewisePower, PowerTrace
-from .capture import TimelineCapture
 
-__all__ = ["RunTimeline", "build_run_timeline"]
+__all__ = ["TimelineCapture", "RunTimeline", "build_run_timeline"]
+
+
+class TimelineCapture:
+    """Raw columnar arrays stashed by one power integration.
+
+    The integrator fills it with references to arrays it already owns
+    (O(1) per field): one flat slice table — ``(start, end, node_row,
+    wall_w)`` plus one DC-watts column per component — ordered by node
+    row.
+    """
+
+    __slots__ = (
+        "makespan",
+        "nodes_used",
+        "idle_nodes",
+        "slice_start",
+        "slice_end",
+        "slice_node",
+        "slice_wall_w",
+        "components",
+    )
+
+    def __init__(self) -> None:
+        self.makespan: float = 0.0
+        self.nodes_used: Tuple[int, ...] = ()
+        self.idle_nodes: int = 0
+        self.slice_start: Optional[np.ndarray] = None
+        self.slice_end: Optional[np.ndarray] = None
+        self.slice_node: Optional[np.ndarray] = None
+        self.slice_wall_w: Optional[np.ndarray] = None
+        self.components: Dict[str, np.ndarray] = {}
+
+    def set_slices(
+        self,
+        *,
+        start: np.ndarray,
+        end: np.ndarray,
+        node_row: np.ndarray,
+        wall_w: np.ndarray,
+        components: Dict[str, np.ndarray],
+    ) -> None:
+        self.slice_start = start
+        self.slice_end = end
+        self.slice_node = node_row
+        self.slice_wall_w = wall_w
+        self.components = components
+
+    @property
+    def filled(self) -> bool:
+        return self.slice_start is not None
 
 
 class RunTimeline:

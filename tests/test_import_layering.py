@@ -13,7 +13,9 @@ the test process has long since imported everything:
   into the op.
 
 The public-surface checks compare against literals recorded while every
-root still imported its whole subsystem.  To find what made a path heavy,
+root still imported its whole subsystem, less the ambient journal and
+timeline-sink names deleted since (the writer and the timeline list are
+now passed to the fault injector and the executor).  To find what made a path heavy,
 ``PYTHONPATH=src python -X importtime -c "import repro.cli"`` prints each
 import's cost and the module that asked for it.
 """
@@ -34,7 +36,7 @@ import repro
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: Each package's ``__all__``, recorded while every root imported its whole
-#: subsystem.
+#: subsystem, less the 13 ambient journal/timeline names deleted since.
 PUBLIC = {
     "repro": (
         "ArithmeticMeanWeights Benchmark BenchmarkResult BenchmarkSuite "
@@ -97,13 +99,12 @@ PUBLIC = {
     "repro.journal": (
         "Anomaly CrashingJournalWriter EVENT_TYPES JOURNAL_VERSION JobState "
         "JournalFollower JournalReport JournalWriter RUN_STATUSES RunProgress RunState "
-        "ScanResult SimulatedCrash TRACE_FORMATS ambient analyze_state apply_event "
-        "attach attempt_table check_event chrome_trace detach emit journal_digest "
-        "journal_trace_events journaling new_run_id now_mono progress_from_state "
-        "progress_to_dict read_events render_progress render_report replay "
-        "replay_journal report_to_dict rusage_delta rusage_fields scan_journal "
-        "telemetry_trace_events use_writer validate_event validate_events "
-        "validate_trace"
+        "ScanResult SimulatedCrash TRACE_FORMATS analyze_state apply_event "
+        "attempt_table check_event chrome_trace journal_digest journal_trace_events "
+        "new_run_id now_mono progress_from_state progress_to_dict read_events "
+        "render_progress render_report replay replay_journal report_to_dict "
+        "rusage_delta rusage_fields scan_journal telemetry_trace_events "
+        "validate_event validate_events validate_trace"
     ),
     "repro.kernels": (
         "IOKernelResult LinalgKernelResult StreamKernelResult Timer "
@@ -146,12 +147,11 @@ PUBLIC = {
         "suite_attribution traced use"
     ),
     "repro.timeline": (
-        "AuditReport DEFAULT_THRESHOLDS DEFAULT_TOLERANCE FleetAggregator MemorySink "
-        "RunTimeline TIMELINE_SCHEMA_VERSION TimelineCapture ambient_sink artifact_path "
-        "attach_sink audit_run_timeline build_run_timeline capturing collecting "
-        "detach_sink discover_artifacts load_artifacts lttb_indices minmax_bins "
-        "read_job_artifact record render_dashboard run_summary scan_run "
-        "write_job_artifact"
+        "AuditReport DEFAULT_THRESHOLDS DEFAULT_TOLERANCE FleetAggregator "
+        "RunTimeline TIMELINE_SCHEMA_VERSION TimelineCapture artifact_path "
+        "audit_run_timeline build_run_timeline discover_artifacts load_artifacts "
+        "lttb_indices minmax_bins read_job_artifact render_dashboard run_summary "
+        "scan_run write_job_artifact"
     ),
 }
 
@@ -184,7 +184,7 @@ SUBMODULES = {
     "repro.power": "components cooling dvfs energy meter node_power psu trace",
     "repro.sim": "communication engine executor placement workload",
     "repro.telemetry": "attribution metrics profiling render session spans",
-    "repro.timeline": "aggregate audit capture dashboard downsample lenses model",
+    "repro.timeline": "aggregate audit dashboard downsample lenses model",
 }
 
 _PROBE = """
@@ -222,11 +222,7 @@ PATHS = {
             "repro.perfwatch",
             "repro.kernels",
             "repro.serialization",
-            "repro.timeline.dashboard",
-            "repro.timeline.model",
-            "repro.timeline.audit",
-            "repro.timeline.aggregate",
-            "repro.timeline.lenses",
+            "repro.timeline",
             "repro.telemetry.profiling",
             "repro.telemetry.attribution",
             "repro.telemetry.render",
@@ -242,7 +238,7 @@ PATHS = {
             "repro.experiments.runner",
             "repro.journal.reader",
             "repro.journal.report",
-            "repro.timeline.dashboard",
+            "repro.timeline",
             "multiprocessing",
         ),
     ),
@@ -271,6 +267,9 @@ PATHS = {
             "multiprocessing",
         ),
     ),
+    # A fault injector records to the writer it is given, so it needs no
+    # journal module of its own.
+    "faults": ("import repro.faults", "", ("repro.journal",)),
 }
 
 

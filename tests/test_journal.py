@@ -21,12 +21,14 @@ The contracts pinned here:
 import dataclasses
 import json
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import journal as jrnl
+from repro import telemetry as tele
 from repro.campaign import CampaignRunner, ResultCache
 from repro.campaign.jobs import CampaignJob, ClusterRef
 from repro.exceptions import CampaignExecutionError, JournalError
@@ -58,15 +60,6 @@ def _jobs(n=3, *, faulty=(), transient_failures=1, seed=7):
         )
         for i in range(n)
     ]
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_ambient():
-    """Every test starts and must end without an ambient writer."""
-    jrnl.detach()
-    yield
-    assert jrnl.ambient() is None, "test leaked an ambient journal writer"
-    jrnl.detach()
 
 
 # ---------------------------------------------------------------------------
@@ -213,43 +206,6 @@ class TestWriter:
             assert fields["cpu_user_s"] >= 0.0
 
 
-class TestAmbient:
-    def test_emit_is_noop_when_detached(self):
-        assert jrnl.emit("job.started", job="j", attempt=0) is None
-        assert not jrnl.journaling()
-
-    def test_attach_emit_detach(self, tmp_path):
-        writer = jrnl.JournalWriter(tmp_path / "j.jsonl")
-        jrnl.attach(writer)
-        try:
-            assert jrnl.ambient() is writer
-            assert jrnl.journaling()
-            record = jrnl.emit("job.started", job="j", attempt=0)
-            assert record["event"] == "job.started"
-        finally:
-            jrnl.detach()
-            writer.close()
-        assert jrnl.ambient() is None
-
-    def test_double_attach_rejected(self, tmp_path):
-        writer = jrnl.JournalWriter(tmp_path / "j.jsonl")
-        jrnl.attach(writer)
-        try:
-            with pytest.raises(JournalError):
-                jrnl.attach(writer)
-        finally:
-            jrnl.detach()
-            writer.close()
-
-    def test_use_writer_scopes_attachment(self, tmp_path):
-        writer = jrnl.JournalWriter(tmp_path / "j.jsonl")
-        with jrnl.use_writer(writer):
-            assert jrnl.ambient() is writer
-        assert jrnl.ambient() is None
-        assert not writer.closed  # use_writer never closes
-        writer.close()
-
-
 # ---------------------------------------------------------------------------
 # Reader: torn tails, follower, truncation property
 
@@ -376,6 +332,10 @@ class TestReplayMatchesManifest:
         runner = CampaignRunner(workers=2, retries=2, keep_going=True, journal=path)
         result = runner.run(_jobs(4, faulty=("j1",)), label="pooled")
         state = self._check(result, path)
+        assert state.jobs["j1"].attempts == 2  # one injected failure + success
+        assert [(f["kind"], f["scope"], f["attempt"]) for f in state.faults] == [
+            ("transient", "j1", 0)
+        ]
         heartbeat_events = [e for e in jrnl.read_events(path) if e["event"] == "worker.heartbeat"]
         if result.manifest["workers_used"] > 1:
             assert heartbeat_events
@@ -411,7 +371,6 @@ class TestReplayMatchesManifest:
         state = jrnl.replay_journal(path)
         assert state.complete
         assert state.stop_status == "aborted"
-        assert jrnl.ambient() is None
 
     def test_journal_does_not_change_fingerprint(self, tmp_path):
         jobs = _jobs(2, faulty=("j1",))
@@ -451,6 +410,50 @@ class TestReplayMatchesManifest:
         events = jrnl.read_events(path)
         assert events
         assert jrnl.validate_events(events) == []
+
+
+class TestFaultEventsReachTheJournal:
+    """Every injection lands in the run's journal, whichever process runs it.
+
+    The meter dropout and the contained crash raise nothing to the
+    runner, so only the injector's own writer can record them.
+    """
+
+    #: job id -> (the one fault kind its plan injects, the plan).
+    PLANS = {
+        "j0": ("transient", FaultPlan(transient_failures=1, seed=7)),
+        "j1": ("flaky", FaultPlan(transient_probability=0.5, seed=1)),
+        "j2": ("meter-dropout", FaultPlan(meter_dropout=0.3, seed=3)),
+        "j3": (
+            "node-crash",
+            FaultPlan(node_crash_probability=0.4, containment="benchmark", seed=0),
+        ),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_journaled_kinds_match_the_counter(self, tmp_path, workers):
+        jobs = [
+            dataclasses.replace(job, faults=self.PLANS[job.job_id][1])
+            for job in _jobs(4)
+        ]
+        path = tmp_path / "run.jsonl"
+        session = tele.TelemetrySession()
+        with tele.use(session):
+            result = CampaignRunner(
+                workers=workers, retries=2, keep_going=True, journal=path
+            ).run(jobs, label="faults")
+        assert result.ok
+        events = jrnl.read_events(path)
+        assert jrnl.validate_events(events) == []
+        faults = [e for e in events if e["event"] == "fault.injected"]
+        kind_of = {job_id: kind for job_id, (kind, _) in self.PLANS.items()}
+        assert all(e["kind"] == kind_of[e["scope"]] for e in faults)
+        counter = session.metrics.as_dict()["tgi_faults_injected_total"]["samples"]
+        counted = {s["labels"]["kind"]: s["value"] for s in counter}
+        assert Counter(e["kind"] for e in faults) == counted
+        assert set(counted) == set(kind_of.values())
+        if result.manifest["workers_used"] > 1:
+            assert all(e["process"].startswith("worker-") for e in faults)
 
 
 # ---------------------------------------------------------------------------

@@ -41,14 +41,6 @@ def quick_config(monkeypatch):
     return quick
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_ambient():
-    jrnl.detach()
-    yield
-    assert jrnl.ambient() is None, "CLI leaked an ambient journal writer"
-    jrnl.detach()
-
-
 def _synthetic_journal(path, *, walls=(1.0, 1.0, 1.0, 1.0), status="ok"):
     """A complete recorded run with the given per-job wall times."""
     writer = jrnl.JournalWriter(path, label="synth")

@@ -66,10 +66,10 @@ def small_programs(draw):
 
 def _run_captured(programs, metering):
     cluster = presets.fire(4)
-    executor = ClusterExecutor(cluster, rng=7, metering=metering)
+    captured = []
+    executor = ClusterExecutor(cluster, rng=7, metering=metering, timelines=captured)
     placement = breadth_first_placement(cluster, len(programs))
-    with tline.collecting() as captured:
-        record = executor.execute(placement, programs)
+    record = executor.execute(placement, programs)
     assert len(captured) == 1
     return record, captured[0]
 
@@ -111,32 +111,49 @@ class TestConservationAudit:
         assert not report.ok
 
 
+def _mixed_programs():
+    return [
+        RankProgram(rank=0, phases=[compute_phase(1.0), memory_phase(0.5, memory=0.5)]),
+        RankProgram(rank=1, phases=[io_phase(0.75, storage=0.25)]),
+    ]
+
+
 class TestCaptureSink:
+    """The sink is the list an executor is given; without one it captures nothing."""
+
     def test_disarmed_is_a_noop(self):
-        assert not tline.capturing()
-        tline.record(object())  # silently dropped, nothing raised
-        programs = [RankProgram(rank=0, phases=[compute_phase(1.0)])]
+        """No list, no capture, and arming changes no bit of the record."""
         cluster = presets.fire(2)
+        placement = breadth_first_placement(cluster, 2)
         executor = ClusterExecutor(cluster, rng=7)
-        placement = breadth_first_placement(cluster, 1)
-        executor.execute(placement, programs)  # no sink, no capture
+        assert executor.timelines is None
+        bare = executor.execute(placement, _mixed_programs())
+        armed = ClusterExecutor(cluster, rng=7, timelines=[]).execute(
+            placement, _mixed_programs()
+        )
+        assert armed.makespan_s == bare.makespan_s
+        assert armed.energy_breakdown == bare.energy_breakdown
+        for field in ("starts_array", "ends_array", "watts_array"):
+            np.testing.assert_array_equal(
+                getattr(armed.truth, field), getattr(bare.truth, field)
+            )
+        np.testing.assert_array_equal(armed.trace.times, bare.trace.times)
+        np.testing.assert_array_equal(armed.trace.watts, bare.trace.watts)
 
-    def test_collecting_scopes_the_sink(self):
-        with tline.collecting() as captured:
-            assert tline.capturing()
-            tline.record("something")
-        assert not tline.capturing()
-        assert captured == ["something"]
-
-    def test_double_attach_rejected(self):
-        sink = tline.MemorySink()
-        tline.attach_sink(sink)
-        try:
-            with pytest.raises(TimelineError):
-                tline.attach_sink(tline.MemorySink())
-        finally:
-            tline.detach_sink()
-        assert tline.ambient_sink() is None
+    def test_armed_executor_appends_each_run(self):
+        cluster = presets.fire(2)
+        captured = []
+        executor = ClusterExecutor(cluster, rng=7, timelines=captured)
+        placement = breadth_first_placement(cluster, 2)
+        records = [
+            executor.execute(placement, _mixed_programs(), label=label)
+            for label in ("first", "second")
+        ]
+        assert [tl.label for tl in captured] == ["first", "second"]
+        for record, timeline in zip(records, captured):
+            assert isinstance(timeline, tline.RunTimeline)
+            assert timeline.true_energy_j == record.true_energy_j
+            assert timeline.measured_energy_j == record.measured_energy_j
 
 
 class TestDownsample:
