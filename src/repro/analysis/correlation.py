@@ -98,10 +98,10 @@ def _ranks(values: np.ndarray) -> np.ndarray:
     """Average (midrank) ranks, 1-based, ties shared.
 
     A run of equal values spanning sorted positions ``[i, j]`` all get rank
-    ``(i + j) / 2 + 1``.  Vectorized: memoized fleets hand this function
-    thousands-long vectors where most entries sit in tie runs (identical
-    systems score identically), and a Python-loop walk over them dominates
-    the diagnostics cost.
+    ``(i + j) / 2 + 1``.  Vectorized: fleets of repeated hardware hand this
+    function thousands-long vectors where most entries sit in tie runs
+    (identical systems score identically), and a Python-loop walk over them
+    dominates the diagnostics cost.
     """
     order = np.argsort(values, kind="stable")
     sorted_vals = values[order]
@@ -123,7 +123,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 
     Heavy ties are fine — midranks keep the statistic well-defined (never
     NaN) as long as each series takes at least two distinct values.  A
-    fully-constant series (every system memoized to the same score) has no
+    fully-constant series (every system scoring the same) has no
     rank ordering at all, so it raises
     :class:`~repro.exceptions.MetricError` exactly like :func:`pearson`.
     """

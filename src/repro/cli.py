@@ -402,13 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list rows to print (0 = the whole fleet)",
     )
     f_rank.add_argument(
-        "--chunk-size",
-        type=int,
-        default=1024,
-        metavar="N",
-        help="systems per vectorized evaluation chunk",
-    )
-    f_rank.add_argument(
         "--full-sim",
         action="store_true",
         help="force every system through the campaign executors "
@@ -1530,7 +1523,6 @@ def _cmd_fleet_rank(args) -> int:
         reference_suite=args.reference_suite,
         weights=weights,
         full_sim=args.full_sim,
-        chunk_size=args.chunk_size,
         workers=args.workers,
         cache_dir=args.cache_dir,
         journal=args.journal,
@@ -1558,15 +1550,9 @@ def _cmd_fleet_rank(args) -> int:
         if 0 < args.top < len(ranking):
             _console.status(f"... {len(ranking) - args.top} more rows (--top 0 shows all)")
     stats = ranking.stats
-    memo = stats["memo_unique"]
-    shared = (
-        f", memoized to {max(memo.values())} unique evaluations"
-        if stats["batched"] and max(memo.values()) < stats["batched"]
-        else ""
-    )
     _console.status(
         f"\n{stats['systems']} systems in {stats['wall_s']:.2f} s "
-        f"({stats['batched']} batched, {stats['simulated']} simulated{shared})"
+        f"({stats['batched']} batched, {stats['simulated']} simulated)"
         + (f", {stats['cache_hits']} cache hits" if stats["cache_hits"] else "")
     )
     diag = ranking.diagnostics

@@ -4,8 +4,9 @@ The sub-modules split along the data flow:
 
 * :mod:`repro.fleet.columns` — struct-of-arrays packing of ``ClusterSpec``
   fleets (one column per subsystem knob, one row per system);
-* :mod:`repro.fleet.evaluate` — the vectorized full-machine suite scorer
-  and its content-keyed memoizer;
+* :mod:`repro.fleet.evaluate` — the vectorized full-machine suite scorer,
+  calling each performance and power model's elementwise formulas with
+  spec columns;
 * :mod:`repro.fleet.pipeline` — chunked ranking pipeline: batchable
   systems take the analytic path inline, the rest fall back to the
   campaign executor; output is a Green500-style TGI list.

@@ -5,9 +5,10 @@ arrays feeding the sweep-line integrator).  This module does the same
 along the *system* axis: a :class:`FleetColumns` holds one 1-D array per
 subsystem parameter — clock, per-socket cores, DRAM bandwidth, storage
 rate, NIC alpha/beta, the whole power envelope — with row ``i`` describing
-fleet member ``i``.  One NumPy expression over these columns then scores
-every system at once (:mod:`repro.fleet.evaluate`) instead of paying
-per-system model objects, rank programs, and process-pool jobs.
+fleet member ``i``.  The performance and power models' elementwise
+formulas, called with these columns, then score every system at once
+(:mod:`repro.fleet.evaluate`) instead of paying per-system model objects,
+rank programs, and process-pool jobs.
 
 Only *batchable* systems pack: homogeneous CPU-only nodes with the default
 PSU (exactly what :func:`repro.cluster.generator.generate_cluster`
@@ -56,8 +57,8 @@ class FleetColumns:
     """A fleet as struct-of-arrays: one row per system, one array per knob.
 
     All arrays are 1-D with length ``len(self)``; integer-valued columns are
-    stored as float64 so they compose into NumPy expressions (and into the
-    ``np.unique`` content keys of the memoizer) without dtype juggling.
+    stored as float64 so they compose into the models' elementwise formulas
+    without dtype juggling.
     """
 
     names: Tuple[str, ...]

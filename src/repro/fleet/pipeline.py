@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Set, 
 
 import numpy as np
 
-from .. import journal as jrnl
 from .. import telemetry as tele
 from ..analysis.bootstrap import BootstrapCI, bootstrap_mean_ci, bootstrap_pearson_ci
 from ..analysis.correlation import pearson, spearman
@@ -40,8 +39,9 @@ from ..rng import ensure_rng
 from .columns import is_batchable
 from .evaluate import FLEET_BENCHMARKS, evaluate_fleet
 
-if TYPE_CHECKING:  # annotation only: a batched fleet never loads the executor
+if TYPE_CHECKING:  # annotation only: a batched fleet loads neither
     from ..campaign.runner import CampaignRunner
+    from ..journal.writer import JournalWriter
 
 __all__ = [
     "FleetMember",
@@ -51,7 +51,11 @@ __all__ = [
     "FleetDiagnostics",
     "FleetRanking",
     "FleetRankingPipeline",
+    "CHUNK_SIZE",
 ]
+
+#: Systems per vectorized evaluation chunk (bounds peak memory).
+CHUNK_SIZE = 1024
 
 #: job_id/name reserved for the reference machine's run.
 _REFERENCE_ID = "reference"
@@ -168,7 +172,7 @@ class FleetRankingRow:
 class FleetDiagnostics:
     """Rank-agreement and uncertainty diagnostics of one ranking.
 
-    Degenerate inputs (constant TGI across a fleet of memoized clones,
+    Degenerate inputs (constant TGI across a fleet of identical clones,
     fleets too small to resample) don't fail the ranking — the affected
     statistic is ``None`` and ``notes`` says why.
     """
@@ -280,8 +284,6 @@ class FleetRankingPipeline:
     full_sim:
         Force *every* system through the campaign executor (the
         pre-batched behaviour; meter noise included).
-    chunk_size:
-        Systems per vectorized evaluation chunk (bounds peak memory).
     workers / cache_dir / retries / keep_going:
         Campaign-leg execution policy.  All idle when everything batches.
     journal:
@@ -303,19 +305,16 @@ class FleetRankingPipeline:
         reference_seed: int = 1,
         weights: Optional[Mapping[str, float]] = None,
         full_sim: bool = False,
-        chunk_size: int = 1024,
         workers: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
         retries: int = 0,
         keep_going: bool = False,
-        journal: Optional[Union[str, Path, jrnl.JournalWriter]] = None,
+        journal: Optional[Union[str, Path, JournalWriter]] = None,
         timeline: Optional[Union[str, Path]] = None,
         bootstrap_resamples: int = 1000,
         bootstrap_seed: int = 0,
         confidence: float = 0.95,
     ):
-        if chunk_size < 1:
-            raise FleetError(f"chunk_size must be >= 1, got {chunk_size}")
         if workers < 1:
             raise FleetError(f"workers must be >= 1, got {workers}")
         self.config = config
@@ -332,7 +331,6 @@ class FleetRankingPipeline:
                 f"is {list(FLEET_BENCHMARKS)}"
             )
         self.full_sim = full_sim
-        self.chunk_size = chunk_size
         self.workers = workers
         self.cache_dir = cache_dir
         self.retries = retries
@@ -344,16 +342,16 @@ class FleetRankingPipeline:
         self.confidence = confidence
 
     # ------------------------------------------------------------------
-    def _journal_writer(
-        self, label: str
-    ) -> Tuple[Optional[jrnl.JournalWriter], bool]:
+    def _journal_writer(self, label: str) -> Tuple[Optional[JournalWriter], bool]:
         if self.journal is None:
             return None, False
-        if isinstance(self.journal, jrnl.JournalWriter):
-            return self.journal, False
-        return jrnl.JournalWriter(Path(self.journal), label=label), True
+        from ..journal.writer import JournalWriter
 
-    def _campaign_executor(self, writer: Optional[jrnl.JournalWriter]) -> CampaignRunner:
+        if isinstance(self.journal, JournalWriter):
+            return self.journal, False
+        return JournalWriter(Path(self.journal), label=label), True
+
+    def _campaign_executor(self, writer: Optional[JournalWriter]) -> CampaignRunner:
         from ..campaign.runner import CampaignRunner
 
         return CampaignRunner(
@@ -417,7 +415,7 @@ class FleetRankingPipeline:
         self,
         fleet: Sequence[Union[FleetMember, ClusterSpec]],
         label: str,
-        writer: Optional[jrnl.JournalWriter],
+        writer: Optional[JournalWriter],
         started: float,
     ) -> FleetRanking:
         names: List[str] = []
@@ -453,13 +451,12 @@ class FleetRankingPipeline:
         efficiencies = {b: np.zeros(n) for b in FLEET_BENCHMARKS}
         performances = {b: np.zeros(n) for b in FLEET_BENCHMARKS}
         powers = {b: np.zeros(n) for b in FLEET_BENCHMARKS}
-        memo_unique = {b: 0 for b in FLEET_BENCHMARKS}
         row_path = ["batched"] * n
 
         # --- analytic leg (chunked, vectorized) ------------------------
         with tele.span("fleet.evaluate", systems=len(batched)):
-            for start in range(0, len(batched), self.chunk_size):
-                chunk = batched[start : start + self.chunk_size]
+            for start in range(0, len(batched), CHUNK_SIZE):
+                chunk = batched[start : start + CHUNK_SIZE]
                 idx = np.array([i for i, _ in chunk])
                 evaluation = evaluate_fleet([spec for _, spec in chunk], self.config)
                 for b in FLEET_BENCHMARKS:
@@ -467,7 +464,6 @@ class FleetRankingPipeline:
                     efficiencies[b][idx] = scores.efficiency
                     performances[b][idx] = scores.performance
                     powers[b][idx] = scores.power_w
-                    memo_unique[b] += evaluation.memo_unique[b]
 
         # --- simulation leg (campaign executors) -----------------------
         cache_hits = 0
@@ -574,7 +570,6 @@ class FleetRankingPipeline:
             "systems": n,
             "batched": len(batched),
             "simulated": len(simulated),
-            "memo_unique": dict(memo_unique),
             "cache_hits": int(cache_hits),
             "wall_s": wall_s,
         }

@@ -11,10 +11,14 @@ breakdown and reported performance of one benchmark:
 * :mod:`~repro.perfmodels.iozone` — IOzone sequential write: per-node disk
   rate with a page-cache absorption window;
 * :mod:`~repro.perfmodels.amdahl` / :mod:`~repro.perfmodels.roofline` —
-  classic scaling-law helpers used by the analysis layer and tests.
+  parallel efficiency and the roofline bound.
 
 The predictions are consumed by :mod:`repro.benchmarks`, which compiles them
-into per-rank phase programs for the simulator.
+into per-rank phase programs for the simulator.  HPL, STREAM and IOzone
+write each formula once, as elementwise module functions over plain
+numbers or NumPy arrays: the model classes call them with one cluster's
+numbers, and the batched fleet evaluator (:mod:`repro.fleet.evaluate`)
+with per-system spec columns.
 """
 
 from .. import _lazy
@@ -27,12 +31,7 @@ __getattr__, __dir__, __all__ = _lazy.exports(
         "iozone": ("IOzoneModel", "IOzonePrediction"),
         "randomaccess": ("RandomAccessModel", "RandomAccessPrediction"),
         "network": ("EffectiveBandwidthModel", "EffectiveBandwidthPrediction"),
-        "amdahl": (
-            "amdahl_speedup",
-            "gustafson_speedup",
-            "karp_flatt_serial_fraction",
-            "parallel_efficiency",
-        ),
+        "amdahl": ("parallel_efficiency",),
         "roofline": ("RooflineModel", "arithmetic_intensity"),
     },
 )

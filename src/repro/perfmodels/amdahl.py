@@ -1,48 +1,16 @@
-"""Classic parallel scaling laws.
+"""Parallel efficiency: the share of ideal speedup a run achieves.
 
-Used by the analysis layer to characterize the energy-efficiency curves and
-by property-based tests as independent oracles for the simulator's scaling
-behaviour.
+A public helper for scaling analyses outside the package; the suite's own
+models report their efficiency directly (e.g.
+:attr:`~repro.perfmodels.hpl.HPLPrediction.parallel_efficiency`).
 """
 
 from __future__ import annotations
 
 from ..exceptions import MetricError
-from ..validation import check_fraction, check_positive, check_positive_int
+from ..validation import check_positive, check_positive_int
 
-__all__ = [
-    "amdahl_speedup",
-    "gustafson_speedup",
-    "karp_flatt_serial_fraction",
-    "parallel_efficiency",
-]
-
-
-def amdahl_speedup(serial_fraction: float, num_processors: int) -> float:
-    """Amdahl's law: ``1 / (s + (1 - s) / p)``."""
-    check_fraction(serial_fraction, "serial_fraction", exc=MetricError)
-    check_positive_int(num_processors, "num_processors", exc=MetricError)
-    return 1.0 / (serial_fraction + (1.0 - serial_fraction) / num_processors)
-
-
-def gustafson_speedup(serial_fraction: float, num_processors: int) -> float:
-    """Gustafson's law: ``p + s * (1 - p)`` (scaled speedup)."""
-    check_fraction(serial_fraction, "serial_fraction", exc=MetricError)
-    check_positive_int(num_processors, "num_processors", exc=MetricError)
-    return num_processors + serial_fraction * (1 - num_processors)
-
-
-def karp_flatt_serial_fraction(speedup: float, num_processors: int) -> float:
-    """Karp-Flatt metric: experimentally determined serial fraction.
-
-    ``e = (1/S - 1/p) / (1 - 1/p)``.  Requires ``p >= 2``.
-    """
-    check_positive(speedup, "speedup", exc=MetricError)
-    check_positive_int(num_processors, "num_processors", exc=MetricError)
-    if num_processors < 2:
-        raise MetricError("Karp-Flatt needs at least 2 processors")
-    p = num_processors
-    return (1.0 / speedup - 1.0 / p) / (1.0 - 1.0 / p)
+__all__ = ["parallel_efficiency"]
 
 
 def parallel_efficiency(speedup: float, num_processors: int) -> float:

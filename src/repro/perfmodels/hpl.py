@@ -20,12 +20,21 @@ packing contention bends it down, producing the characteristic rise /
 plateau / rolloff of HPL's energy-efficiency curve.  With ``N`` sized from
 memory (the "capability run" configuration) compute dominates and the model
 reports the machine's headline GFLOPS.
+
+One formula per term: :func:`flop_count`, :func:`memory_problem_size`,
+:func:`contention_factor` and :func:`run_times` are elementwise over plain
+numbers or NumPy arrays.  :class:`HPLModel` calls them with one cluster's
+numbers; the batched fleet evaluator (:mod:`repro.fleet.evaluate`) calls
+them with per-system spec columns.  ``log p`` is ``np.log2`` on both paths,
+and ``log2(1) == 0`` makes a single rank's communication terms exactly 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import BenchmarkError
@@ -37,6 +46,10 @@ __all__ = [
     "BYTES_PER_ELEMENT",
     "BLOCK_SIZE",
     "DGEMM_EFFICIENCY",
+    "flop_count",
+    "memory_problem_size",
+    "contention_factor",
+    "run_times",
 ]
 
 #: Bytes per double-precision matrix element.
@@ -46,6 +59,67 @@ BLOCK_SIZE = 224
 #: Fraction of per-core peak the update kernel sustains with the node
 #: otherwise quiet.
 DGEMM_EFFICIENCY = 0.85
+
+
+def flop_count(n):
+    """Official HPL flop count ``2/3 n^3 + 2 n^2`` (elementwise)."""
+    return (2.0 / 3.0) * n**3 + 2.0 * n**2
+
+
+def memory_problem_size(total_bytes):
+    """Largest ``N`` whose matrix fits in ``total_bytes``, as a float (elementwise).
+
+    Rounded down to a multiple of :data:`BLOCK_SIZE`, as HPL practitioners
+    do; a result below one block means the memory is too small.
+    """
+    n = np.floor(np.sqrt(total_bytes / BYTES_PER_ELEMENT))
+    return n - np.mod(n, BLOCK_SIZE)
+
+
+def contention_factor(ranks_per_node, node_cores, threshold, slope):
+    """Compute-kernel slowdown (>= 1) of ``ranks_per_node`` ranks on a node.
+
+    ``1 + slope * max(0, ranks_per_node - threshold) / node_cores``,
+    elementwise.
+    """
+    return 1.0 + slope * np.maximum(0, ranks_per_node - threshold) / node_cores
+
+
+def run_times(
+    n,
+    ranks,
+    core_peak_flops,
+    slowdown,
+    nic_bandwidth,
+    nic_latency_s,
+    *,
+    comm_volume_factor,
+    accelerator_flops=0.0,
+):
+    """``(compute, comm volume, comm latency)`` seconds of one run (elementwise).
+
+    ``slowdown`` is the :func:`contention_factor` of the run's packing, and
+    ``accelerator_flops`` the sustained accelerator rate added to the CPU
+    ranks' DGEMM rate (0 for CPU-only runs).
+    """
+    compute_rate = (
+        ranks * core_peak_flops * DGEMM_EFFICIENCY / slowdown + accelerator_flops
+    )
+    log_p = np.log2(ranks)
+    # Broadcast volume through each rank's link: the column of panels and
+    # the row of U updates sum to ~N^2 elements / sqrt(p) per rank, each
+    # forwarded ~log p times by tree broadcasts.
+    volume_bytes = (
+        comm_volume_factor * BYTES_PER_ELEMENT * n**2 * log_p / np.sqrt(ranks)
+    )
+    # Each of the N/nb steps pays O(log p) latencies for panel bcast,
+    # pivot exchange, and U bcast (factor 3).
+    steps = np.maximum(1.0, np.floor(n / BLOCK_SIZE))
+    return (
+        flop_count(n) / compute_rate,
+        volume_bytes / nic_bandwidth,
+        3.0 * steps * log_p * nic_latency_s,
+    )
 
 
 @dataclass(frozen=True)
@@ -135,8 +209,7 @@ class HPLModel:
         if not 1 <= n_nodes <= self.cluster.num_nodes:
             raise BenchmarkError(f"nodes must be in [1, {self.cluster.num_nodes}]")
         total_bytes = memory_fraction * n_nodes * self.cluster.node.memory_bytes
-        n = int(math.sqrt(total_bytes / BYTES_PER_ELEMENT))
-        n -= n % BLOCK_SIZE
+        n = int(memory_problem_size(total_bytes))
         if n < BLOCK_SIZE:
             raise BenchmarkError("memory too small for a single block")
         return n
@@ -145,7 +218,7 @@ class HPLModel:
     def flop_count(n: int) -> float:
         """Official HPL flop count: ``2/3 n^3 + 2 n^2``."""
         check_positive_int(n, "n", exc=BenchmarkError)
-        return (2.0 / 3.0) * n**3 + 2.0 * n**2
+        return flop_count(n)
 
     # ------------------------------------------------------------------
     # Prediction
@@ -156,8 +229,11 @@ class HPLModel:
         cores = self.cluster.node.cores
         if ranks_per_node > cores:
             raise BenchmarkError(f"{ranks_per_node} ranks exceed {cores} cores per node")
-        excess = max(0, ranks_per_node - self.contention_threshold)
-        return 1.0 + self.contention_slope * excess / cores
+        return float(
+            contention_factor(
+                ranks_per_node, cores, self.contention_threshold, self.contention_slope
+            )
+        )
 
     def predict(self, problem_size: int, num_ranks: int, *, ranks_per_node: int = 0) -> HPLPrediction:
         """Predict one run of size ``problem_size`` on ``num_ranks`` ranks.
@@ -172,53 +248,30 @@ class HPLModel:
                 f"{num_ranks} ranks exceed cluster capacity {self.cluster.total_cores}"
             )
         k = ranks_per_node or math.ceil(num_ranks / self.cluster.num_nodes)
-        n = problem_size
-        flops = self.flop_count(n)
-        core_peak = self.cluster.node.cpu.peak_flops_per_core
         slowdown = self.contention_factor(k)
-        compute_rate = num_ranks * core_peak * DGEMM_EFFICIENCY / slowdown
-        if self.use_accelerators and self.cluster.node.accelerators:
-            nodes_used = math.ceil(num_ranks / k)
-            acc_rate = sum(
-                acc.sustained_hpl_flops for acc in self.cluster.node.accelerators
+        node = self.cluster.node
+        accelerator_flops = 0.0
+        if self.use_accelerators and node.accelerators:
+            accelerator_flops = math.ceil(num_ranks / k) * sum(
+                acc.sustained_hpl_flops for acc in node.accelerators
             )
-            compute_rate += nodes_used * acc_rate
-        compute = flops / compute_rate
-
-        if num_ranks == 1:
-            return HPLPrediction(
-                problem_size=n,
-                num_ranks=1,
-                flops=flops,
-                compute_time_s=compute,
-                comm_volume_time_s=0.0,
-                comm_latency_time_s=0.0,
-            )
-
-        nic = self.cluster.node.nic
-        log_p = math.log2(num_ranks)
-        # Broadcast volume through each rank's link: the column of panels and
-        # the row of U updates sum to ~N^2 elements / sqrt(p) per rank, each
-        # forwarded ~log p times by tree broadcasts.
-        volume_bytes = (
-            self.comm_volume_factor
-            * BYTES_PER_ELEMENT
-            * n**2
-            * log_p
-            / math.sqrt(num_ranks)
+        compute, comm_volume, comm_latency = run_times(
+            problem_size,
+            num_ranks,
+            node.cpu.peak_flops_per_core,
+            slowdown,
+            node.nic.bandwidth,
+            node.nic.latency_s,
+            comm_volume_factor=self.comm_volume_factor,
+            accelerator_flops=accelerator_flops,
         )
-        comm_volume = volume_bytes / nic.bandwidth
-        # Each of the N/nb steps pays O(log p) latencies for panel bcast,
-        # pivot exchange, and U bcast (factor 3).
-        steps = max(1, n // BLOCK_SIZE)
-        comm_latency = 3.0 * steps * log_p * nic.latency_s
         return HPLPrediction(
-            problem_size=n,
+            problem_size=problem_size,
             num_ranks=num_ranks,
-            flops=flops,
-            compute_time_s=compute,
-            comm_volume_time_s=comm_volume,
-            comm_latency_time_s=comm_latency,
+            flops=flop_count(problem_size),
+            compute_time_s=float(compute),
+            comm_volume_time_s=float(comm_volume),
+            comm_latency_time_s=float(comm_latency),
         )
 
     def problem_size_for_time(

@@ -16,12 +16,20 @@ The benchmark's reported number is the aggregate MB/s across all ranks —
 this is how multi-node STREAM sweeps are conventionally summed, and it makes
 the memory benchmark's performance scale with machine size like HPL's does,
 which the TGI normalization (REE) relies on.
+
+One formula per term: :func:`per_core_bandwidth`, :func:`node_bandwidth`,
+:func:`sweep_time` and :func:`iterations_for_time` are elementwise over
+plain numbers or NumPy arrays.  :class:`StreamModel` calls them with one
+cluster's numbers; the batched fleet evaluator (:mod:`repro.fleet.evaluate`)
+calls them with per-system spec columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import BenchmarkError
@@ -32,6 +40,10 @@ __all__ = [
     "StreamPrediction",
     "TRIAD_BYTES_PER_ELEMENT",
     "ARRAY_ELEMENTS",
+    "per_core_bandwidth",
+    "node_bandwidth",
+    "sweep_time",
+    "iterations_for_time",
 ]
 
 #: Triad traffic per element per iteration: read a, read b, write c.
@@ -40,6 +52,43 @@ TRIAD_BYTES_PER_ELEMENT = 3 * 8
 #: Per-rank array length: the STREAM reference size, 20 M doubles, which
 #: dwarfs any last-level cache of the machines modelled.
 ARRAY_ELEMENTS = 20_000_000
+
+
+def per_core_bandwidth(socket_bandwidth, cores_to_saturate):
+    """Bytes/s one streaming core sustains below saturation (elementwise)."""
+    return socket_bandwidth / cores_to_saturate
+
+
+def node_bandwidth(ranks_on_node, sockets, socket_bandwidth, cores_to_saturate):
+    """Sustained Triad bytes/s of one node running ``ranks_on_node`` ranks.
+
+    Round robin over sockets, in closed form: ``extra`` sockets carry
+    ``base + 1`` ranks and the rest ``base``; each socket is capped at its
+    sustained bandwidth.  Elementwise.
+    """
+    per_core = per_core_bandwidth(socket_bandwidth, cores_to_saturate)
+    base = np.floor(ranks_on_node / sockets)
+    extra = ranks_on_node - base * sockets
+    return extra * np.minimum((base + 1.0) * per_core, socket_bandwidth) + (
+        sockets - extra
+    ) * np.minimum(base * per_core, socket_bandwidth)
+
+
+def sweep_time(iterations, per_rank_bandwidth):
+    """Seconds for ``iterations`` Triad sweeps of one rank (elementwise).
+
+    Each sweep moves :data:`ARRAY_ELEMENTS` elements of
+    :data:`TRIAD_BYTES_PER_ELEMENT` bytes, both read at call time.
+    """
+    return iterations * ARRAY_ELEMENTS * TRIAD_BYTES_PER_ELEMENT / per_rank_bandwidth
+
+
+def iterations_for_time(target_seconds, per_rank_bandwidth):
+    """Sweep count (at least 1, as a float) lasting ~``target_seconds``.
+
+    Elementwise; halves round to even.
+    """
+    return np.maximum(1.0, np.rint(target_seconds / sweep_time(1, per_rank_bandwidth)))
 
 
 @dataclass(frozen=True)
@@ -67,7 +116,7 @@ class StreamModel:
     def per_core_bandwidth(self) -> float:
         """Bytes/s a single streaming core sustains."""
         mem = self.cluster.node.memory
-        return mem.sustained_bandwidth / mem.cores_to_saturate
+        return per_core_bandwidth(mem.sustained_bandwidth, mem.cores_to_saturate)
 
     def node_bandwidth(self, ranks_on_node: int) -> float:
         """Sustained Triad bytes/s of one node running ``ranks_on_node`` ranks."""
@@ -77,14 +126,23 @@ class StreamModel:
             raise BenchmarkError(
                 f"{ranks_on_node} ranks exceed {node.cores} cores per node"
             )
-        mem = node.memory
-        per_core = self.per_core_bandwidth()
-        base, extra = divmod(ranks_on_node, node.sockets)
-        total = 0.0
-        for socket in range(node.sockets):
-            on_socket = base + (1 if socket < extra else 0)
-            total += min(on_socket * per_core, mem.sustained_bandwidth)
-        return total
+        return float(
+            node_bandwidth(
+                ranks_on_node,
+                node.sockets,
+                node.memory.sustained_bandwidth,
+                node.memory.cores_to_saturate,
+            )
+        )
+
+    def _per_rank_bandwidth(self, num_ranks: int, ranks_per_node: int) -> float:
+        if num_ranks > self.cluster.total_cores:
+            raise BenchmarkError(
+                f"{num_ranks} ranks exceed cluster capacity {self.cluster.total_cores}"
+            )
+        k = ranks_per_node or math.ceil(num_ranks / self.cluster.num_nodes)
+        k = min(k, num_ranks)
+        return self.node_bandwidth(k) / k
 
     def predict(
         self, num_ranks: int, *, iterations: int = 100, ranks_per_node: int = 0
@@ -97,21 +155,12 @@ class StreamModel:
         """
         check_positive_int(num_ranks, "num_ranks", exc=BenchmarkError)
         check_positive_int(iterations, "iterations", exc=BenchmarkError)
-        if num_ranks > self.cluster.total_cores:
-            raise BenchmarkError(
-                f"{num_ranks} ranks exceed cluster capacity {self.cluster.total_cores}"
-            )
-        k = ranks_per_node or math.ceil(num_ranks / self.cluster.num_nodes)
-        k = min(k, num_ranks)
-        node_bw = self.node_bandwidth(k)
-        per_rank_bw = node_bw / k
-        bytes_per_rank = iterations * ARRAY_ELEMENTS * TRIAD_BYTES_PER_ELEMENT
-        time_s = bytes_per_rank / per_rank_bw
+        per_rank_bw = self._per_rank_bandwidth(num_ranks, ranks_per_node)
         return StreamPrediction(
             num_ranks=num_ranks,
             array_elements=ARRAY_ELEMENTS,
             iterations=iterations,
-            time_s=time_s,
+            time_s=sweep_time(iterations, per_rank_bw),
             aggregate_bandwidth=per_rank_bw * num_ranks,
         )
 
@@ -120,5 +169,6 @@ class StreamModel:
     ) -> int:
         """Iteration count whose predicted runtime is ~``target_seconds``."""
         check_positive(target_seconds, "target_seconds", exc=BenchmarkError)
-        one = self.predict(num_ranks, iterations=1, ranks_per_node=ranks_per_node)
-        return max(1, round(target_seconds / one.time_s))
+        check_positive_int(num_ranks, "num_ranks", exc=BenchmarkError)
+        per_rank_bw = self._per_rank_bandwidth(num_ranks, ranks_per_node)
+        return int(iterations_for_time(target_seconds, per_rank_bw))

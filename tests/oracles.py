@@ -493,7 +493,7 @@ def scalar_fleet(
 ) -> FleetEvaluation:
     """:func:`evaluate_system` per system, shaped like ``evaluate_fleet``.
 
-    Nothing is memoized: ``memo_unique`` counts every system.  Takes the
+    ``memo_unique`` counts every system, as the batched path's does.  Takes the
     same arguments as :func:`repro.fleet.evaluate_fleet`, so tests can
     substitute it for the batched path.
     """

@@ -99,10 +99,10 @@ class TestCorrelationMatrix:
 
 
 class TestTieHandling:
-    """Midrank ties from memoized identical systems (fleet rankings)."""
+    """Midrank ties from identical systems (fleet rankings)."""
 
     def test_heavy_ties_match_scipy(self):
-        # Memoized fleets: long runs of identical scores.
+        # Fleets of repeated hardware: long runs of identical scores.
         x = [1.0] * 40 + [2.0] * 40 + [3.0] * 20
         y = [5.0] * 30 + [4.0] * 50 + [6.0] * 20
         ours = spearman(x, y)
@@ -133,7 +133,7 @@ class TestTieHandling:
         assert sorted(_ranks(values).tolist()) == list(range(1, 51))
 
     def test_constant_series_raises_not_nan(self):
-        # A fully-memoized fleet (every score identical) has no rank order;
+        # A fleet of clones (every score identical) has no rank order;
         # the statistic must refuse loudly instead of returning NaN.
         with pytest.raises(MetricError):
             spearman([4.0] * 10, list(range(10)))

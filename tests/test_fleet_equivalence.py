@@ -79,7 +79,7 @@ class TestRankEquivalence:
             assert a.weakest == b.weakest
 
     def test_clone_ties_break_by_name(self):
-        """Memoized identical systems: deterministic, name-ordered ranks."""
+        """Identical systems: deterministic, name-ordered ranks."""
         spec = generate_fleet(1, era="2011", seed=4)[0]
         clones = [
             dataclasses.replace(spec, name=f"clone-{i}", topology=spec.topology)

@@ -9,6 +9,7 @@ from repro.campaign import ClusterRef, fleet_jobs
 from repro.cluster.generator import generate_fleet
 from repro.exceptions import FleetError, ReproError
 from repro.experiments import PAPER_CONFIG
+from repro.fleet import pipeline as fleet_pipeline
 from repro.fleet import (
     FleetMember,
     FleetRankingPipeline,
@@ -100,20 +101,20 @@ class TestValidation:
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: quick_pipeline(chunk_size=0), "chunk_size must be >= 1"),
             (lambda: quick_pipeline(workers=0), "workers must be >= 1"),
             (lambda: fleet_jobs(-1), "fleet size must be >= 0"),
         ],
-        ids=["chunk_size", "workers", "fleet_jobs"],
+        ids=["workers", "fleet_jobs"],
     )
     def test_bad_chunk_size_rejected(self, build, message):
         with pytest.raises(ReproError, match=message):
             build()
 
-    def test_chunking_is_value_invariant(self):
+    def test_chunking_is_value_invariant(self, monkeypatch):
         members = generated_fleet_members(7, era="2011", fleet_seed=9)
         whole = quick_pipeline().rank(members)
-        chunked = quick_pipeline(chunk_size=2).rank(members)
+        monkeypatch.setattr(fleet_pipeline, "CHUNK_SIZE", 2)
+        chunked = quick_pipeline().rank(members)
         assert [r.name for r in whole.rows] == [r.name for r in chunked.rows]
         for a, b in zip(whole.rows, chunked.rows):
             assert a.tgi == b.tgi
@@ -161,7 +162,7 @@ class TestDiagnostics:
         assert diag.notes == ()
 
     def test_clone_fleet_degrades_gracefully(self):
-        """Memoized identical systems: constant scores must not NaN out."""
+        """Identical systems: constant scores must not NaN out."""
         spec = generate_fleet(1, era="2011", seed=4)[0]
         clones = [
             dataclasses.replace(spec, name=f"c{i}", topology=spec.topology)

@@ -13,9 +13,11 @@ the test process has long since imported everything:
   into the op.
 
 The public-surface checks compare against literals recorded while every
-root still imported its whole subsystem, less the ambient journal and
-timeline-sink names deleted since (the writer and the timeline list are
-now passed to the fault injector and the executor).  To find what made a path heavy,
+root still imported its whole subsystem, less the names deleted since: the
+ambient journal and timeline-sink names (the writer and the timeline list
+are now passed to the fault injector and the executor) and three scaling
+laws nothing called (``amdahl_speedup``, ``gustafson_speedup``,
+``karp_flatt_serial_fraction``).  To find what made a path heavy,
 ``PYTHONPATH=src python -X importtime -c "import repro.cli"`` prints each
 import's cost and the module that asked for it.
 """
@@ -36,7 +38,8 @@ import repro
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: Each package's ``__all__``, recorded while every root imported its whole
-#: subsystem, less the 13 ambient journal/timeline names deleted since.
+#: subsystem, less the 13 ambient journal/timeline names and the three
+#: scaling laws deleted since.
 PUBLIC = {
     "repro": (
         "ArithmeticMeanWeights Benchmark BenchmarkResult BenchmarkSuite "
@@ -113,8 +116,8 @@ PUBLIC = {
     "repro.perfmodels": (
         "EffectiveBandwidthModel EffectiveBandwidthPrediction HPLModel HPLPrediction "
         "IOzoneModel IOzonePrediction RandomAccessModel RandomAccessPrediction "
-        "RooflineModel StreamModel StreamPrediction amdahl_speedup arithmetic_intensity "
-        "gustafson_speedup karp_flatt_serial_fraction parallel_efficiency"
+        "RooflineModel StreamModel StreamPrediction arithmetic_intensity "
+        "parallel_efficiency"
     ),
     "repro.perfwatch": (
         "BenchRecord BenchScenario DEFAULT_HISTORY_DIR HIGHER_IS_BETTER HistoryStore "
@@ -236,8 +239,7 @@ PATHS = {
         (
             "repro.campaign.runner",
             "repro.experiments.runner",
-            "repro.journal.reader",
-            "repro.journal.report",
+            "repro.journal",
             "repro.timeline",
             "multiprocessing",
         ),

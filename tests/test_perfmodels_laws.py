@@ -1,52 +1,9 @@
-"""Amdahl/Gustafson/roofline helper tests."""
+"""Parallel-efficiency and roofline helper tests."""
 
 import pytest
 
 from repro.exceptions import MetricError
-from repro.perfmodels import (
-    RooflineModel,
-    amdahl_speedup,
-    arithmetic_intensity,
-    gustafson_speedup,
-    karp_flatt_serial_fraction,
-    parallel_efficiency,
-)
-
-
-class TestAmdahl:
-    def test_no_serial_fraction_is_ideal(self):
-        assert amdahl_speedup(0.0, 16) == pytest.approx(16.0)
-
-    def test_all_serial_is_one(self):
-        assert amdahl_speedup(1.0, 16) == pytest.approx(1.0)
-
-    def test_classic_value(self):
-        # 5% serial, 16 processors -> ~9.14x
-        assert amdahl_speedup(0.05, 16) == pytest.approx(16 / (0.05 * 16 + 0.95))
-
-    def test_bounded_by_inverse_serial_fraction(self):
-        assert amdahl_speedup(0.1, 10_000) < 10.0
-
-
-class TestGustafson:
-    def test_no_serial_fraction(self):
-        assert gustafson_speedup(0.0, 64) == pytest.approx(64.0)
-
-    def test_exceeds_amdahl_for_scaled_problems(self):
-        s, p = 0.1, 64
-        assert gustafson_speedup(s, p) > amdahl_speedup(s, p)
-
-
-class TestKarpFlatt:
-    def test_recovers_serial_fraction(self):
-        s = 0.07
-        p = 32
-        speedup = amdahl_speedup(s, p)
-        assert karp_flatt_serial_fraction(speedup, p) == pytest.approx(s)
-
-    def test_rejects_single_processor(self):
-        with pytest.raises(MetricError):
-            karp_flatt_serial_fraction(1.0, 1)
+from repro.perfmodels import RooflineModel, arithmetic_intensity, parallel_efficiency
 
 
 class TestParallelEfficiency:
