@@ -26,7 +26,7 @@ from ..perfmodels import hpl as hpl_model
 from ..perfmodels.hpl import HPLModel
 from ..sim.executor import ClusterExecutor
 from ..sim.placement import breadth_first_placement
-from ..sim.workload import Phase, RankProgram, barrier, comm_phase, compute_phase
+from ..sim.workload import Phase, barrier, comm_phase, compute_phase, rank_programs
 from .base import Benchmark, BuiltRun
 
 __all__ = [
@@ -130,7 +130,7 @@ class HPLBenchmark(Benchmark):
             step += (bcast,)
         # Every rank runs the same super-steps, so all ranks share one template.
         template = (*step, barrier()) * rounds
-        programs = tuple(RankProgram(rank=rank, phases=template) for rank in range(scale))
+        programs = rank_programs(template, scale)
 
         details: Dict[str, float] = {
             "problem_size": float(n),

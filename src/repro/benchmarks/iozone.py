@@ -14,7 +14,7 @@ from ..exceptions import BenchmarkError
 from ..perfmodels.iozone import IOzoneModel
 from ..sim.executor import ClusterExecutor
 from ..sim.placement import breadth_first_placement
-from ..sim.workload import Phase, PhaseKind, RankProgram
+from ..sim.workload import Phase, PhaseKind, rank_programs
 from .base import Benchmark, BuiltRun
 
 __all__ = ["IOzoneBenchmark", "IOZONE_INTENSITY", "IOZONE_MEMORY"]
@@ -85,7 +85,7 @@ class IOzoneBenchmark(Benchmark):
             label="iozone-write",
         )
         template = (write,)
-        programs = tuple(RankProgram(rank=rank, phases=template) for rank in range(scale))
+        programs = rank_programs(template, scale)
         details: Dict[str, float] = {
             "file_bytes": float(file_bytes),
             "per_node_bandwidth": prediction.per_node_bandwidth,

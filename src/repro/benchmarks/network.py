@@ -13,7 +13,7 @@ from ..exceptions import BenchmarkError
 from ..perfmodels.network import EffectiveBandwidthModel
 from ..sim.executor import ClusterExecutor
 from ..sim.placement import breadth_first_placement
-from ..sim.workload import RankProgram, barrier, comm_phase
+from ..sim.workload import barrier, comm_phase, rank_programs
 from .base import Benchmark, BuiltRun
 
 __all__ = ["EffectiveBandwidthBenchmark"]
@@ -59,7 +59,7 @@ class EffectiveBandwidthBenchmark(Benchmark):
             slice_s, nic=min(1.0, 1.0 / ranks_per_node), label="beff-exchange"
         )
         template = (exchange, barrier()) * self.phases
-        programs = tuple(RankProgram(rank=rank, phases=template) for rank in range(scale))
+        programs = rank_programs(template, scale)
         details: Dict[str, float] = {
             "rounds": float(rounds),
             "per_rank_bandwidth": prediction.per_rank_bandwidth,

@@ -14,7 +14,7 @@ from ..exceptions import BenchmarkError
 from ..perfmodels.randomaccess import RandomAccessModel
 from ..sim.executor import ClusterExecutor
 from ..sim.placement import breadth_first_placement
-from ..sim.workload import Phase, PhaseKind, RankProgram, barrier
+from ..sim.workload import Phase, PhaseKind, barrier, rank_programs
 from .base import Benchmark, BuiltRun
 
 __all__ = ["RandomAccessBenchmark"]
@@ -86,7 +86,7 @@ class RandomAccessBenchmark(Benchmark):
             label="gups-update",
         )
         template = (update_phase, barrier()) * self.rounds
-        programs = tuple(RankProgram(rank=rank, phases=template) for rank in range(scale))
+        programs = rank_programs(template, scale)
         details: Dict[str, float] = {
             "updates_per_rank": float(updates),
             "gups": prediction.gups,

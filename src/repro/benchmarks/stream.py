@@ -17,7 +17,7 @@ from ..exceptions import BenchmarkError
 from ..perfmodels.stream import StreamModel
 from ..sim.executor import ClusterExecutor
 from ..sim.placement import breadth_first_placement
-from ..sim.workload import RankProgram, barrier, memory_phase
+from ..sim.workload import barrier, memory_phase, rank_programs
 from .base import Benchmark, BuiltRun
 
 __all__ = ["StreamBenchmark"]
@@ -91,7 +91,7 @@ class StreamBenchmark(Benchmark):
             slice_s, memory=per_rank_fraction, intensity=self.intensity, label="triad"
         )
         template = (triad, barrier()) * self.rounds
-        programs = tuple(RankProgram(rank=rank, phases=template) for rank in range(scale))
+        programs = rank_programs(template, scale)
 
         details: Dict[str, float] = {
             "iterations": float(iterations),

@@ -17,7 +17,6 @@ equivalence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -163,15 +162,15 @@ def execute_job(
         "skip" if injector is not None and job.faults.containment == "benchmark" else "raise"
     )
     sweep = run_sweep(suite, executor, core_counts, on_error=on_error)
-    payload = {
+    # Every value is JSON-native (lists, not tuples), so a payload compares
+    # equal whether it was just computed or read back from cache, and its
+    # one serialization is the canonical dump in ``execute_work_item``.
+    return {
         "payload_version": PAYLOAD_VERSION,
         "job_id": job.job_id,
         "cluster_name": cluster.name,
         "sweep": sweep_result_to_dict(sweep),
     }
-    # Normalize to JSON-native containers (tuples -> lists) so a payload
-    # compares equal whether it was just computed or read back from cache.
-    return json.loads(json.dumps(payload))
 
 
 def payload_sweep(payload: Dict) -> SweepResult:

@@ -13,7 +13,8 @@ priced in one call) and returns watts of the same shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -73,26 +74,54 @@ class NodePowerModel:
             tuple(AcceleratorPowerModel(spec=acc) for acc in self.node.accelerators),
         )
 
+    def _price(self, util: NodeUtilization | NodeUtilizationArray):
+        """``(dc, parts)``: DC watts and per-component DC watts, each component priced once.
+
+        The total adds base, CPU, memory, storage, NIC and then each
+        accelerator card in turn; ``parts`` reports the cards as one
+        ``accelerators`` sum.
+        """
+        base = self.node.base_watts
+        parts = {
+            "base": np.full(len(util), base) if isinstance(util, NodeUtilizationArray) else base,
+            "cpu": self._cpu.power(util),
+            "memory": self._memory.power(util),
+            "storage": self._storage.power(util),
+            "nic": self._nic.power(util),
+        }
+        dc = base + parts["cpu"] + parts["memory"] + parts["storage"] + parts["nic"]
+        if self._accelerators:
+            cards = [acc.power(util) for acc in self._accelerators]
+            for card in cards:
+                dc = dc + card
+            parts["accelerators"] = sum(cards)
+        return dc, parts
+
     def dc_power(self, util: NodeUtilization | NodeUtilizationArray):
         """DC watts drawn by the node at the given utilization."""
-        total = (
-            self.node.base_watts
-            + self._cpu.power(util)
-            + self._memory.power(util)
-            + self._storage.power(util)
-            + self._nic.power(util)
-        )
-        for acc in self._accelerators:
-            total += acc.power(util)
-        return total
+        return self._price(util)[0]
 
     def wall_power(self, util: NodeUtilization | NodeUtilizationArray):
         """AC watts drawn from the outlet at the given utilization."""
         return self.psu.wall_watts(self.dc_power(util))
 
+    def wall_power_and_breakdown(self, util: NodeUtilization | NodeUtilizationArray):
+        """``(wall_power(util), component_breakdown(util))`` from one pricing of each component."""
+        dc, parts = self._price(util)
+        return self.psu.wall_watts(dc), parts
+
+    @cached_property
+    def _idle(self) -> Tuple[float, Dict[str, float]]:
+        # A model's specs and PSU are frozen, so a fully idle node is priced once.
+        return self.wall_power_and_breakdown(NodeUtilization.idle())
+
     def idle_wall_power(self) -> float:
         """Wall watts of a fully idle node."""
-        return self.wall_power(NodeUtilization.idle())
+        return self._idle[0]
+
+    def idle_component_breakdown(self) -> Dict[str, float]:
+        """:meth:`component_breakdown` of a fully idle node (a fresh dict)."""
+        return dict(self._idle[1])
 
     def max_wall_power(self) -> float:
         """Wall watts with every component fully loaded."""
@@ -112,16 +141,4 @@ class NodePowerModel:
         On a :class:`~repro.power.components.NodeUtilizationArray` every
         entry, the constant base draw included, is one array per slice.
         """
-        base = self.node.base_watts
-        if isinstance(util, NodeUtilizationArray):
-            base = np.full(len(util), base)
-        breakdown = {
-            "base": base,
-            "cpu": self._cpu.power(util),
-            "memory": self._memory.power(util),
-            "storage": self._storage.power(util),
-            "nic": self._nic.power(util),
-        }
-        if self._accelerators:
-            breakdown["accelerators"] = sum(acc.power(util) for acc in self._accelerators)
-        return breakdown
+        return self._price(util)[1]

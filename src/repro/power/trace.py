@@ -15,7 +15,7 @@ methodology inherits from 1 Hz wall-plug metering (see
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -209,11 +209,16 @@ class PowerTrace:
     :class:`~repro.exceptions.PowerModelError`, because trapezoidal
     integration over a zero-width step silently mis-prices the
     neighbouring intervals.
+
+    A trace is immutable: it copies the samples it is given and exposes
+    read-only views, so it integrates them once and serves that energy
+    to every later reader (the metric layer reads each run's mean power
+    many times).
     """
 
     def __init__(self, times: Sequence[float], watts: Sequence[float]):
-        times_arr = np.asarray(times, dtype=float)
-        watts_arr = np.asarray(watts, dtype=float)
+        times_arr = np.array(times, dtype=float)
+        watts_arr = np.array(watts, dtype=float)
         if times_arr.ndim != 1 or watts_arr.ndim != 1:
             raise PowerModelError("times and watts must be 1-D")
         if times_arr.size != watts_arr.size:
@@ -246,6 +251,7 @@ class PowerTrace:
             raise PowerModelError("power samples must be non-negative")
         self._times = times_arr
         self._watts = watts_arr
+        self._energy: Optional[float] = None
 
     @property
     def times(self) -> np.ndarray:
@@ -270,10 +276,12 @@ class PowerTrace:
         return float(self._times[-1] - self._times[0])
 
     def energy(self) -> float:
-        """Trapezoidal energy in joules (0 for a single sample)."""
-        if len(self) < 2:
-            return 0.0
-        return float(np.trapezoid(self._watts, self._times))
+        """Trapezoidal energy in joules (0 for a single sample), integrated once."""
+        if self._energy is None:
+            self._energy = (
+                float(np.trapezoid(self._watts, self._times)) if len(self) > 1 else 0.0
+            )
+        return self._energy
 
     def mean_power(self) -> float:
         """Time-weighted mean watts (simple mean for a single sample)."""
@@ -323,7 +331,7 @@ class PowerTrace:
         if max_samples < 3:
             raise PowerModelError(f"max_samples must be >= 3, got {max_samples}")
         if len(self) <= max_samples:
-            return PowerTrace(self._times.copy(), self._watts.copy())
+            return PowerTrace(self._times, self._watts)
         from ..timeline.downsample import lttb_indices
 
         idx = lttb_indices(self._times, self._watts, max_samples)

@@ -79,7 +79,7 @@ def benchmark_result_to_dict(result: BenchmarkResult) -> Dict:
             "cluster": _cluster_summary(record),
             "num_ranks": record.num_ranks,
             "makespan_s": record.makespan_s,
-            "truth_segments": record.truth.segments,
+            "truth_segments": [list(segment) for segment in record.truth.segments],
             "trace_times": record.trace.times.tolist(),
             "trace_watts": record.trace.watts.tolist(),
         },

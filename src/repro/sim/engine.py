@@ -33,13 +33,14 @@ interval-exact agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from operator import attrgetter
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .. import telemetry as tele
 from ..exceptions import SimulationError
-from .workload import Phase, PhaseKind, RankProgram, WAIT_INTENSITY
+from .workload import WAIT_INTENSITY, Phase, PhaseKind, RankProgram
 
 __all__ = ["IntervalArrays", "SimulationEngine"]
 
@@ -55,6 +56,19 @@ _WAIT_PHASE = Phase(
     cpu_intensity=WAIT_INTENSITY,
     label="barrier-wait",
 )
+
+
+def _compact_rows(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(used, inverse)``: the sorted distinct ``rows`` of a ``size``-row
+    table, and each entry's position among them.
+
+    What ``np.unique(rows, return_inverse=True)`` returns, without a sort:
+    a presence mask over the table marks the used rows, and its running
+    count renumbers them in table order.
+    """
+    present = np.zeros(size, dtype=bool)
+    present[rows] = True
+    return np.flatnonzero(present), (np.cumsum(present, dtype=np.intp) - 1)[rows]
 
 
 @dataclass
@@ -136,19 +150,36 @@ class SimulationEngine:
     def __init__(self, programs: Sequence[RankProgram]):
         if not programs:
             raise SimulationError("need at least one rank program")
-        ranks = sorted(p.rank for p in programs)
-        if ranks != list(range(len(programs))):
-            raise SimulationError(f"rank ids must be 0..{len(programs) - 1}, got {ranks}")
-        # Ranks built from one template share its tuple: count each
-        # distinct sequence's barriers once.
-        distinct = {id(p.phases): p for p in programs}
-        barrier_counts = {p.barrier_count for p in distinct.values()}
+        num_ranks = len(programs)
+        # Rank ids must be a permutation of 0..n-1: every id in range, and
+        # scattering the n program positions by id fills all n slots.
+        ranks = np.fromiter(map(attrgetter("rank"), programs), np.intp, num_ranks)
+        position = np.full(num_ranks, -1, dtype=np.intp)
+        in_range = 0 <= ranks.min() and ranks.max() < num_ranks
+        if in_range:
+            position[ranks] = np.arange(num_ranks, dtype=np.intp)
+        if not in_range or (position < 0).any():
+            ranks_seen = sorted(p.rank for p in programs)
+            raise SimulationError(f"rank ids must be 0..{num_ranks - 1}, got {ranks_seen}")
+        # Ranks built from one template share its tuple: one ``np.unique``
+        # over the sequences' ids (in rank order) finds the distinct
+        # sequences, and each one's barriers are counted once.
+        per_program = list(map(attrgetter("phases"), programs))
+        seq_ids = np.fromiter(map(id, per_program), np.int64, num_ranks)[position]
+        _, seq_first, seq_of_rank = np.unique(seq_ids, return_index=True, return_inverse=True)
+        sequences = [per_program[i] for i in position[seq_first]]
+        barrier_counts = {
+            sum(1 for phase in phases if phase.kind is PhaseKind.BARRIER)
+            for phases in sequences
+        }
         if len(barrier_counts) != 1:
             raise SimulationError(
                 f"all ranks must have the same number of barriers, got {sorted(barrier_counts)}"
             )
-        self._programs: Dict[int, RankProgram] = {p.rank: p for p in programs}
-        self._num_ranks = len(programs)
+        # ``sequences`` keeps every template alive, so the ids stay unique.
+        self._sequences: List[Tuple[Phase, ...]] = sequences
+        self._seq_of_rank = seq_of_rank
+        self._num_ranks = num_ranks
         self._num_barriers = barrier_counts.pop()
 
     # ------------------------------------------------------------------
@@ -173,18 +204,15 @@ class SimulationEngine:
         num_ranks = self._num_ranks
         num_barriers = self._num_barriers
 
-        # 1. One flat pass over the *distinct* phase sequences.  Ranks
-        # built from one template share its tuple, so one ``np.unique``
-        # over sequence ids finds the distinct sequences, only those are
-        # flattened, a second ``np.unique`` deduplicates their phases by
-        # identity (attributes are read once per unique phase), and one
-        # offset gather expands the phase rows back to per-rank rows:
-        # O(distinct phases + ranks) Python work.  (``per_rank`` and
-        # ``flat`` keep every object alive, so ids stay unique.)
-        per_rank = [self._programs[r].phases for r in range(num_ranks)]
-        seq_ids = np.fromiter(map(id, per_rank), np.int64, num_ranks)
-        _, seq_first, seq_of_rank = np.unique(seq_ids, return_index=True, return_inverse=True)
-        sequences = [per_rank[i] for i in seq_first]
+        # 1. One flat pass over the *distinct* phase sequences (found in
+        # __init__): only those are flattened, one ``np.unique``
+        # deduplicates their phases by identity (attributes are read once
+        # per unique phase), and one offset gather expands the phase rows
+        # back to per-rank rows: O(distinct phases + ranks) Python work.
+        # (``sequences`` and ``flat`` keep every object alive, so ids stay
+        # unique.)
+        sequences = self._sequences
+        seq_of_rank = self._seq_of_rank
         seq_len = np.fromiter(map(len, sequences), np.intp, len(sequences))
         flat = [phase for phases in sequences for phase in phases]
         ids = np.fromiter(map(id, flat), np.int64, len(flat))
@@ -253,7 +281,6 @@ class SimulationEngine:
         p_rank = ph_rank[keep]
         p_seg = ph_seg[keep]
         p_row = ph_row[keep]
-        p_pos = np.arange(n, dtype=np.intp)[keep]
         p_start = np.asarray(seg_start[p_seg] + local_start[keep], dtype=float)
         p_end = np.asarray(seg_start[p_seg] + local_end[keep], dtype=float)
 
@@ -267,39 +294,40 @@ class SimulationEngine:
             )
             release = np.asarray(seg_start[1:], dtype=float)
             w_rank, w_seg = np.nonzero(release[None, :] > arrive + _EPS)
-            w_start = arrive[w_rank, w_seg]
-            w_end = release[w_seg]
         else:
             w_rank = w_seg = np.zeros(0, dtype=np.intp)
-            w_start = w_end = np.zeros(0)
-        if w_rank.size:
-            wait_row = len(table)
-            table.append(_WAIT_PHASE)
-        else:
-            wait_row = 0
 
         # 6. Merge phases and waits into per-rank time order: within a
         # rank, segment-s phases (in program order), then the barrier-s
-        # wait, then segment s+1.  The phase table is then compacted to
-        # the rows the intervals actually reference (the full table still
-        # holds barrier and zero-duration phases).
-        a_rank = np.concatenate([p_rank, w_rank])
-        a_seg = np.concatenate([p_seg, w_seg])
-        a_wait = np.concatenate(
-            [np.zeros(p_rank.size, dtype=np.intp), np.ones(w_rank.size, dtype=np.intp)]
-        )
-        a_pos = np.concatenate([p_pos, np.zeros(w_rank.size, dtype=np.intp)])
-        order = np.lexsort((a_pos, a_wait, a_seg, a_rank))
-        row_full = np.concatenate(
-            [p_row, np.full(w_rank.size, wait_row, dtype=np.intp)]
-        )[order]
-        used_rows, phase_row = np.unique(row_full, return_inverse=True)
+        # wait, then segment s+1.  Phases alone are already in that order
+        # (rank-major, program order), so the sort runs only when there
+        # are waits to slot in.
+        a_rank, a_start, a_end, a_row = p_rank, p_start, p_end, p_row
+        if w_rank.size:
+            wait_row = len(table)
+            table.append(_WAIT_PHASE)
+            waits = w_rank.size
+            order = np.lexsort(
+                (
+                    np.concatenate([np.arange(n, dtype=np.intp)[keep], np.zeros(waits, np.intp)]),
+                    np.concatenate([np.zeros(p_rank.size, np.intp), np.ones(waits, np.intp)]),
+                    np.concatenate([p_seg, w_seg]),
+                    np.concatenate([p_rank, w_rank]),
+                )
+            )
+            a_rank = np.concatenate([p_rank, w_rank])[order]
+            a_start = np.concatenate([p_start, arrive[w_rank, w_seg]])[order]
+            a_end = np.concatenate([p_end, release[w_seg]])[order]
+            a_row = np.concatenate([p_row, np.full(waits, wait_row, np.intp)])[order]
+        # Compact the phase table to the rows the intervals reference (it
+        # still holds barrier and zero-duration phases).
+        used_rows, phase_row = _compact_rows(a_row, len(table))
         arrays = IntervalArrays(
             num_ranks=num_ranks,
-            rank=a_rank[order],
-            t_start=np.concatenate([p_start, w_start])[order],
-            t_end=np.concatenate([p_end, w_end])[order],
-            phase_row=phase_row.astype(np.intp, copy=False),
+            rank=a_rank,
+            t_start=a_start,
+            t_end=a_end,
+            phase_row=phase_row,
             phases=[table[i] for i in used_rows],
             makespan=makespan,
         )

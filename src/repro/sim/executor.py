@@ -21,13 +21,15 @@ Power integration
 -----------------
 
 Steps 1–3 are a sweep-line pipeline.  Per node, interval start/end events
-become difference arrays whose prefix sums give every component's demand
-per timeline slice in O(n log n); the slices are priced in a handful of
-NumPy calls: :meth:`~repro.power.node_power.NodePowerModel.wall_power`
-prices a whole struct-of-arrays timeline in one call.  The
-cross-node merge ``searchsorted``\\ s every node curve onto the global cut
-grid, sums a nodes x cuts watts matrix, compacts runs of equal watts, and
-hands the arrays to :meth:`~repro.power.trace.PiecewisePower.from_arrays`.
+become difference arrays (one signed ``np.bincount`` per demand column)
+whose prefix sums give every component's demand per timeline slice in
+O(n log n); the slices are priced in a handful of NumPy calls:
+:meth:`~repro.power.node_power.NodePowerModel.wall_power_and_breakdown`
+prices each component of a whole struct-of-arrays timeline once and sums
+the wall watts from those prices.  The cross-node merge
+``searchsorted``\\ s every node curve onto the global cut grid, sums a
+nodes x cuts watts matrix, compacts runs of equal watts, and hands the
+arrays to :meth:`~repro.power.trace.PiecewisePower.from_arrays`.
 
 Breakpoints that float noise has pushed within ``_EPS`` of each other are
 snapped onto a single representative *before* slicing, so no slice — and
@@ -49,7 +51,7 @@ import numpy as np
 from .. import telemetry as tele
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import SimulationError
-from ..power.components import NodeUtilization, NodeUtilizationArray
+from ..power.components import NodeUtilizationArray
 from ..power.meter import WATTS_UP_PRO, WallPlugMeter
 from ..power.node_power import NodePowerModel
 from ..power.trace import PiecewisePower, PowerTrace
@@ -81,9 +83,12 @@ def _snap_cuts(times: np.ndarray, makespan: float) -> np.ndarray:
     Callers always include ``0.0`` and ``makespan`` among ``times``; both
     survive as the exact first/last representative.
     """
-    arr = np.unique(np.clip(np.asarray(times, dtype=float), 0.0, makespan))
-    keep = np.ones(arr.size, dtype=bool)
-    np.greater(np.diff(arr), _EPS, out=keep[1:])
+    arr = np.sort(np.clip(np.asarray(times, dtype=float), 0.0, makespan))
+    # Exact duplicates differ by 0 <= _EPS, so the neighbour mask drops them
+    # along with the near-duplicates: no separate deduplication pass.
+    keep = np.empty(arr.size, dtype=bool)
+    keep[0] = True
+    np.greater(arr[1:] - arr[:-1], _EPS, out=keep[1:])
     reps = arr[keep]
     if makespan - reps[-1] <= _EPS:
         # the group containing makespan is represented by makespan itself,
@@ -92,6 +97,29 @@ def _snap_cuts(times: np.ndarray, makespan: float) -> np.ndarray:
     else:  # pragma: no cover - callers pass makespan in `times`
         reps = np.append(reps, makespan)
     return reps
+
+
+def _fold_levels(
+    i_edge: np.ndarray, phase_row: np.ndarray, table: np.ndarray, num_cuts: int
+) -> List[Optional[np.ndarray]]:
+    """Per demand column, the summed demand of the intervals open at each cut.
+
+    ``i_edge`` holds every interval's start cut and then every interval's
+    end cut; ``table[phase_row]`` is each interval's demand row.  Per
+    column, one ``np.bincount`` adds the +demand of every start and the
+    -demand of every end, and one ``cumsum`` runs the prefix.  ``bincount``
+    accumulates in input order, so each cut sums its starts and then its
+    ends in interval order: the same float additions as an
+    ``np.add.at``/``np.subtract.at`` pair on a difference matrix.  A column
+    no phase uses is ``None``: its levels are all ``+0.0``, with no
+    arithmetic.
+    """
+    signed_rows = np.concatenate([phase_row, phase_row + len(table)])
+    signed_table = np.concatenate([table, -table])
+    return [
+        np.cumsum(np.bincount(i_edge, column[signed_rows], num_cuts)) if used else None
+        for column, used in zip(signed_table.T, table.any(axis=0))
+    ]
 
 
 def _assert_tiling(starts: np.ndarray, ends: np.ndarray, makespan: float) -> None:
@@ -269,9 +297,7 @@ class ClusterExecutor:
                     metering=self.metering,
                     idle_wall_w=self.node_power.idle_wall_power(),
                     max_node_wall_w=self.node_power.max_wall_power(),
-                    idle_component_w=self.node_power.component_breakdown(
-                        NodeUtilization.idle()
-                    ),
+                    idle_component_w=self.node_power.idle_component_breakdown(),
                 )
                 self.timelines.append(run_timeline)
                 capture_span.set(
@@ -312,15 +338,15 @@ class ClusterExecutor:
         flat arrays rather than one node at a time: the
         :class:`~repro.sim.engine.IntervalArrays` provide the interval
         endpoints and deduplicated phase-demand rows directly, a single
-        lexsort builds every node's snapped cut grid, one
-        ``np.add.at``/``cumsum`` pair folds every component's demand onto
-        every slice of every node, and one
-        :meth:`~repro.power.node_power.NodePowerModel.wall_power`
-        call prices the whole cluster.  Because every interval's +demand
-        and -demand both land inside its node's region, the running
-        prefix sum returns to zero at each region boundary, so one flat
-        ``cumsum`` is safe across regions — there is no per-node Python
-        loop anywhere on this path.
+        lexsort builds every node's snapped cut grid, one signed
+        ``np.bincount`` and one ``cumsum`` per demand column fold that
+        component's demand onto every slice of every node, and one
+        :meth:`~repro.power.node_power.NodePowerModel.wall_power_and_breakdown`
+        call prices the whole cluster, each component once.  Because every
+        interval's +demand and -demand both land inside its node's region,
+        the running prefix sum returns to zero at each region boundary, so
+        one flat ``cumsum`` is safe across regions — there is no per-node
+        Python loop anywhere on this path.
 
         With ``capture`` set, the integrator also stashes its columnar
         slice table (start/end/node/wall watts plus per-component DC
@@ -336,32 +362,28 @@ class ClusterExecutor:
         # shared across intervals (and interned for barrier waits), so
         # their demand vectors are gathered through the row-index table
         # instead of being re-read per interval.
-        n_iv = len(intervals)
         iv_start = np.asarray(intervals.t_start, dtype=float)
         iv_end = np.asarray(intervals.t_end, dtype=float)
-        demands = intervals.demand_table()[intervals.phase_row]  # (n_iv, 6)
+        table = intervals.demand_table()  # (phases, 6)
 
-        # Dense node rows 0..m-1 over the nodes actually hosting ranks.
+        # Dense node rows 0..m-1 over the nodes actually hosting ranks:
+        # a node's row is its position in the sorted ``nodes_used``.
         nodes_used = placement.nodes_used
         m = len(nodes_used)
-        row_of_node = {node: i for i, node in enumerate(nodes_used)}
-        node_row_of_rank = np.fromiter(
-            (row_of_node[n] for n in placement.node_of_rank),
-            np.intp,
-            placement.num_ranks,
-        )
-        iv_node = node_row_of_rank[intervals.rank]
+        iv_node = np.searchsorted(nodes_used, placement.node_array)[intervals.rank]
 
         # 2. Per-node snapped cut grids, all at once: every endpoint plus
         # {0, makespan} per node, ordered by (node, time), deduplicated
-        # within _EPS exactly as _snap_cuts does per node.
+        # within _EPS exactly as _snap_cuts does per node.  The sort is
+        # stable, so its order does not depend on the node key's dtype;
+        # the narrowest one that holds every row lets NumPy radix-sort it.
         node_rows = np.arange(m)
         ev_time = np.concatenate(
             [iv_start, iv_end, np.zeros(m), np.full(m, makespan)]
         )
         np.clip(ev_time, 0.0, makespan, out=ev_time)
         ev_node = np.concatenate([iv_node, iv_node, node_rows, node_rows])
-        order = np.lexsort((ev_time, ev_node))
+        order = np.lexsort((ev_time, ev_node.astype(np.min_scalar_type(m))))
         ev_time = ev_time[order]
         ev_node = ev_node[order]
         new_region = np.empty(ev_node.size, dtype=bool)
@@ -377,46 +399,51 @@ class ClusterExecutor:
         last_of_region[-1] = True
         np.not_equal(cut_node[1:], cut_node[:-1], out=last_of_region[:-1])
         cut_time[last_of_region] = makespan
+        has_slice = ~last_of_region
 
         # 3. Interval endpoints -> flat cut positions, one bisection for
         # all nodes: shifting each region by node_row * span keeps the
         # flat key array sorted and confines every lookup to its region.
+        # Starts and ends share one lookup, starts first.
         span = makespan + 1.0
         cut_keys = cut_node * span + cut_time
-        i_start = (
-            np.searchsorted(cut_keys, iv_node * span + iv_start + _EPS, side="right") - 1
-        )
-        i_end = (
-            np.searchsorted(cut_keys, iv_node * span + iv_end + _EPS, side="right") - 1
-        )
+        region_offset = iv_node * span
+        edge_keys = np.concatenate([region_offset + iv_start, region_offset + iv_end])
+        edge_keys += _EPS
+        i_edge = np.searchsorted(cut_keys, edge_keys, side="right") - 1
 
         # 4. Difference arrays + one prefix sum fold every component onto
         # every slice.  Slice p lives between cuts p and p+1 of the same
         # region; each region's deltas cancel to zero by its last cut, so
-        # the flat cumsum never bleeds across nodes.
-        delta = np.zeros((cut_time.size, 6))
-        np.add.at(delta, i_start, demands)
-        np.subtract.at(delta, i_end, demands)
-        levels = np.cumsum(delta, axis=0)[~last_of_region]
-        slice_node = cut_node[~last_of_region]
-        slice_start = cut_time[~last_of_region]
+        # the flat cumsum never bleeds across nodes.  An unused column's
+        # levels, and so its utilization, are +0.0 on every slice: one
+        # shared zeros array stands in for both.
+        zeros = np.zeros(int(np.count_nonzero(has_slice)))
+        levels = [
+            zeros if level is None else level[has_slice]
+            for level in _fold_levels(i_edge, intervals.phase_row, table, cut_time.size)
+        ]
+        slice_node = cut_node[has_slice]
+        slice_start = cut_time[has_slice]
         widths = np.empty(cut_time.size)
         widths[:-1] = cut_time[1:] - cut_time[:-1]
-        widths = widths[~last_of_region]
+        widths = widths[has_slice]
 
         # 5. Utilization and wall watts for every slice of every node in
         # one batched evaluation.  busy counts are sums of 0/1 floats —
         # exact, so the busy-== 0 -> idle() rule matches the scalar oracle.
-        busy = levels[:, 0]
+        busy, intensity_sum = levels[0], levels[1]
         active = busy > 0
         mean_intensity = np.divide(
-            levels[:, 1], busy, out=np.zeros(busy.size), where=active
+            intensity_sum, busy, out=np.zeros(busy.size), where=active
         )
 
         def demand(level: np.ndarray) -> np.ndarray:
             # Matches the scalar oracle: a node with no core-occupying rank
             # reports idle() — residual demands from non-occupying phases
             # are zeroed, and float cancellation noise is clipped away.
+            if level is zeros:
+                return zeros
             return np.where(active, np.clip(level, 0.0, 1.0), 0.0)
 
         util = NodeUtilizationArray(
@@ -424,14 +451,13 @@ class ClusterExecutor:
                 active, np.minimum(1.0, busy / self.cluster.node.cores), 0.0
             ),
             cpu_intensity=np.where(active, np.minimum(1.0, mean_intensity), 0.0),
-            memory=demand(levels[:, 2]),
-            storage=demand(levels[:, 3]),
-            nic=demand(levels[:, 4]),
-            accelerator=demand(levels[:, 5]),
+            memory=demand(levels[2]),
+            storage=demand(levels[3]),
+            nic=demand(levels[4]),
+            accelerator=demand(levels[5]),
         )
-        watts = self.node_power.wall_power(util)
+        watts, components = self.node_power.wall_power_and_breakdown(util)
         breakdown: Dict[str, float] = {}
-        components = self.node_power.component_breakdown(util)
         for component, dc_watts in components.items():
             breakdown[component] = float(np.dot(dc_watts, widths))
         idle_nodes = self._idle_node_count(m)
@@ -448,7 +474,7 @@ class ClusterExecutor:
             capture.idle_nodes = idle_nodes
             capture.set_slices(
                 start=slice_start,
-                end=ends_all[~last_of_region],
+                end=ends_all[has_slice],
                 node_row=slice_node,
                 wall_w=watts,
                 components=components,
@@ -502,8 +528,7 @@ class ClusterExecutor:
     def _add_idle_breakdown(self, breakdown: Dict[str, float], idle_nodes: int, makespan: float) -> None:
         if not idle_nodes:
             return
-        idle_parts = self.node_power.component_breakdown(NodeUtilization.idle())
-        for component, watts in idle_parts.items():
+        for component, watts in self.node_power.idle_component_breakdown().items():
             breakdown[component] = (
                 breakdown.get(component, 0.0) + idle_nodes * watts * makespan
             )

@@ -12,7 +12,9 @@ Two standard policies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
+
+import numpy as np
 
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import PlacementError
@@ -32,19 +34,25 @@ class Placement:
     def __post_init__(self) -> None:
         if not self.node_of_rank:
             raise PlacementError("placement must contain at least one rank")
-        counts: Dict[int, int] = {}
-        for rank, node in enumerate(self.node_of_rank):
-            if not 0 <= node < self.cluster.num_nodes:
-                raise PlacementError(
-                    f"rank {rank} placed on node {node}, cluster has {self.cluster.num_nodes}"
-                )
-            counts[node] = counts.get(node, 0) + 1
+        num_nodes = self.cluster.num_nodes
+        nodes = np.fromiter(self.node_of_rank, np.intp, len(self.node_of_rank))
+        outside = (nodes < 0) | (nodes >= num_nodes)
+        if outside.any():
+            rank = int(np.argmax(outside))
+            raise PlacementError(
+                f"rank {rank} placed on node {nodes[rank]}, cluster has {num_nodes}"
+            )
+        counts = np.bincount(nodes, minlength=num_nodes)
         per_node_cores = self.cluster.node.cores
-        for node, count in counts.items():
-            if count > per_node_cores:
-                raise PlacementError(
-                    f"node {node} assigned {count} ranks but has {per_node_cores} cores"
-                )
+        over = counts > per_node_cores
+        if over.any():
+            # name the over-full node that the lowest such rank sits on
+            node = int(nodes[np.argmax(over[nodes])])
+            raise PlacementError(
+                f"node {node} assigned {counts[node]} ranks but has {per_node_cores} cores"
+            )
+        nodes.flags.writeable = False
+        object.__setattr__(self, "_nodes", nodes)
         object.__setattr__(self, "_counts", counts)
 
     @property
@@ -53,21 +61,28 @@ class Placement:
         return len(self.node_of_rank)
 
     @property
+    def node_array(self) -> np.ndarray:
+        """:attr:`node_of_rank` as a read-only ``intp`` array."""
+        return self._nodes
+
+    @property
     def nodes_used(self) -> List[int]:
         """Sorted node indices hosting at least one rank."""
-        return sorted(self._counts)
+        return np.flatnonzero(self._counts).tolist()
 
     def ranks_on_node(self, node: int) -> List[int]:
         """Rank ids assigned to ``node``."""
-        return [r for r, n in enumerate(self.node_of_rank) if n == node]
+        return np.flatnonzero(self._nodes == node).tolist()
 
     def ranks_per_node(self, node: int) -> int:
         """Number of ranks on ``node`` (0 for unused nodes)."""
-        return self._counts.get(node, 0)
+        if not 0 <= node < self._counts.size:
+            return 0
+        return int(self._counts[node])
 
     def max_ranks_per_node(self) -> int:
         """Largest per-node rank count."""
-        return max(self._counts.values())
+        return int(self._counts.max())
 
 
 def breadth_first_placement(cluster: ClusterSpec, num_ranks: int) -> Placement:
@@ -77,7 +92,7 @@ def breadth_first_placement(cluster: ClusterSpec, num_ranks: int) -> Placement:
         raise PlacementError(
             f"{num_ranks} ranks exceed cluster capacity of {cluster.total_cores} cores"
         )
-    mapping = tuple(r % cluster.num_nodes for r in range(num_ranks))
+    mapping = tuple((np.arange(num_ranks) % cluster.num_nodes).tolist())
     return Placement(cluster=cluster, node_of_rank=mapping, policy="breadth-first")
 
 
@@ -89,5 +104,5 @@ def packed_placement(cluster: ClusterSpec, num_ranks: int) -> Placement:
             f"{num_ranks} ranks exceed cluster capacity of {cluster.total_cores} cores"
         )
     cores = cluster.node.cores
-    mapping = tuple(r // cores for r in range(num_ranks))
+    mapping = tuple((np.arange(num_ranks) // cores).tolist())
     return Placement(cluster=cluster, node_of_rank=mapping, policy="packed")

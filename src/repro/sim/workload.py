@@ -24,6 +24,7 @@ not once per rank.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -34,6 +35,7 @@ __all__ = [
     "PhaseKind",
     "Phase",
     "RankProgram",
+    "rank_programs",
     "barrier",
     "compute_phase",
     "memory_phase",
@@ -152,6 +154,15 @@ class RankProgram:
     def busy_time(self) -> float:
         """Sum of phase durations, excluding engine-inserted waits."""
         return sum(p.duration_s for p in self.phases)
+
+
+def rank_programs(template: Tuple[Phase, ...], num_ranks: int) -> Tuple[RankProgram, ...]:
+    """Programs for ranks ``0..num_ranks-1``, every one sharing ``template``.
+
+    The builders' one per-rank step; ``map`` drives the constructor with
+    no Python loop of its own.
+    """
+    return tuple(map(RankProgram, range(num_ranks), itertools.repeat(template, num_ranks)))
 
 
 # ----------------------------------------------------------------------

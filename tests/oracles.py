@@ -9,6 +9,15 @@ Each oracle is the slow, independently simple implementation of something
 * :func:`integrate_midpoint` — the midpoint-scan power integrator (per
   slice, per node, a Python rescan of every rank interval), against
   :meth:`repro.sim.executor.ClusterExecutor.integrate_power`'s sweep line;
+* :func:`fold_add_at`, :func:`snap_cuts_unique` and :func:`remap_unique` —
+  the sweep line's difference-matrix fold, cut snapping and phase-row
+  compaction as ``np.add.at``/``np.subtract.at`` and ``np.unique`` wrote
+  them, against :func:`repro.sim.executor._fold_levels`,
+  :func:`repro.sim.executor._snap_cuts` and
+  :func:`repro.sim.engine._compact_rows`, bit for bit;
+* :func:`node_dc_power` — a node's DC watts summed straight from fresh
+  component models, against the one pricing inside
+  :meth:`repro.power.node_power.NodePowerModel.wall_power_and_breakdown`;
 * :func:`evaluate_system` and :func:`scalar_fleet` — the per-system fleet
   scorer through the very model objects the simulator compiles, against
   :func:`repro.fleet.evaluate_fleet`'s batched pass;
@@ -55,7 +64,14 @@ from repro.perfmodels import hpl as hpl_perf
 from repro.perfmodels.hpl import HPLModel
 from repro.perfmodels.iozone import IOzoneModel
 from repro.perfmodels.stream import StreamModel
-from repro.power.components import NodeUtilization
+from repro.power.components import (
+    AcceleratorPowerModel,
+    CPUPowerModel,
+    MemoryPowerModel,
+    NICPowerModel,
+    NodeUtilization,
+    StoragePowerModel,
+)
 from repro.power.node_power import NodePowerModel
 from repro.power.trace import PiecewisePower
 from repro.rng import RandomState, ensure_rng
@@ -72,6 +88,10 @@ __all__ = [
     "list_makespan",
     "run_event_heap",
     "integrate_midpoint",
+    "fold_add_at",
+    "snap_cuts_unique",
+    "remap_unique",
+    "node_dc_power",
     "evaluate_system",
     "scalar_fleet",
     "canonical_json_walk",
@@ -360,6 +380,65 @@ def _slice_utilization(
         nic=min(1.0, nic),
         accelerator=min(1.0, accelerator),
     )
+
+
+# ----------------------------------------------------------------------
+# The sweep line's pieces as NumPy's set and scatter routines wrote them
+# ----------------------------------------------------------------------
+
+def fold_add_at(
+    i_edge: np.ndarray, phase_row: np.ndarray, table: np.ndarray, num_cuts: int
+) -> np.ndarray:
+    """The ``(num_cuts, 6)`` demand levels through a difference matrix.
+
+    ``i_edge`` holds every interval's start cut, then every interval's end
+    cut.  ``np.add.at`` puts each interval's demand row on its start cut,
+    ``np.subtract.at`` takes it off at its end cut, and one ``cumsum``
+    runs down the cuts.
+    """
+    starts, ends = np.split(i_edge, 2)
+    demands = table[phase_row]
+    delta = np.zeros((num_cuts, 6))
+    np.add.at(delta, starts, demands)
+    np.subtract.at(delta, ends, demands)
+    return np.cumsum(delta, axis=0)
+
+
+def snap_cuts_unique(times: np.ndarray, makespan: float) -> np.ndarray:
+    """Snapped breakpoints, deduplicated by ``np.unique`` before the ``_EPS`` merge."""
+    arr = np.unique(np.clip(np.asarray(times, dtype=float), 0.0, makespan))
+    keep = np.ones(arr.size, dtype=bool)
+    np.greater(np.diff(arr), _EPS, out=keep[1:])
+    reps = arr[keep]
+    if makespan - reps[-1] <= _EPS:
+        reps[-1] = makespan
+    else:
+        reps = np.append(reps, makespan)
+    return reps
+
+
+def remap_unique(rows: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The used rows of a ``size``-row table and each entry's position among them."""
+    used, inverse = np.unique(rows, return_inverse=True)
+    return used, inverse.astype(np.intp, copy=False)
+
+
+def node_dc_power(node: NodeSpec, util):
+    """DC watts of ``node`` at ``util`` from freshly built component models.
+
+    Base, CPU, memory, storage and NIC are added left to right, then each
+    accelerator card in turn.
+    """
+    total = (
+        node.base_watts
+        + CPUPowerModel(spec=node.cpu, sockets=node.sockets).power(util)
+        + MemoryPowerModel(spec=node.memory, sockets=node.sockets).power(util)
+        + StoragePowerModel(spec=node.storage).power(util)
+        + NICPowerModel(spec=node.nic).power(util)
+    )
+    for card in node.accelerators:
+        total += AcceleratorPowerModel(spec=card).power(util)
+    return total
 
 
 # ----------------------------------------------------------------------

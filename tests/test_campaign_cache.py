@@ -29,6 +29,7 @@ from repro.campaign import (
     ResultCache,
     cache_key,
     canonical_json,
+    execute_job,
     fleet_jobs,
     manifest_core,
     paper_jobs,
@@ -38,6 +39,7 @@ from repro.campaign.cache import canonical_digest
 from repro.exceptions import ReproError
 from repro.experiments import PAPER_CONFIG
 from repro.faults import FaultPlan
+from repro.serialization import sweep_result_from_dict, sweep_result_to_dict
 
 from .oracles import canonical_json_walk
 
@@ -330,6 +332,49 @@ class TestPayloadDigest:
         assert warm.cache_hits == len(jobs)
         assert serialized == []
         assert warm.manifest["fingerprint"] == cold.manifest["fingerprint"]
+
+
+def _not_json_native(value, path="payload"):
+    """Paths of every value whose type is not exactly a JSON one."""
+    found = []
+    if type(value) not in (dict, list, str, int, float, bool, type(None)):
+        found.append(f"{path}: {type(value).__name__}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if type(key) is not str:
+                found.append(f"{path} key {key!r}")
+            found += _not_json_native(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            found += _not_json_native(item, f"{path}[{index}]")
+    return found
+
+
+class TestJsonNativePayloads:
+    """An executed payload is plain JSON data, so its one serialization is
+    the canonical dump: no normalizing round trip is needed for a computed
+    payload to equal the one the cache serves back."""
+
+    @pytest.mark.parametrize("job", paper_jobs() + fleet_jobs(1), ids=lambda job: job.job_id)
+    def test_payload_holds_only_json_values(self, tmp_path, job):
+        payload = execute_job(job)
+        assert _not_json_native(payload) == []
+        text, digest = canonical_digest(payload)
+        assert json.loads(text) == payload
+        cache = ResultCache(tmp_path)
+        cache.put(cache_key(job), text, digest)
+        hit = cache.get(cache_key(job))
+        assert hit.payload == payload
+        assert hit.payload_sha256 == digest
+
+    def test_the_serializer_writes_json_values(self):
+        job = paper_jobs()[1]
+        payload = execute_job(job)
+        # rebuilt objects, serialized again with no JSON pass in between
+        sweep = sweep_result_from_dict(payload["sweep"], cluster=job.cluster.resolve())
+        rewritten = sweep_result_to_dict(sweep)
+        assert _not_json_native(rewritten) == []
+        assert rewritten == payload["sweep"]
 
 
 class TestValidationAwareMembership:

@@ -13,7 +13,9 @@ oracle in ``tests/oracles.py``.  Two strategies probe it:
 """
 
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -33,7 +35,16 @@ from repro.sim import (
     memory_phase,
 )
 
-from .oracles import interval_arrays, interval_lists, list_makespan, run_event_heap
+from repro.sim import engine as engine_module
+from repro.sim.engine import _compact_rows
+
+from .oracles import (
+    interval_arrays,
+    interval_lists,
+    list_makespan,
+    remap_unique,
+    run_event_heap,
+)
 
 #: Multiples of 1/256 are exact binary fractions: sums of them round-trip
 #: through float64 without error, so interval bounds must match exactly.
@@ -163,6 +174,40 @@ class TestIntervalEquivalence:
         assert arrays.makespan == pytest.approx(
             list_makespan(run_event_heap(programs)), rel=1e-9, abs=1e-9
         )
+
+
+class TestRemapOracle:
+    """The presence-mask compaction of the phase table is bit-identical to
+    ``np.unique(return_inverse=True)`` (``tests/oracles.py``)."""
+
+    @given(programs=random_programs(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_run_is_unchanged_by_the_unique_remap(self, programs, data):
+        # the engine orders ranks by id, whatever order the list is in
+        shuffled = data.draw(st.permutations(programs))
+        new = SimulationEngine(shuffled).run_arrays()
+        with mock.patch.object(engine_module, "_compact_rows", remap_unique):
+            old = SimulationEngine(programs).run_arrays()
+        for column in ("rank", "t_start", "t_end", "phase_row"):
+            got, want = getattr(new, column), getattr(old, column)
+            assert got.dtype == want.dtype, column
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), column
+        assert [id(phase) for phase in new.phases] == [id(phase) for phase in old.phases]
+        assert np.float64(new.makespan).view(np.int64) == np.float64(old.makespan).view(np.int64)
+
+    @given(
+        size=st.integers(min_value=1, max_value=30),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_compaction_matches_unique(self, size, data):
+        row = st.integers(min_value=0, max_value=size - 1)
+        rows = np.array(data.draw(st.lists(row, max_size=80)), dtype=np.intp)
+        used, inverse = _compact_rows(rows, size)
+        want_used, want_inverse = remap_unique(rows, size)
+        assert used.tolist() == want_used.tolist()
+        assert inverse.dtype == want_inverse.dtype == np.intp
+        assert inverse.tolist() == want_inverse.tolist()
 
 
 def _heap_record(executor, placement, programs):

@@ -256,6 +256,9 @@ PATHS = {
             "repro.journal.report",
             "repro.timeline.dashboard",
             "multiprocessing",
+            # NumPy's ``np.unique`` and ``np.quantile`` import it on first
+            # use; nothing a campaign runs calls either.
+            "numpy.ma",
         ),
     ),
     "cli": (

@@ -14,6 +14,7 @@ breakpoint-snapping guarantees directly.
 import time
 from dataclasses import fields
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,9 +45,10 @@ from repro.sim import (
     memory_phase,
     packed_placement,
 )
+from repro.sim import executor as executor_module
 from repro.sim.executor import _EPS, _snap_cuts
 
-from .oracles import integrate_midpoint
+from .oracles import fold_add_at, integrate_midpoint, node_dc_power, snap_cuts_unique
 
 # ---------------------------------------------------------------------------
 # program generation
@@ -61,11 +63,12 @@ _FRACTION = st.integers(min_value=0, max_value=100).map(lambda n: n / 100.0)
 
 
 @st.composite
-def _phase(draw):
+def _phase(draw, accelerator=False):
     kind = draw(st.sampled_from(["compute", "memory", "io", "comm", "idle"]))
     d = draw(_DURATION)
     if kind == "compute":
-        return compute_phase(d, memory=draw(_FRACTION) * 0.2)
+        share = draw(_FRACTION) if accelerator else 0.0
+        return compute_phase(d, memory=draw(_FRACTION) * 0.2, accelerator=share)
     if kind == "memory":
         return memory_phase(d, memory=draw(_FRACTION))
     if kind == "io":
@@ -76,15 +79,16 @@ def _phase(draw):
 
 
 @st.composite
-def _programs(draw, max_ranks=24):
-    """Rank programs in barrier-separated rounds (equal barrier counts)."""
+def _programs(draw, max_ranks=24, accelerator=False):
+    """Rank programs in barrier-separated rounds (equal barrier counts);
+    with ``accelerator``, compute phases also offload to the cards."""
     num_ranks = draw(st.integers(min_value=1, max_value=max_ranks))
     rounds = draw(st.integers(min_value=1, max_value=3))
     programs = []
     for rank in range(num_ranks):
         phases = []
         for rd in range(rounds):
-            phases.extend(draw(st.lists(_phase(), min_size=1, max_size=3)))
+            phases.extend(draw(st.lists(_phase(accelerator), min_size=1, max_size=3)))
             if rd < rounds - 1:
                 phases.append(barrier())
         programs.append(RankProgram(rank=rank, phases=phases))
@@ -250,7 +254,8 @@ class TestBatchedPowerAPIs:
     """A whole array of slices must price bitwise identically to mapping
     the same models over the slices one scalar utilization at a time."""
 
-    def _random_utils(self, n=64, seed=0):
+    @staticmethod
+    def _random_utils(n=64, seed=0):
         rng = np.random.default_rng(seed)
         return NodeUtilizationArray(
             cpu_active_fraction=rng.random(n),
@@ -305,6 +310,151 @@ class TestBatchedPowerAPIs:
                 nic=np.zeros(3),
                 accelerator=np.zeros(3),
             )
+
+
+def _bits(values) -> list:
+    """IEEE-754 bit patterns: equal only when every bit is, signed zeros included."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _add_at_fold(i_edge, phase_row, table, num_cuts):
+    """:func:`fold_add_at` in :func:`repro.sim.executor._fold_levels`' shape."""
+    return list(fold_add_at(i_edge, phase_row, table, num_cuts).T)
+
+
+def _integration_bits(executor, placement, arrays):
+    truth, breakdown, stats = executor.integrate_power(placement, arrays, arrays.makespan)
+    return (
+        _bits(truth.starts_array),
+        _bits(truth.ends_array),
+        _bits(truth.watts_array),
+        {component: _bits(joules) for component, joules in breakdown.items()},
+        stats,
+    )
+
+
+#: Demands the fold sees: exact binary fractions, ones that round, zeros of both signs.
+_DEMAND = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.1, 0.2, 0.3, 0.04, 0.9, 1 / 3]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+class TestBitwiseOracles:
+    """The sweep line's fold, snapping and pricing are bit-identical to the
+    formulations they replaced (``tests/oracles.py``).  Bit patterns are
+    compared, so ``-0.0`` against ``+0.0`` counts as a difference."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_integration_is_unchanged_by_the_add_at_fold_and_unique_snap(self, data):
+        accelerated = data.draw(st.booleans())
+        cluster = presets.gpu_cluster(3) if accelerated else presets.fire(4)
+        programs = data.draw(_programs(accelerator=accelerated))
+        place = data.draw(st.sampled_from([breadth_first_placement, packed_placement]))
+        metering = data.draw(st.sampled_from(ClusterExecutor.METERING_MODES))
+        executor = ClusterExecutor(cluster, rng=0, metering=metering)
+        placement = place(cluster, len(programs))
+        arrays = SimulationEngine(programs).run_arrays()
+        new = _integration_bits(executor, placement, arrays)
+        with mock.patch.object(executor_module, "_fold_levels", _add_at_fold), mock.patch.object(
+            executor_module, "_snap_cuts", snap_cuts_unique
+        ):
+            old = _integration_bits(executor, placement, arrays)
+        assert new == old
+
+    @pytest.mark.parametrize("metering", ClusterExecutor.METERING_MODES)
+    @pytest.mark.parametrize("place", [breadth_first_placement, packed_placement])
+    def test_staggered_barriers_on_accelerated_nodes(self, place, metering):
+        """Barrier waits, every demand column and idle nodes, all at once."""
+        cluster = presets.gpu_cluster(4)
+        programs = [
+            RankProgram(
+                rank=rank,
+                phases=[
+                    compute_phase(1.0 + rank * 0.003, memory=0.1, accelerator=0.5),
+                    barrier(),
+                    io_phase(0.5 + rank * 0.01, storage=0.3),
+                    barrier(),
+                    comm_phase(0.25, nic=0.7),
+                    memory_phase(0.1 * (rank % 3 + 1), memory=0.4),
+                ],
+            )
+            for rank in range(18)
+        ]
+        executor = ClusterExecutor(cluster, rng=0, metering=metering)
+        placement = place(cluster, len(programs))
+        arrays = SimulationEngine(programs).run_arrays()
+        assert any(phase.label == "barrier-wait" for phase in arrays.phases)
+        new = _integration_bits(executor, placement, arrays)
+        with mock.patch.object(executor_module, "_fold_levels", _add_at_fold), mock.patch.object(
+            executor_module, "_snap_cuts", snap_cuts_unique
+        ):
+            old = _integration_bits(executor, placement, arrays)
+        assert new == old
+        assert new[3]["accelerators"] != _bits(0.0)
+
+    @given(
+        num_cuts=st.integers(min_value=1, max_value=40),
+        rows=st.lists(st.lists(_DEMAND, min_size=6, max_size=6), min_size=1, max_size=5),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fold_matches_add_at(self, num_cuts, rows, data):
+        table = np.array(rows, dtype=float)
+        n = data.draw(st.integers(min_value=0, max_value=60))
+        cut = st.integers(min_value=0, max_value=num_cuts - 1)
+        i_edge = np.array(data.draw(st.lists(cut, min_size=2 * n, max_size=2 * n)), dtype=np.intp)
+        row = st.integers(min_value=0, max_value=len(table) - 1)
+        phase_row = np.array(data.draw(st.lists(row, min_size=n, max_size=n)), dtype=np.intp)
+        new = executor_module._fold_levels(i_edge, phase_row, table, num_cuts)
+        old = fold_add_at(i_edge, phase_row, table, num_cuts)
+        assert len(new) == 6
+        for column, level in enumerate(new):
+            got = np.zeros(num_cuts) if level is None else level
+            assert _bits(got) == _bits(old[:, column]), column
+
+    @given(
+        makespan=st.floats(min_value=1e-3, max_value=1e4),
+        base=st.lists(st.floats(min_value=-1.0, max_value=2e4), max_size=30),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_snap_matches_unique(self, makespan, base, data):
+        # near-duplicates within and just beyond _EPS, both zeros, both ends
+        offsets = data.draw(
+            st.lists(st.integers(min_value=-8, max_value=8), min_size=len(base), max_size=len(base))
+        )
+        near = [t + k * _EPS / 4 for t, k in zip(base, offsets)]
+        times = np.array(base + near + [0.0, -0.0, makespan, makespan - _EPS / 2])
+        times = times[np.random.default_rng(len(base)).permutation(times.size)]
+        assert _bits(_snap_cuts(times, makespan)) == _bits(snap_cuts_unique(times, makespan))
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(1, 50))
+    @settings(max_examples=40, deadline=None)
+    def test_pricing_adds_components_in_dc_power_order(self, seed, n):
+        for preset in (presets.fire, presets.gpu_cluster):
+            node = preset(1).node
+            model = NodePowerModel(node=node)
+            utils = TestBatchedPowerAPIs._random_utils(n=n, seed=seed)
+            wall, parts = model.wall_power_and_breakdown(utils)
+            assert _bits(wall) == _bits(model.psu.wall_watts(node_dc_power(node, utils)))
+            assert _bits(wall) == _bits(model.wall_power(utils))
+            assert _bits(model.dc_power(utils)) == _bits(node_dc_power(node, utils))
+            assert parts.keys() == model.component_breakdown(utils).keys()
+            for component, watts in model.component_breakdown(utils).items():
+                assert _bits(parts[component]) == _bits(watts), component
+
+    @pytest.mark.parametrize("preset", [presets.fire, presets.gpu_cluster])
+    def test_idle_node_is_priced_once_and_exactly(self, preset):
+        node = preset(1).node
+        model = NodePowerModel(node=node)
+        idle = NodeUtilization.idle()
+        assert _bits(model.idle_wall_power()) == _bits(model.psu.wall_watts(node_dc_power(node, idle)))
+        assert model.idle_component_breakdown() == model.component_breakdown(idle)
+        # a fresh dict each time: callers may add to it
+        model.idle_component_breakdown()["cpu"] = -1.0
+        assert model.idle_component_breakdown() == model.component_breakdown(idle)
 
 
 class TestFromArrays:

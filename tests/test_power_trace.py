@@ -122,6 +122,53 @@ class TestPowerTrace:
             trace.watts[0] = 99
 
 
+class TestPowerTraceEnergyCache:
+    """A trace integrates its samples once; nothing the caller does later moves it."""
+
+    @staticmethod
+    def _bits(x: float) -> int:
+        return int(np.float64(x).view(np.int64))
+
+    @pytest.mark.parametrize("unsorted", [False, True])
+    def test_energy_is_a_fresh_trapezoid(self, unsorted):
+        rng = np.random.default_rng(3)
+        times = np.cumsum(rng.uniform(0.5, 1.5, 200))
+        watts = rng.uniform(0.0, 900.0, 200)
+        if unsorted:
+            order = rng.permutation(200)
+            times, watts = times[order], watts[order]
+        trace = PowerTrace(times, watts)
+        fresh = float(np.trapezoid(trace.watts, trace.times))
+        assert self._bits(trace.energy()) == self._bits(fresh)
+        assert self._bits(trace.energy()) == self._bits(fresh)  # the cached read
+        assert self._bits(trace.mean_power()) == self._bits(fresh / trace.duration)
+
+    def test_single_sample_energy_is_zero(self):
+        trace = PowerTrace([4.0], [250.0])
+        assert trace.energy() == 0.0
+        assert trace.mean_power() == 250.0
+
+    def test_writing_the_callers_arrays_changes_nothing(self):
+        times = np.array([0.0, 1.0, 2.0, 3.0])
+        watts = np.array([100.0, 200.0, 300.0, 400.0])
+        trace = PowerTrace(times, watts)
+        before = trace.energy()
+        times[:] = [0.0, 10.0, 20.0, 30.0]
+        watts[:] = 0.0
+        assert trace.times.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert trace.watts.tolist() == [100.0, 200.0, 300.0, 400.0]
+        assert self._bits(trace.energy()) == self._bits(before)
+        fresh = float(np.trapezoid(trace.watts, trace.times))
+        assert self._bits(trace.energy()) == self._bits(fresh)
+
+    def test_writing_the_callers_arrays_before_the_first_read_changes_nothing(self):
+        watts = np.array([100.0, 300.0, 200.0])
+        trace = PowerTrace(np.array([0.0, 1.0, 2.0]), watts)
+        watts *= 2.0
+        assert trace.energy() == pytest.approx(450.0)
+        assert trace.watts.tolist() == [100.0, 300.0, 200.0]
+
+
 class TestPowerTraceNormalization:
     """Merged meter logs: sorting, dedup, and conflict rejection."""
 
