@@ -34,17 +34,15 @@ Subpackages
     Discrete-event execution of phase-based MPI workloads on a metered
     cluster.
 :mod:`repro.perfmodels`
-    Analytic performance models (HPL, STREAM, IOzone, Amdahl, roofline).
-:mod:`repro.kernels`
-    Real host kernels validating the models at laptop scale.
+    Analytic performance models (HPL, STREAM, IOzone, RandomAccess, b_eff).
 :mod:`repro.benchmarks`
     The benchmark suite and scaling sweeps.
 :mod:`repro.core`
     The TGI metric: EE, REE, weighting schemes, TGI, EDP, ranking,
     desired-property analysis, reports.
 :mod:`repro.analysis`
-    Pearson/Spearman correlation, means, curve characterization, weight
-    sensitivity.
+    Pearson/Spearman correlation, bootstrap/jackknife uncertainty, curve
+    characterization, weight sensitivity.
 :mod:`repro.experiments`
     Drivers regenerating every table and figure of the paper.
 :mod:`repro.telemetry`

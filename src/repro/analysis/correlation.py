@@ -7,18 +7,18 @@ evaluates it for every row of two ``(B, n)`` arrays; :func:`pearson` runs it
 on one row, and the bootstrap and jackknife (:mod:`.bootstrap`) on all their
 resamples at once.  The ``n-1`` of Eq. 17's sample standard deviations
 cancels in the ratio.  :func:`spearman` is provided for rank-robustness
-checks, and :func:`correlation_matrix` builds Table-II-style grids.
+checks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import MetricError
 
-__all__ = ["pearson", "spearman", "correlation_matrix"]
+__all__ = ["pearson", "spearman"]
 
 
 def _validate_pair(x: Sequence[float], y: Sequence[float]):
@@ -130,25 +130,3 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     x_arr, y_arr = _validate_pair(x, y)
     return pearson(_ranks(x_arr), _ranks(y_arr))
 
-
-def correlation_matrix(
-    series: Mapping[str, Sequence[float]],
-    targets: Mapping[str, Sequence[float]],
-    *,
-    method: str = "pearson",
-) -> Dict[str, Dict[str, float]]:
-    """Table-II-style grid: ``result[row][column]``.
-
-    ``series`` are the rows (e.g. per-benchmark EE curves), ``targets`` the
-    columns (e.g. TGI curves under different weights).
-    """
-    if method == "pearson":
-        corr = pearson
-    elif method == "spearman":
-        corr = spearman
-    else:
-        raise MetricError(f"unknown method {method!r}")
-    return {
-        row_name: {col_name: corr(row, col) for col_name, col in targets.items()}
-        for row_name, row in series.items()
-    }

@@ -13,12 +13,12 @@ Conventions: performance is maximized, power minimized.  Ties are kept
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence
 
 from ..exceptions import MetricError
 from ..validation import check_non_negative, check_positive
 
-__all__ = ["ParetoPoint", "pareto_front", "dominated_by"]
+__all__ = ["ParetoPoint", "dominated_by"]
 
 
 @dataclass(frozen=True)
@@ -40,29 +40,6 @@ class ParetoPoint:
         if self.performance < other.performance or self.power_w > other.power_w:
             return False
         return self.performance > other.performance or self.power_w < other.power_w
-
-
-def pareto_front(points: Sequence[ParetoPoint]) -> List[ParetoPoint]:
-    """Non-dominated points, sorted by ascending power.
-
-    O(n log n): sweep points by (power asc, performance desc) and keep
-    those beating the best performance seen so far.
-    """
-    if not points:
-        raise MetricError("need at least one point")
-    names = [p.name for p in points]
-    if len(set(names)) != len(names):
-        raise MetricError(f"duplicate point names: {names}")
-    ordered = sorted(points, key=lambda p: (p.power_w, -p.performance))
-    front: List[ParetoPoint] = []
-    best_perf = -1.0
-    for point in ordered:
-        if point.performance > best_perf:
-            front.append(point)
-            best_perf = point.performance
-        elif point.performance == best_perf and front and point.power_w == front[-1].power_w:
-            front.append(point)  # exact tie: keep both
-    return front
 
 
 def dominated_by(points: Sequence[ParetoPoint]) -> Mapping[str, List[str]]:

@@ -12,9 +12,7 @@ Problem sizing policies:
 
 * ``("fixed", N)`` — strong scaling with a fixed matrix (the paper's
   Figure 2 sweep);
-* ``("memory", fraction)`` — classic capability sizing from DRAM;
-* ``("time", seconds)`` — size for a target runtime (keeps suite members'
-  runtimes comparable, which the weighted-TGI analysis assumes).
+* ``("memory", fraction)`` — classic capability sizing from DRAM.
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ class HPLBenchmark(Benchmark):
     Parameters
     ----------
     sizing:
-        ``("fixed", N)``, ``("memory", fraction)``, or ``("time", seconds)``.
+        ``("fixed", N)`` or ``("memory", fraction)``.
     rounds:
         Number of compute/communicate super-steps rendered.
     model_kwargs:
@@ -75,7 +73,7 @@ class HPLBenchmark(Benchmark):
         **model_kwargs,
     ):
         mode, value = sizing
-        if mode not in ("fixed", "memory", "time"):
+        if mode not in ("fixed", "memory"):
             raise BenchmarkError(f"unknown sizing mode {mode!r}")
         if value <= 0:
             raise BenchmarkError(f"sizing value must be > 0, got {value}")
@@ -85,7 +83,7 @@ class HPLBenchmark(Benchmark):
         self.rounds = rounds
         self.model_kwargs = dict(model_kwargs)
 
-    def _problem_size(self, model: HPLModel, num_ranks: int) -> int:
+    def _problem_size(self, model: HPLModel) -> int:
         mode, value = self.sizing
         if mode == "fixed":
             n = int(value)
@@ -94,9 +92,7 @@ class HPLBenchmark(Benchmark):
                     f"fixed N={n} below block size {hpl_model.BLOCK_SIZE}"
                 )
             return n
-        if mode == "memory":
-            return model.problem_size_from_memory(memory_fraction=value)
-        return model.problem_size_for_time(value, num_ranks)
+        return model.problem_size_from_memory(memory_fraction=value)
 
     def build(self, executor: ClusterExecutor, scale: int) -> BuiltRun:
         """Compile an HPL run on ``scale`` MPI ranks (breadth-first placed)."""
@@ -104,7 +100,7 @@ class HPLBenchmark(Benchmark):
         model = HPLModel(cluster=cluster, **self.model_kwargs)
         placement = breadth_first_placement(cluster, scale)
         ranks_per_node = placement.max_ranks_per_node()
-        n = self._problem_size(model, scale)
+        n = self._problem_size(model)
         prediction = model.predict(n, scale, ranks_per_node=ranks_per_node)
 
         rounds = self.rounds

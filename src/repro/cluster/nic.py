@@ -1,8 +1,9 @@
 """Interconnect (NIC + link) specification.
 
-The communication model in :mod:`repro.sim.communication` is the Hockney
-alpha-beta model: a message of ``m`` bytes between two nodes costs
-``alpha + m / beta`` seconds per hop, where ``alpha`` is
+The performance models price messages with the Hockney alpha-beta model
+(HPL's terms in :mod:`repro.perfmodels.hpl`, b_eff in
+:mod:`repro.perfmodels.network`): a message of ``m`` bytes between two
+nodes costs ``alpha + m / beta`` seconds per hop, where ``alpha`` is
 :attr:`InterconnectSpec.latency_s` and ``beta`` is
 :attr:`InterconnectSpec.bandwidth` (bytes/s).
 """

@@ -1,10 +1,10 @@
 """Interconnect topologies.
 
 A :class:`Topology` is a frozen value — fabric kind, compute-endpoint count
-and (for fat trees) leaf radix — that answers the two quantities the
-communication model needs: hop counts between compute nodes (integers
-``0..n-1``) and the bisection bandwidth (in links) of the fabric.  Every
-answer is a closed form, exact for the switch graph each kind describes.
+and (for fat trees) leaf radix — that answers what the b_eff network model
+(:mod:`repro.perfmodels.network`) needs: the mean hop count between compute
+nodes (integers ``0..n-1``).  The answer is a closed form, exact for the
+switch graph each kind describes.
 
 Three constructors cover the systems modelled:
 
@@ -29,7 +29,7 @@ _KINDS = ("star", "fat-tree", "ring")
 
 @dataclass(frozen=True)
 class Topology:
-    """A named interconnect fabric over ``num_nodes`` compute endpoints.
+    """An interconnect fabric over ``num_nodes`` compute endpoints.
 
     ``kind`` is ``"star"``, ``"fat-tree"`` or ``"ring"``.  ``leaf_radix`` is
     the number of consecutive compute nodes per fat-tree leaf switch and is
@@ -50,37 +50,6 @@ class Topology:
         elif self.leaf_radix is not None:
             raise SpecError(f"leaf_radix applies only to fat trees, not {self.kind}")
 
-    @property
-    def name(self) -> str:
-        """Display name, e.g. ``star(8)`` or ``fat-tree(32,radix=16)``."""
-        if self.kind == "fat-tree":
-            return f"fat-tree({self.num_nodes},radix={self.leaf_radix})"
-        return f"{self.kind}({self.num_nodes})"
-
-    def hops(self, a: int, b: int) -> int:
-        """Number of links on the shortest path between compute nodes."""
-        self._check_endpoint(a)
-        self._check_endpoint(b)
-        if a == b:
-            return 0
-        if self.kind == "star":
-            return 2
-        if self.kind == "ring":
-            d = abs(a - b)
-            return min(d, self.num_nodes - d)
-        return 2 if a // self.leaf_radix == b // self.leaf_radix else 4
-
-    def max_hops(self) -> int:
-        """Diameter restricted to compute endpoints."""
-        n = self.num_nodes
-        if n == 1:
-            return 0
-        if self.kind == "star":
-            return 2
-        if self.kind == "ring":
-            return n // 2
-        return 4 if n > self.leaf_radix else 2
-
     def mean_hops(self) -> float:
         """Mean pairwise hop count over distinct compute endpoints.
 
@@ -100,37 +69,6 @@ class Topology:
         pairs = n * (n - 1) // 2
         return (2 * same_leaf + 4 * (pairs - same_leaf)) / pairs
 
-    def bisection_links(self) -> int:
-        """Minimum number of links cut to split nodes ``[0, n//2)`` from
-        ``[n//2, n)`` — the max-flow between the halves, which upper-bounds
-        all-to-all throughput."""
-        n = self.num_nodes
-        half = n // 2
-        if self.kind == "star":
-            return half
-        if self.kind == "ring":
-            return min(n - 1, 2)
-        # Fat tree: each leaf pairs its own first-half and second-half nodes
-        # locally; the surplus of either side crosses the spine through at
-        # most ``uplinks`` links per leaf.
-        r = self.leaf_radix
-        uplinks = max(1, r // 2)
-        local = up = down = 0
-        for lo in range(0, n, r):
-            size = min(r, n - lo)
-            first = min(max(half - lo, 0), size)
-            second = size - first
-            local += min(first, second)
-            up += min(max(first - second, 0), uplinks)
-            down += min(max(second - first, 0), uplinks)
-        return local + min(up, down)
-
-    def _check_endpoint(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
-            raise SpecError(
-                f"node {node} outside compute endpoints [0, {self.num_nodes})"
-            )
-
 
 def star_topology(num_nodes: int) -> Topology:
     """All compute nodes attached to one crossbar switch (2 hops pairwise)."""
@@ -140,9 +78,7 @@ def star_topology(num_nodes: int) -> Topology:
 def fat_tree_topology(num_nodes: int, *, leaf_radix: int = 16) -> Topology:
     """Two-level fat tree: leaf switches of ``leaf_radix`` nodes + one spine.
 
-    Nodes on the same leaf are 2 hops apart; across leaves, 4 hops.  Each
-    leaf gets ``leaf_radix // 2`` uplinks (2:1 oversubscription, typical of
-    the era) — this shapes :meth:`Topology.bisection_links`.
+    Nodes on the same leaf are 2 hops apart; across leaves, 4 hops.
     """
     return Topology("fat-tree", num_nodes, leaf_radix)
 

@@ -4,7 +4,8 @@ The pipeline follows Section II's four-step algorithm:
 
 1. :mod:`~repro.core.efficiency` — per-benchmark energy efficiency
    ``EE_i = performance_i / power_i`` (Eq. 2), pluggable so TGI can run on
-   other efficiency metrics such as inverse EDP (:mod:`~repro.core.edp`);
+   other efficiency metrics such as inverse EDP
+   (:class:`~repro.core.efficiency.InverseEDP`);
 2. :mod:`~repro.core.ree` — relative energy efficiency against a reference
    system, ``REE_i = EE_i / EE_ref,i`` (Eq. 3);
 3. :mod:`~repro.core.weights` — weighting schemes with ``sum W_i = 1``:
@@ -42,7 +43,6 @@ __getattr__, __dir__, __all__ = _lazy.exports(
             "validate_weights",
         ),
         "tgi": ("TGICalculator", "TGIResult", "TGISeries", "tgi_from_components"),
-        "edp": ("edp_efficiency",),
         "alternatives": ("GeometricTGICalculator", "geometric_tgi_from_components"),
         "workload_weights": (
             "ApplicationProfile",

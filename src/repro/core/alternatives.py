@@ -12,10 +12,11 @@ theorem the tests verify:
 
 The reference cancels, so the *ordering* (and even the ratio) of any two
 systems under geometric TGI is the same under every reference — the
-pathology probed by :mod:`repro.analysis.reference_sensitivity` cannot
-occur.  The price: GTGI loses the arithmetic mean's "work per total joule"
-reading (Eq. 8) and is no longer inversely proportional to any single
-benchmark's energy, only to their weighted geometric blend.
+arithmetic TGI's pathology, where a reference weak on one subsystem can
+invert two systems' order (Smith 1988), cannot occur.  The price: GTGI
+loses the arithmetic mean's "work per total joule" reading (Eq. 8) and is
+no longer inversely proportional to any single benchmark's energy, only
+to their weighted geometric blend.
 
 The paper's arithmetic choice is kept as the default everywhere; this
 module exists to make the trade-off executable.

@@ -10,8 +10,8 @@ breakdown and reported performance of one benchmark:
   saturating at the socket's sustained bandwidth;
 * :mod:`~repro.perfmodels.iozone` — IOzone sequential write: per-node disk
   rate with a page-cache absorption window;
-* :mod:`~repro.perfmodels.amdahl` / :mod:`~repro.perfmodels.roofline` —
-  parallel efficiency and the roofline bound.
+* :mod:`~repro.perfmodels.randomaccess` / :mod:`~repro.perfmodels.network` —
+  the extension members, HPCC RandomAccess (GUPS) and b_eff.
 
 The predictions are consumed by :mod:`repro.benchmarks`, which compiles them
 into per-rank phase programs for the simulator.  HPL, STREAM and IOzone
@@ -31,7 +31,5 @@ __getattr__, __dir__, __all__ = _lazy.exports(
         "iozone": ("IOzoneModel", "IOzonePrediction"),
         "randomaccess": ("RandomAccessModel", "RandomAccessPrediction"),
         "network": ("EffectiveBandwidthModel", "EffectiveBandwidthPrediction"),
-        "amdahl": ("parallel_efficiency",),
-        "roofline": ("RooflineModel", "arithmetic_intensity"),
     },
 )

@@ -273,35 +273,3 @@ class HPLModel:
             comm_volume_time_s=float(comm_volume),
             comm_latency_time_s=float(comm_latency),
         )
-
-    def problem_size_for_time(
-        self, target_seconds: float, num_ranks: int, *, ranks_per_node: int = 0
-    ) -> int:
-        """``N`` (multiple of NB) whose predicted runtime is ~``target_seconds``.
-
-        Used to keep suite members' runtimes comparable, mirroring how
-        benchmarking campaigns size their runs.  Bisects on ``N``.
-        """
-        check_positive(target_seconds, "target_seconds", exc=BenchmarkError)
-        lo = BLOCK_SIZE
-        # exponential search for an upper bound
-        hi = BLOCK_SIZE
-        while (
-            self.predict(hi, num_ranks, ranks_per_node=ranks_per_node).total_time_s
-            < target_seconds
-        ):
-            hi *= 2
-            if hi > 10_000_000:
-                raise BenchmarkError("target time unreachably large")
-        while hi - lo > BLOCK_SIZE:
-            mid = (lo + hi) // 2
-            mid -= mid % BLOCK_SIZE
-            mid = max(mid, BLOCK_SIZE)
-            if mid in (lo, hi):
-                break
-            t = self.predict(mid, num_ranks, ranks_per_node=ranks_per_node).total_time_s
-            if t < target_seconds:
-                lo = mid
-            else:
-                hi = mid
-        return max(lo, BLOCK_SIZE)

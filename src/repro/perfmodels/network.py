@@ -20,13 +20,16 @@ from typing import Tuple
 
 from ..cluster.cluster import ClusterSpec
 from ..exceptions import BenchmarkError
-from ..sim.communication import CommunicationModel
 from ..validation import check_positive, check_positive_int
 
 __all__ = ["EffectiveBandwidthModel", "EffectiveBandwidthPrediction"]
 
 #: Message-size ladder (bytes): latency-bound to bandwidth-bound.
 DEFAULT_MESSAGE_SIZES: Tuple[float, ...] = (1e3, 8e3, 64e3, 512e3, 4e6)
+#: Latency of a shared-memory (intra-node) message.
+_INTRA_NODE_LATENCY_S = 0.4e-6
+#: Effective bytes/s of an intra-node copy (bounded by memory bandwidth).
+_INTRA_NODE_BANDWIDTH = 4e9
 
 
 @dataclass(frozen=True)
@@ -68,10 +71,14 @@ class EffectiveBandwidthModel:
             )
         k = ranks_per_node or math.ceil(num_ranks / self.cluster.num_nodes)
         k = min(k, num_ranks)
-        comm = CommunicationModel(cluster=self.cluster)
-        alpha = comm.effective_latency()
+        # alpha' is the fabric's mean endpoint-to-endpoint latency (shared
+        # memory on a one-node machine)
+        if self.cluster.num_nodes == 1:
+            alpha = _INTRA_NODE_LATENCY_S
+        else:
+            alpha = self.cluster.topology.mean_hops() * self.cluster.node.nic.latency_s
         if math.ceil(num_ranks / k) <= 1:
-            beta = 4e9  # intra-node copies
+            beta = _INTRA_NODE_BANDWIDTH
         else:
             beta = self.cluster.node.nic.bandwidth / k
         rates = [m / (alpha + m / beta) for m in self.message_sizes]

@@ -33,7 +33,6 @@ __getattr__, __dir__, __all__ = _lazy.exports(
         "psu": ("PSUModel", "IDEAL_PSU"),
         "trace": ("PowerTrace", "PiecewisePower"),
         "meter": ("WallPlugMeter", "MeterSpec", "WATTS_UP_PRO"),
-        "energy": ("energy_delay_product", "average_power", "energy_to_solution"),
         "cooling": ("CoolingModel", "FixedPUECooling", "COPCooling"),
         "dvfs": ("DVFSOperatingPoint", "DVFSModel"),
     },

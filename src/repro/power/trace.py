@@ -117,43 +117,6 @@ class PiecewisePower:
         """Peak watts."""
         return float(self._watts.max())
 
-    def resample(self, times: Sequence[float]) -> np.ndarray:
-        """Wall watts at each of ``times`` (array-native; right-continuous).
-
-        Exactly :meth:`power_at` over an array, under a name that pairs
-        with :meth:`downsample` — the timeline layer samples truth curves
-        onto render grids through this.
-        """
-        return self.power_at(np.asarray(times, dtype=float))
-
-    def downsample(self, max_segments: int) -> "PiecewisePower":
-        """An energy-preserving coarsening to at most ``max_segments``.
-
-        Rebins the curve onto a uniform grid whose per-bin watts are the
-        bin's *exact* mean power (bin energy / bin width, computed from
-        the cumulative-energy function), so the result's
-        :meth:`energy` telescopes to the original's up to float rounding.
-        Peaks narrower than a bin are averaged away — use the timeline
-        layer's min-max binning when extrema must survive rendering.
-        """
-        if max_segments < 1:
-            raise PowerModelError(f"max_segments must be >= 1, got {max_segments}")
-        n = self._watts.size
-        if n <= max_segments:
-            return PiecewisePower.from_arrays(
-                self._starts.copy(), self._ends.copy(), self._watts.copy()
-            )
-        edges = np.linspace(self._starts[0], self._ends[-1], max_segments + 1)
-        cum = np.concatenate(
-            [[0.0], np.cumsum((self._ends - self._starts) * self._watts)]
-        )
-        idx = np.minimum(np.searchsorted(self._ends, edges, side="left"), n - 1)
-        energy_at = cum[idx] + (edges - self._starts[idx]) * self._watts[idx]
-        w_mean = np.diff(energy_at) / np.diff(edges)
-        return PiecewisePower.from_arrays(
-            edges[:-1], edges[1:].copy(), np.maximum(w_mean, 0.0)
-        )
-
     @classmethod
     def constant(cls, watts: float, duration: float) -> "PiecewisePower":
         """A constant-power interval (convenience for tests/examples)."""
@@ -305,48 +268,6 @@ class PowerTrace:
         if not mask.any():
             raise PowerModelError(f"no samples in [{t0}, {t1}]")
         return PowerTrace(self._times[mask], self._watts[mask])
-
-    def resample(self, times: Sequence[float]) -> "PowerTrace":
-        """Linear interpolation onto ``times`` (all within the sampled span)."""
-        times_arr = np.asarray(times, dtype=float)
-        if times_arr.size == 0:
-            raise PowerModelError("resample needs at least one target time")
-        if (
-            times_arr.min() < self._times[0] - 1e-12
-            or times_arr.max() > self._times[-1] + 1e-12
-        ):
-            raise PowerModelError(
-                f"resample times outside sampled span "
-                f"[{self._times[0]}, {self._times[-1]}]"
-            )
-        return PowerTrace(times_arr, np.interp(times_arr, self._times, self._watts))
-
-    def downsample(self, max_samples: int) -> "PowerTrace":
-        """Largest-Triangle-Three-Buckets selection of ``max_samples`` samples.
-
-        Deterministic: ties inside a bucket resolve to the earliest sample.
-        Keeps the first and last samples, so the span is preserved; a trace
-        already at or under ``max_samples`` is returned unchanged (a copy).
-        """
-        if max_samples < 3:
-            raise PowerModelError(f"max_samples must be >= 3, got {max_samples}")
-        if len(self) <= max_samples:
-            return PowerTrace(self._times, self._watts)
-        from ..timeline.downsample import lttb_indices
-
-        idx = lttb_indices(self._times, self._watts, max_samples)
-        return PowerTrace(self._times[idx], self._watts[idx])
-
-    def concat(self, other: "PowerTrace") -> "PowerTrace":
-        """This trace followed by ``other`` (timestamps must keep increasing)."""
-        return PowerTrace(
-            np.concatenate([self._times, other._times]),
-            np.concatenate([self._watts, other._watts]),
-        )
-
-    def shifted(self, dt: float) -> "PowerTrace":
-        """A copy with all timestamps moved by ``dt``."""
-        return PowerTrace(self._times + dt, self._watts)
 
     def __repr__(self) -> str:
         return (

@@ -1,4 +1,4 @@
-"""Result persistence: JSON campaign archives and meter-log CSV export.
+"""Result persistence: JSON campaign archives.
 
 A benchmarking campaign is expensive (on real hardware, days); archiving
 the measurements so metrics can be recomputed later with different weights
@@ -10,7 +10,6 @@ result objects to plain JSON-compatible dicts and back:
 * :func:`sweep_result_to_dict` / :func:`sweep_result_from_dict`
 * :func:`reference_to_dict` / :func:`reference_from_dict`
 * :func:`save_json` / :func:`load_json`
-* :func:`trace_to_csv` — a Watts Up?-style ``time,watts`` log
 
 Round-tripped results keep everything the metric layer consumes (the
 performance number, the ground-truth power curve, the metered trace), so
@@ -23,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
 from .benchmarks.base import BenchmarkResult
 from .benchmarks.runner import ScalePoint, SweepResult
@@ -47,8 +46,6 @@ __all__ = [
     "atomic_write_text",
     "save_json",
     "load_json",
-    "trace_to_csv",
-    "trace_from_csv",
 ]
 
 #: Schema version embedded in every archive.
@@ -194,40 +191,6 @@ def save_json(data: Dict, path: Union[str, Path]) -> None:
 def load_json(path: Union[str, Path]) -> Dict:
     """Read a JSON archive."""
     return json.loads(Path(path).read_text())
-
-
-def trace_to_csv(trace: PowerTrace, path: Union[str, Path]) -> None:
-    """Export a meter log as ``time_s,watts`` CSV (Watts Up? logger style)."""
-    lines = ["time_s,watts"]
-    for t, w in zip(trace.times, trace.watts):
-        lines.append(f"{t:.3f},{w:.1f}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def trace_from_csv(path: Union[str, Path]) -> PowerTrace:
-    """Import a ``time_s,watts`` CSV meter log (header required).
-
-    Accepts real Watts Up? exports post-processed to two columns as well
-    as :func:`trace_to_csv` output.
-    """
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].replace(" ", "") != "time_s,watts":
-        raise ReproError(f"{path}: expected a 'time_s,watts' header")
-    times: List[float] = []
-    watts: List[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ReproError(f"{path}:{lineno}: expected 'time,watts', got {line!r}")
-        try:
-            times.append(float(parts[0]))
-            watts.append(float(parts[1]))
-        except ValueError as exc:
-            raise ReproError(f"{path}:{lineno}: {exc}") from None
-    return PowerTrace(times, watts)
 
 
 def _check_version(data: Dict) -> None:

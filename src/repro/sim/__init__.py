@@ -29,7 +29,6 @@ __getattr__, __dir__, __all__ = _lazy.exports(
             "idle_phase",
         ),
         "placement": ("Placement", "breadth_first_placement", "packed_placement"),
-        "communication": ("CommunicationModel",),
         "engine": ("SimulationEngine", "IntervalArrays"),
         "executor": ("ClusterExecutor", "RunRecord"),
     },

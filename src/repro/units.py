@@ -28,9 +28,7 @@ __all__ = [
     "KILO", "MEGA", "GIGA", "TERA", "PETA",
     "KIB", "MIB", "GIB", "TIB",
     "JOULES_PER_KWH",
-    "flops", "gflops", "tflops", "mflops",
-    "bytes_per_second", "mbps", "gbps",
-    "watts_to_kilowatts", "joules_to_kwh",
+    "mbps", "gbps",
     "si_format", "format_flops", "format_bandwidth", "format_power",
     "format_energy", "format_time", "format_bytes",
 ]
@@ -53,31 +51,6 @@ TIB = 1024 ** 4
 JOULES_PER_KWH = 3.6e6
 
 
-def flops(value: float) -> float:
-    """Identity helper for readability: ``flops(1e9) == 1e9`` FLOP/s."""
-    return float(value)
-
-
-def gflops(value: float) -> float:
-    """Convert GFLOPS to base FLOP/s."""
-    return float(value) * GIGA
-
-
-def tflops(value: float) -> float:
-    """Convert TFLOPS to base FLOP/s."""
-    return float(value) * TERA
-
-
-def mflops(value: float) -> float:
-    """Convert MFLOPS to base FLOP/s."""
-    return float(value) * MEGA
-
-
-def bytes_per_second(value: float) -> float:
-    """Identity helper for readability (base bandwidth unit)."""
-    return float(value)
-
-
 def mbps(value: float) -> float:
     """Convert decimal MB/s (the STREAM/IOzone "MBPS") to bytes/s."""
     return float(value) * MEGA
@@ -86,16 +59,6 @@ def mbps(value: float) -> float:
 def gbps(value: float) -> float:
     """Convert decimal GB/s to bytes/s."""
     return float(value) * GIGA
-
-
-def watts_to_kilowatts(value: float) -> float:
-    """Convert watts to kilowatts."""
-    return float(value) / KILO
-
-
-def joules_to_kwh(value: float) -> float:
-    """Convert joules to kilowatt-hours."""
-    return float(value) / JOULES_PER_KWH
 
 
 _SI_STEPS = (

@@ -8,27 +8,17 @@ producing silently wrong energy numbers several layers downstream.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence, Type
+from typing import Type
 
 from .exceptions import ReproError
 
 __all__ = [
-    "require",
     "check_positive",
     "check_non_negative",
     "check_fraction",
-    "check_in_range",
     "check_positive_int",
     "check_finite",
-    "check_monotonic",
-    "check_same_length",
 ]
-
-
-def require(condition: bool, message: str, *, exc: Type[ReproError] = ReproError) -> None:
-    """Raise ``exc(message)`` unless ``condition`` holds."""
-    if not condition:
-        raise exc(message)
 
 
 def check_finite(value: float, name: str, *, exc: Type[ReproError] = ReproError) -> float:
@@ -63,23 +53,6 @@ def check_fraction(value: float, name: str, *, exc: Type[ReproError] = ReproErro
     return value
 
 
-def check_in_range(
-    value: float,
-    name: str,
-    *,
-    low: Optional[float] = None,
-    high: Optional[float] = None,
-    exc: Type[ReproError] = ReproError,
-) -> float:
-    """Ensure ``low <= value <= high`` (bounds optional); return it as float."""
-    value = check_finite(value, name, exc=exc)
-    if low is not None and value < low:
-        raise exc(f"{name} must be >= {low}, got {value!r}")
-    if high is not None and value > high:
-        raise exc(f"{name} must be <= {high}, got {value!r}")
-    return value
-
-
 def check_positive_int(value: int, name: str, *, exc: Type[ReproError] = ReproError) -> int:
     """Ensure ``value`` is an integer >= 1; return it as int.
 
@@ -90,32 +63,3 @@ def check_positive_int(value: int, name: str, *, exc: Type[ReproError] = ReproEr
     if value < 1:
         raise exc(f"{name} must be >= 1, got {value!r}")
     return value
-
-
-def check_monotonic(
-    values: Sequence[float],
-    name: str,
-    *,
-    strict: bool = False,
-    exc: Type[ReproError] = ReproError,
-) -> None:
-    """Ensure ``values`` is non-decreasing (or strictly increasing)."""
-    for i in range(1, len(values)):
-        if strict and values[i] <= values[i - 1]:
-            raise exc(f"{name} must be strictly increasing at index {i}")
-        if not strict and values[i] < values[i - 1]:
-            raise exc(f"{name} must be non-decreasing at index {i}")
-
-
-def check_same_length(
-    name_a: str,
-    a: Iterable,
-    name_b: str,
-    b: Iterable,
-    *,
-    exc: Type[ReproError] = ReproError,
-) -> None:
-    """Ensure two sized iterables have equal length."""
-    la, lb = len(list(a)), len(list(b))
-    if la != lb:
-        raise exc(f"{name_a} (len {la}) and {name_b} (len {lb}) must have equal length")

@@ -27,6 +27,8 @@ Each oracle is the slow, independently simple implementation of something
 * :func:`generate_cluster_numpy` — the cluster generator drawing through
   ``Generator.choice`` and ``Generator.uniform``, against
   :func:`repro.cluster.generate_cluster`'s direct index and double draws.
+* :func:`weighted_arithmetic_mean` — Eq. 9 as one dot product, against
+  :func:`repro.core.tgi_from_components`'s Eq. 4.
 
 The first two work on the per-rank :class:`RankInterval` list view;
 :func:`interval_lists` and :func:`interval_arrays` convert between it and
@@ -56,7 +58,13 @@ from repro.cluster.memory import MemorySpec
 from repro.cluster.nic import InterconnectSpec
 from repro.cluster.node import NodeSpec
 from repro.cluster.storage import StorageSpec
-from repro.exceptions import FleetError, ReproError, SimulationError, SpecError
+from repro.exceptions import (
+    FleetError,
+    MetricError,
+    ReproError,
+    SimulationError,
+    SpecError,
+)
 from repro.experiments.config import PAPER_CONFIG, ExperimentConfig
 from repro.fleet.columns import require_batchable
 from repro.fleet.evaluate import FLEET_BENCHMARKS, FleetEvaluation, FleetScores
@@ -704,3 +712,16 @@ def generate_cluster_numpy(
     num_nodes = int(rng.choice(template.node_counts))
     cluster_name = name or f"{template.name}-sys-{rng.integers(0, 10_000):04d}"
     return ClusterSpec(name=cluster_name, node=node, num_nodes=num_nodes)
+
+
+# ----------------------------------------------------------------------
+# Weighted arithmetic mean
+# ----------------------------------------------------------------------
+
+def weighted_arithmetic_mean(values: Sequence[float], weights: Sequence[float]) -> float:
+    """Eq. 9: ``sum(w_i x_i)`` with ``sum w = 1``."""
+    arr = np.asarray(values, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != arr.shape or abs(float(w.sum()) - 1.0) > 1e-9:
+        raise MetricError(f"need {arr.size} weights summing to 1, got {w.tolist()}")
+    return float(w @ arr)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from repro.analysis import correlation_matrix, pearson, spearman
+from repro.analysis import pearson, spearman
 from repro.exceptions import MetricError
 
 
@@ -76,26 +76,6 @@ class TestSpearman:
 
     def test_reversal_is_minus_one(self):
         assert spearman([1, 2, 3, 4], [9, 7, 5, 3]) == pytest.approx(-1.0)
-
-
-class TestCorrelationMatrix:
-    def test_table_two_shape(self):
-        series = {"IOzone": [1, 2, 3, 4], "HPL": [1, 3, 2, 1]}
-        targets = {"am": [1, 2, 3, 4], "energy": [2, 3, 3, 2]}
-        matrix = correlation_matrix(series, targets)
-        assert set(matrix) == {"IOzone", "HPL"}
-        assert set(matrix["IOzone"]) == {"am", "energy"}
-        assert matrix["IOzone"]["am"] == pytest.approx(1.0)
-
-    def test_spearman_method(self):
-        series = {"a": [1, 2, 3]}
-        targets = {"t": [1, 8, 27]}
-        matrix = correlation_matrix(series, targets, method="spearman")
-        assert matrix["a"]["t"] == pytest.approx(1.0)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(MetricError):
-            correlation_matrix({"a": [1, 2]}, {"b": [1, 2]}, method="kendall")
 
 
 class TestTieHandling:

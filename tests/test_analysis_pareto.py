@@ -1,11 +1,6 @@
-"""Pareto-frontier tests (deterministic + hypothesis)."""
+"""Pareto-dominance tests."""
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.analysis import ParetoPoint, dominated_by, pareto_front
-from repro.exceptions import MetricError
+from repro.analysis import ParetoPoint, dominated_by
 
 
 def P(name, perf, power):
@@ -30,83 +25,12 @@ class TestDominance:
 
 
 class TestFront:
-    def test_simple_front(self):
-        points = [P("slowlow", 5, 2), P("midmid", 8, 4), P("fasthigh", 12, 8),
-                  P("dominated", 7, 5)]
-        front = pareto_front(points)
-        assert [p.name for p in front] == ["slowlow", "midmid", "fasthigh"]
-
-    def test_single_point(self):
-        assert pareto_front([P("only", 1, 1)])[0].name == "only"
-
-    def test_one_machine_dominates_all(self):
-        points = [P("best", 100, 1), P("x", 50, 2), P("y", 10, 3)]
-        front = pareto_front(points)
-        assert [p.name for p in front] == ["best"]
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(MetricError):
-            pareto_front([P("a", 1, 1), P("a", 2, 2)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(MetricError):
-            pareto_front([])
-
     def test_dominated_by_map(self):
         points = [P("king", 10, 1), P("pawn", 5, 2), P("bishop", 8, 3)]
         dom = dominated_by(points)
         assert dom["king"] == []
         assert dom["pawn"] == ["king"]
         assert dom["bishop"] == ["king"]
-
-
-class TestFrontProperties:
-    @st.composite
-    def point_sets(draw):
-        n = draw(st.integers(min_value=1, max_value=30))
-        perfs = draw(st.lists(st.floats(min_value=0, max_value=1e6), min_size=n, max_size=n))
-        powers = draw(st.lists(st.floats(min_value=1e-3, max_value=1e5), min_size=n, max_size=n))
-        return [P(f"s{i}", perf, pw) for i, (perf, pw) in enumerate(zip(perfs, powers))]
-
-    @given(points=point_sets())
-    @settings(max_examples=80, deadline=None)
-    def test_front_members_are_mutually_non_dominating(self, points):
-        front = pareto_front(points)
-        for a in front:
-            for b in front:
-                if a is not b:
-                    assert not a.dominates(b)
-
-    @given(points=point_sets())
-    @settings(max_examples=80, deadline=None)
-    def test_every_non_front_point_is_dominated(self, points):
-        front = pareto_front(points)
-        front_names = {p.name for p in front}
-        for p in points:
-            if p.name not in front_names:
-                assert any(q.dominates(p) for q in front)
-
-    @given(points=point_sets())
-    @settings(max_examples=80, deadline=None)
-    def test_front_sorted_by_power(self, points):
-        front = pareto_front(points)
-        powers = [p.power_w for p in front]
-        assert powers == sorted(powers)
-
-    @given(points=point_sets())
-    @settings(max_examples=80, deadline=None)
-    def test_front_agrees_with_dominated_by(self, points):
-        front_names = {p.name for p in pareto_front(points)}
-        dom = dominated_by(points)
-        for p in points:
-            if not dom[p.name]:
-                # non-dominated => on the front (up to exact duplicates,
-                # where the sweep keeps the co-located representative)
-                duplicates = [
-                    q for q in points
-                    if (q.performance, q.power_w) == (p.performance, p.power_w)
-                ]
-                assert any(q.name in front_names for q in duplicates)
 
 
 class TestFleetFrontier:

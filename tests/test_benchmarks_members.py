@@ -32,11 +32,6 @@ class TestHPLBenchmark:
         result = bench.run(small_executor, 8)
         assert result.details["problem_size"] > 0
 
-    def test_time_sizing_mode(self, small_executor):
-        bench = HPLBenchmark(sizing=("time", 30.0), rounds=1)
-        result = bench.run(small_executor, 8)
-        assert result.time_s == pytest.approx(30.0, rel=0.2)
-
     def test_invalid_sizing_mode(self):
         with pytest.raises(BenchmarkError):
             HPLBenchmark(sizing=("magic", 1))

@@ -99,9 +99,29 @@ class TestReferenceInvarianceTheorem:
             return tgi_from_components(ree, weights)
 
         # computable and positive; the flip *possibility* is demonstrated
-        # deterministically in test_reference_sensitivity.py
+        # deterministically by the next test
         assert tgi(system_a, ref_1) > 0
         assert tgi(system_b, ref_2) > 0
+
+    def test_arithmetic_order_flips_with_the_reference(self):
+        """Two systems with crossed strengths (A computes, B writes): a
+        reference weak on I/O ranks B first by TGI, one weak on CPU ranks A
+        first (Smith 1988).  Their geometric ratio is the same under both."""
+        system_a = {"HPL": 400e6, "STREAM": 50e6, "IOzone": 0.4e6}
+        system_b = {"HPL": 150e6, "STREAM": 60e6, "IOzone": 1.6e6}
+        weak_io = {"HPL": 300e6, "STREAM": 55e6, "IOzone": 0.1e6}
+        weak_cpu = {"HPL": 50e6, "STREAM": 55e6, "IOzone": 1.0e6}
+        weights = {n: 1 / 3 for n in BENCHES}
+
+        def ratio(mean, ref):
+            ree_a = {n: system_a[n] / ref[n] for n in BENCHES}
+            ree_b = {n: system_b[n] / ref[n] for n in BENCHES}
+            return mean(ree_a, weights) / mean(ree_b, weights)
+
+        assert ratio(tgi_from_components, weak_io) < 1 < ratio(tgi_from_components, weak_cpu)
+        assert ratio(geometric_tgi_from_components, weak_io) == pytest.approx(
+            ratio(geometric_tgi_from_components, weak_cpu), rel=1e-12
+        )
 
 
 class TestGeometricCalculator:

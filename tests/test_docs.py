@@ -52,6 +52,34 @@ class TestDesignInventoryMatchesCode:
             path = ROOT / "src" / "repro" / match.group(1)
             assert path.exists(), f"DESIGN.md names missing module {match.group(1)}"
 
+    @staticmethod
+    def _module_tree():
+        """``(files, subpackages)`` that §4's module-tree block names.
+
+        Two-space entries are top-level modules or ``pkg/`` headers; the
+        deeper entries belong to the header above them.  An entry's names
+        end where its two-space gap to the description starts.
+        """
+        section = (ROOT / "DESIGN.md").read_text().split("## 4.")[1]
+        files, packages, package = set(), set(), ""
+        for line in section.split("```")[1].splitlines()[2:]:
+            names = re.split(r"\s{2,}", line.strip())[0].split()
+            if line.startswith("  ") and not line.startswith("   "):
+                package = names[0] if names[0].endswith("/") else ""
+                packages.add(package.rstrip("/"))
+            files.update(package + name for name in names if name.endswith(".py"))
+        return files, packages - {""}
+
+    def test_module_tree_names_only_existing_files(self):
+        files, _ = self._module_tree()
+        src = ROOT / "src" / "repro"
+        assert sorted(f for f in files if not (src / f).exists()) == []
+
+    def test_module_tree_names_every_subpackage(self):
+        _, packages = self._module_tree()
+        subpackages = {p.parent.name for p in (ROOT / "src" / "repro").glob("*/__init__.py")}
+        assert sorted(subpackages - packages) == []
+
     def test_experiment_ids_documented(self):
         from repro.experiments import EXPERIMENTS
 

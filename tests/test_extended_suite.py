@@ -86,6 +86,11 @@ class TestEffectiveBandwidthModel:
         with pytest.raises(BenchmarkError):
             EffectiveBandwidthModel(cluster=fire, message_sizes=())
 
+    def test_single_node_cluster_latency(self, fire):
+        # One node: shared-memory latency (0.4 us) and copy rate (4 GB/s).
+        model = EffectiveBandwidthModel(cluster=fire.with_nodes(1), message_sizes=(1e3,))
+        assert model.per_rank_bandwidth(1) == 1e3 / (0.4e-6 + 1e3 / 4e9)
+
 
 class TestExtendedBenchmarks:
     def test_randomaccess_runs(self, executor):

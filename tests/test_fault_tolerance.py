@@ -45,6 +45,7 @@ from repro.exceptions import (
 )
 from repro.faults import FaultInjector, FaultPlan, plan_from_dict, plan_to_dict
 from repro.experiments import PAPER_CONFIG
+from repro.journal import read_events
 
 #: Pool width / retry budget; CI pins these to the ISSUE's drill values.
 WORKERS = int(os.environ.get("TGI_FAULT_WORKERS", "2"))
@@ -342,13 +343,25 @@ class TestPoolDeath:
         assert result.ok
         assert result["reference"].payload == clean_run["reference"].payload
 
-    def test_worker_measured_wall_times(self):
-        result = CampaignRunner(workers=WORKERS).run(quick_jobs())
+    def test_worker_measured_wall_times(self, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        result = CampaignRunner(workers=WORKERS, journal=journal).run(quick_jobs())
+        pooled = result.manifest["execution"]["transport"] == "process-pool"
+        completed = {
+            event["job"]: event
+            for event in read_events(journal)
+            if event["event"] == "job.completed"
+        }
         for outcome in result:
-            # Worker-side perf_counter timing: strictly positive, and not
-            # the parent's inter-arrival bookkeeping (which could be ~0 for
-            # the second job of a two-job pool).
-            assert outcome.wall_s > 0.01
+            # Worker-side perf_counter timing, not the parent's
+            # inter-arrival bookkeeping (which could be ~0 for the second
+            # job of a two-job pool): the outcome carries the number the
+            # executing process journaled with its completion.
+            event = completed[outcome.job.job_id]
+            assert outcome.wall_s > 0
+            assert outcome.wall_s == event["wall_s"]
+            if pooled:
+                assert event["process"].startswith("worker-")
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,16 @@ the test process has long since imported everything:
 The public-surface checks compare against literals recorded while every
 root still imported its whole subsystem, less the names deleted since: the
 ambient journal and timeline-sink names (the writer and the timeline list
-are now passed to the fault injector and the executor) and three scaling
+are now passed to the fault injector and the executor), three scaling
 laws nothing called (``amdahl_speedup``, ``gustafson_speedup``,
-``karp_flatt_serial_fraction``).  To find what made a path heavy,
-``PYTHONPATH=src python -X importtime -c "import repro.cli"`` prints each
-import's cost and the module that asked for it.
+``karp_flatt_serial_fraction``), and 27 names no verb, example or
+perf-watch scenario reached: all of ``repro.kernels`` (8), the six means
+of ``analysis.stats``, ``analysis.reference_sensitivity``'s three,
+``pareto_front``, ``correlation_matrix``, ``edp_efficiency``,
+``parallel_efficiency``, ``RooflineModel``, ``arithmetic_intensity``,
+``power.energy``'s three and ``CommunicationModel``.  To find what made a
+path heavy, ``PYTHONPATH=src python -X importtime -c "import repro.cli"``
+prints each import's cost and the module that asked for it.
 """
 
 import importlib
@@ -38,8 +43,8 @@ import repro
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: Each package's ``__all__``, recorded while every root imported its whole
-#: subsystem, less the 13 ambient journal/timeline names and the three
-#: scaling laws deleted since.
+#: subsystem, less the 13 ambient journal/timeline names, the three scaling
+#: laws and the 27 unreached names deleted since.
 PUBLIC = {
     "repro": (
         "ArithmeticMeanWeights Benchmark BenchmarkResult BenchmarkSuite "
@@ -53,12 +58,10 @@ PUBLIC = {
         "tgi_from_components"
     ),
     "repro.analysis": (
-        "BootstrapCI CurveShape ParetoPoint WeightSensitivity arithmetic_mean "
-        "bootstrap_mean_ci bootstrap_pearson_ci characterize_curve correlation_matrix "
-        "dominant_benchmark dominated_by find_reference_flip geometric_mean "
-        "harmonic_mean jackknife_pearson pareto_front pearson ranking_under_references "
-        "relative_range render_table spearman sweep_weight_simplex tgi_under_reference "
-        "weighted_arithmetic_mean weighted_geometric_mean weighted_harmonic_mean"
+        "BootstrapCI CurveShape ParetoPoint WeightSensitivity bootstrap_mean_ci "
+        "bootstrap_pearson_ci characterize_curve dominant_benchmark dominated_by "
+        "jackknife_pearson pearson relative_range render_table spearman "
+        "sweep_weight_simplex"
     ),
     "repro.benchmarks": (
         "Benchmark BenchmarkResult BenchmarkSuite EffectiveBandwidthBenchmark "
@@ -83,7 +86,7 @@ PUBLIC = {
         "CustomWeights DENSE_LINALG_PROFILE EfficiencyMetric EnergyWeights "
         "GENOMICS_PROFILE GeometricTGICalculator InverseEDP PerformancePerWatt "
         "PowerWeights RankedSystem ReferenceSet TGICalculator TGIResult TGISeries "
-        "TimeWeights WeightingScheme WorkloadWeights edp_efficiency energy_efficiency "
+        "TimeWeights WeightingScheme WorkloadWeights energy_efficiency "
         "energy_weighted_identity format_ranking format_suite_result format_tgi_result "
         "geometric_tgi_from_components inverse_energy_property_holds "
         "power_weighted_identity rank_systems relative_efficiency renormalize_weights "
@@ -109,15 +112,10 @@ PUBLIC = {
         "rusage_delta rusage_fields scan_journal telemetry_trace_events "
         "validate_event validate_events validate_trace"
     ),
-    "repro.kernels": (
-        "IOKernelResult LinalgKernelResult StreamKernelResult Timer "
-        "file_write_bandwidth lu_solve_gflops stream_kernels triad_bandwidth"
-    ),
     "repro.perfmodels": (
         "EffectiveBandwidthModel EffectiveBandwidthPrediction HPLModel HPLPrediction "
         "IOzoneModel IOzonePrediction RandomAccessModel RandomAccessPrediction "
-        "RooflineModel StreamModel StreamPrediction arithmetic_intensity "
-        "parallel_efficiency"
+        "StreamModel StreamPrediction"
     ),
     "repro.perfwatch": (
         "BenchRecord BenchScenario DEFAULT_HISTORY_DIR HIGHER_IS_BETTER HistoryStore "
@@ -133,12 +131,11 @@ PUBLIC = {
         "AcceleratorPowerModel COPCooling CPUPowerModel CoolingModel DVFSModel "
         "DVFSOperatingPoint FixedPUECooling IDEAL_PSU MemoryPowerModel MeterSpec "
         "NICPowerModel NodePowerModel NodeUtilization NodeUtilizationArray PSUModel "
-        "PiecewisePower PowerTrace StoragePowerModel WATTS_UP_PRO WallPlugMeter "
-        "average_power energy_delay_product energy_to_solution"
+        "PiecewisePower PowerTrace StoragePowerModel WATTS_UP_PRO WallPlugMeter"
     ),
     "repro.sim": (
-        "ClusterExecutor CommunicationModel IntervalArrays Phase PhaseKind Placement "
-        "RankProgram RunRecord SimulationEngine barrier breadth_first_placement "
+        "ClusterExecutor IntervalArrays Phase PhaseKind Placement RankProgram "
+        "RunRecord SimulationEngine barrier breadth_first_placement "
         "comm_phase compute_phase idle_phase io_phase memory_phase packed_placement"
     ),
     "repro.telemetry": (
@@ -165,17 +162,14 @@ SUBMODULES = {
         "journal perfmodels power presets rng serialization sim telemetry timeline "
         "units validation"
     ),
-    "repro.analysis": (
-        "bootstrap correlation pareto reference_sensitivity scaling sensitivity stats "
-        "tables"
-    ),
+    "repro.analysis": "bootstrap correlation pareto scaling sensitivity tables",
     "repro.benchmarks": "base hpl iozone network randomaccess runner stream suite",
     "repro.campaign": "cache jobs manifest runner",
     "repro.cluster": (
         "accelerator cluster cpu generator memory nic node presets storage topology"
     ),
     "repro.core": (
-        "alternatives edp efficiency properties ranking ree report tgi weights "
+        "alternatives efficiency properties ranking ree report tgi weights "
         "workload_weights"
     ),
     "repro.experiments": (
@@ -183,9 +177,9 @@ SUBMODULES = {
     ),
     "repro.fleet": "columns evaluate pipeline",
     "repro.journal": "events progress reader report trace_export writer",
-    "repro.perfmodels": "amdahl hpl iozone network randomaccess roofline stream",
-    "repro.power": "components cooling dvfs energy meter node_power psu trace",
-    "repro.sim": "communication engine executor placement workload",
+    "repro.perfmodels": "hpl iozone network randomaccess stream",
+    "repro.power": "components cooling dvfs meter node_power psu trace",
+    "repro.sim": "engine executor placement workload",
     "repro.telemetry": "attribution metrics profiling render session spans",
     "repro.timeline": "aggregate audit dashboard downsample lenses model",
 }
@@ -223,7 +217,6 @@ PATHS = {
             "repro.faults",
             "repro.journal",
             "repro.perfwatch",
-            "repro.kernels",
             "repro.serialization",
             "repro.timeline",
             "repro.telemetry.profiling",

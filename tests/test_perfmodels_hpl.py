@@ -42,12 +42,6 @@ class TestProblemSizing:
         n_one = model.problem_size_from_memory(memory_fraction=0.8, nodes=1)
         assert n_one < n_all
 
-    def test_time_targeted_sizing(self, model):
-        n = model.problem_size_for_time(120.0, 64)
-        t = model.predict(n, 64).total_time_s
-        # bisection resolves to one block, so the achieved time is close
-        assert t == pytest.approx(120.0, rel=0.15)
-
     def test_rejects_zero_fraction(self, model):
         with pytest.raises(BenchmarkError):
             model.problem_size_from_memory(memory_fraction=0.0)

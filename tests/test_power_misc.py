@@ -1,41 +1,16 @@
-"""Energy helpers, cooling models, and DVFS tests."""
+"""Cooling models and DVFS tests."""
 
 import pytest
 
 from repro.cluster import presets
-from repro.exceptions import MetricError, PowerModelError
+from repro.exceptions import PowerModelError
 from repro.power import (
     COPCooling,
     DVFSModel,
     DVFSOperatingPoint,
     FixedPUECooling,
     PiecewisePower,
-    average_power,
-    energy_delay_product,
-    energy_to_solution,
 )
-
-
-class TestEnergyHelpers:
-    def test_edp(self):
-        assert energy_delay_product(100.0, 10.0) == pytest.approx(1000.0)
-
-    def test_ed2p(self):
-        assert energy_delay_product(100.0, 10.0, weight=2) == pytest.approx(10000.0)
-
-    def test_edp_rejects_zero_weight(self):
-        with pytest.raises(MetricError):
-            energy_delay_product(1, 1, weight=0)
-
-    def test_average_power(self):
-        assert average_power(6000.0, 60.0) == pytest.approx(100.0)
-
-    def test_average_power_rejects_zero_duration(self):
-        with pytest.raises(MetricError):
-            average_power(100.0, 0.0)
-
-    def test_energy_to_solution(self):
-        assert energy_to_solution(250.0, 4.0) == pytest.approx(1000.0)
 
 
 class TestCooling:

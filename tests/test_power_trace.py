@@ -97,13 +97,6 @@ class TestPowerTrace:
         with pytest.raises(PowerModelError):
             trace.slice(5, 6)
 
-    def test_concat_and_shift(self):
-        a = PowerTrace([0, 1], [10, 10])
-        b = PowerTrace([0, 1], [20, 20]).shifted(2)
-        both = a.concat(b)
-        assert len(both) == 4
-        assert both.duration == pytest.approx(3.0)
-
     def test_rejects_conflicting_duplicate_timestamps(self):
         with pytest.raises(PowerModelError, match="conflicting duplicate"):
             PowerTrace([0, 0, 1], [1, 2, 3])
@@ -206,75 +199,6 @@ class TestPowerTraceNormalization:
         assert trace.mean_power() == 50.0
 
 
-class TestPowerTraceResample:
-    def test_linear_interpolation(self):
-        trace = PowerTrace([0.0, 2.0], [100.0, 300.0])
-        out = trace.resample([0.0, 0.5, 1.0, 2.0])
-        assert list(out.watts) == [100.0, 150.0, 200.0, 300.0]
-
-    def test_resample_preserves_trapezoid_energy_on_refinement(self):
-        trace = PowerTrace([0, 1, 3, 4], [100, 250, 150, 400])
-        fine = trace.resample(np.linspace(0.0, 4.0, 401))
-        assert fine.energy() == pytest.approx(trace.energy(), rel=1e-9)
-
-    def test_resample_outside_span_rejected(self):
-        trace = PowerTrace([0, 1], [10, 20])
-        with pytest.raises(PowerModelError, match="outside"):
-            trace.resample([0.5, 1.5])
-
-    def test_resample_empty_rejected(self):
-        trace = PowerTrace([0, 1], [10, 20])
-        with pytest.raises(PowerModelError):
-            trace.resample([])
-
-
-class TestPowerTraceDownsample:
-    def _trace(self, n=500):
-        rng = np.random.default_rng(5)
-        times = np.cumsum(rng.uniform(0.5, 1.5, size=n))
-        watts = rng.uniform(100.0, 900.0, size=n)
-        return PowerTrace(times, watts)
-
-    def test_keeps_endpoints_and_count(self):
-        trace = self._trace()
-        small = trace.downsample(40)
-        assert len(small) == 40
-        assert small.times[0] == trace.times[0]
-        assert small.times[-1] == trace.times[-1]
-        assert small.duration == trace.duration
-
-    def test_selected_samples_come_from_the_original(self):
-        trace = self._trace()
-        small = trace.downsample(25)
-        assert np.isin(small.times, trace.times).all()
-        assert np.isin(small.watts, trace.watts).all()
-
-    def test_deterministic(self):
-        trace = self._trace()
-        a, b = trace.downsample(40), trace.downsample(40)
-        np.testing.assert_array_equal(a.times, b.times)
-        np.testing.assert_array_equal(a.watts, b.watts)
-
-    def test_small_trace_returned_as_copy(self):
-        trace = PowerTrace([0, 1, 2], [10, 20, 30])
-        copy = trace.downsample(10)
-        assert list(copy.times) == [0, 1, 2]
-        assert copy is not trace
-
-    def test_requires_at_least_three(self):
-        with pytest.raises(PowerModelError, match=">= 3"):
-            self._trace().downsample(2)
-
-    def test_downsample_then_resample_round_trip(self):
-        """Downsampled shape re-resamples to within the band of the original."""
-        trace = self._trace()
-        small = trace.downsample(100)
-        back = small.resample(trace.times)
-        assert len(back) == len(trace)
-        assert back.min_power() >= trace.min_power() - 1e-9
-        assert back.max_power() <= trace.max_power() + 1e-9
-
-
 class TestPiecewiseFromArrays:
     def test_adopts_arrays_without_copy(self):
         starts = np.array([0.0, 1.0])
@@ -324,56 +248,3 @@ class TestPiecewiseFromArrays:
         for view in (truth.starts_array, truth.ends_array, truth.watts_array):
             with pytest.raises(ValueError):
                 view[0] = 99.0
-
-
-class TestPiecewiseResampleDownsample:
-    def _curve(self, n=300):
-        rng = np.random.default_rng(17)
-        widths = rng.uniform(0.05, 1.0, size=n)
-        starts = np.concatenate([[0.0], np.cumsum(widths)[:-1]])
-        watts = rng.uniform(50.0, 1200.0, size=n)
-        return PiecewisePower.from_arrays(starts, starts + widths, watts)
-
-    def test_resample_is_power_at_many(self):
-        truth = self._curve()
-        times = np.linspace(truth.t_start, truth.t_start + truth.duration, 64)
-        np.testing.assert_array_equal(
-            truth.resample(times), truth.power_at(times)
-        )
-
-    def test_downsample_preserves_energy(self):
-        truth = self._curve()
-        for max_segments in (1, 7, 64, 150):
-            coarse = truth.downsample(max_segments)
-            assert len(coarse.segments) <= max_segments
-            assert coarse.energy() == pytest.approx(truth.energy(), rel=1e-9)
-            assert coarse.duration == pytest.approx(truth.duration, rel=1e-12)
-
-    def test_downsample_to_one_segment_is_the_mean(self):
-        truth = self._curve()
-        coarse = truth.downsample(1)
-        (segment,) = coarse.segments
-        assert segment[2] == pytest.approx(truth.mean_power(), rel=1e-9)
-
-    def test_downsample_already_coarse_is_a_copy(self):
-        truth = PiecewisePower([(0, 1, 100), (1, 2, 200)])
-        copy = truth.downsample(10)
-        assert copy.segments == truth.segments
-        assert copy.watts_array.base is not truth.watts_array.base
-
-    def test_downsample_rejects_zero(self):
-        with pytest.raises(PowerModelError, match=">= 1"):
-            PiecewisePower.constant(100, 10).downsample(0)
-
-    def test_downsample_bounds_respect_the_data(self):
-        truth = self._curve()
-        coarse = truth.downsample(32)
-        assert coarse.max_power() <= truth.max_power() + 1e-9
-        assert float(coarse.watts_array.min()) >= float(truth.watts_array.min()) - 1e-9
-
-    def test_downsample_then_resample_round_trip(self):
-        """Coarse means re-integrate to the exact energy on the coarse grid."""
-        truth = self._curve()
-        coarse = truth.downsample(48)
-        mids = (coarse.starts_array + coarse.ends_array) / 2.0
-        np.testing.assert_array_equal(coarse.resample(mids), coarse.watts_array)

@@ -4,14 +4,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    pearson,
-    weighted_arithmetic_mean,
-)
+from repro.analysis import pearson
 from repro.core import tgi_from_components, validate_weights
 from repro.core.efficiency import energy_efficiency
 from repro.core.ree import relative_efficiency
 from repro.exceptions import MetricError
+
+from .oracles import weighted_arithmetic_mean
 
 positive = st.floats(min_value=1e-6, max_value=1e12, allow_nan=False)
 

@@ -17,7 +17,6 @@ from repro.serialization import (
     suite_result_to_dict,
     sweep_result_from_dict,
     sweep_result_to_dict,
-    trace_to_csv,
 )
 
 
@@ -94,42 +93,3 @@ class TestReferenceRoundTrip:
         restored = reference_from_dict(reference_to_dict(ref))
         assert restored.system_name == "SystemG"
         assert restored.as_dict() == ref.as_dict()
-
-
-class TestTraceCSV:
-    def test_csv_format(self, suite_result, tmp_path):
-        path = tmp_path / "meter.csv"
-        trace = suite_result["STREAM"].record.trace
-        trace_to_csv(trace, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "time_s,watts"
-        assert len(lines) == len(trace) + 1
-        t, w = lines[1].split(",")
-        assert float(w) > 0
-
-    def test_csv_round_trip(self, suite_result, tmp_path):
-        from repro.serialization import trace_from_csv
-
-        path = tmp_path / "meter.csv"
-        trace = suite_result["HPL"].record.trace
-        trace_to_csv(trace, path)
-        restored = trace_from_csv(path)
-        assert len(restored) == len(trace)
-        # CSV stores 0.1 W / 1 ms resolution; energy agrees to that grain
-        assert restored.energy() == pytest.approx(trace.energy(), rel=1e-3)
-
-    def test_csv_missing_header_rejected(self, tmp_path):
-        from repro.serialization import trace_from_csv
-
-        path = tmp_path / "bad.csv"
-        path.write_text("1,2\n3,4\n")
-        with pytest.raises(ReproError, match="header"):
-            trace_from_csv(path)
-
-    def test_csv_malformed_row_rejected(self, tmp_path):
-        from repro.serialization import trace_from_csv
-
-        path = tmp_path / "bad.csv"
-        path.write_text("time_s,watts\n1.0,2.0,3.0\n")
-        with pytest.raises(ReproError):
-            trace_from_csv(path)

@@ -2,36 +2,15 @@
 
 import math
 
-import pytest
-
 from repro import units
 
 
 class TestConversions:
-    def test_gflops(self):
-        assert units.gflops(1.5) == 1.5e9
-
-    def test_tflops(self):
-        assert units.tflops(2) == 2e12
-
-    def test_mflops(self):
-        assert units.mflops(250) == 2.5e8
-
     def test_mbps(self):
         assert units.mbps(100) == 1e8
 
     def test_gbps(self):
         assert units.gbps(3.2) == 3.2e9
-
-    def test_identity_helpers(self):
-        assert units.flops(123.0) == 123.0
-        assert units.bytes_per_second(5) == 5.0
-
-    def test_watts_to_kilowatts(self):
-        assert units.watts_to_kilowatts(1520) == pytest.approx(1.52)
-
-    def test_joules_to_kwh(self):
-        assert units.joules_to_kwh(3.6e6) == pytest.approx(1.0)
 
     def test_binary_prefixes(self):
         assert units.GIB == 2**30

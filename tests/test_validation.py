@@ -5,20 +5,7 @@ import math
 import pytest
 
 from repro import validation
-from repro.exceptions import ReproError, SpecError
-
-
-class TestRequire:
-    def test_passes(self):
-        validation.require(True, "never raised")
-
-    def test_raises_default(self):
-        with pytest.raises(ReproError, match="boom"):
-            validation.require(False, "boom")
-
-    def test_raises_custom_exception(self):
-        with pytest.raises(SpecError):
-            validation.require(False, "boom", exc=SpecError)
+from repro.exceptions import ReproError
 
 
 class TestScalarChecks:
@@ -55,13 +42,6 @@ class TestScalarChecks:
         with pytest.raises(ReproError):
             validation.check_fraction(bad, "x")
 
-    def test_check_in_range(self):
-        assert validation.check_in_range(5, "x", low=0, high=10) == 5.0
-        with pytest.raises(ReproError):
-            validation.check_in_range(11, "x", low=0, high=10)
-        with pytest.raises(ReproError):
-            validation.check_in_range(-1, "x", low=0)
-
     def test_check_positive_int(self):
         assert validation.check_positive_int(3, "x") == 3
 
@@ -74,21 +54,3 @@ class TestScalarChecks:
         # True == 1 but "True nodes" is always a bug
         with pytest.raises(ReproError):
             validation.check_positive_int(True, "x")
-
-
-class TestSequenceChecks:
-    def test_monotonic_ok(self):
-        validation.check_monotonic([1, 2, 2, 3], "x")
-
-    def test_monotonic_rejects_decrease(self):
-        with pytest.raises(ReproError):
-            validation.check_monotonic([1, 3, 2], "x")
-
-    def test_strict_monotonic_rejects_tie(self):
-        with pytest.raises(ReproError):
-            validation.check_monotonic([1, 2, 2], "x", strict=True)
-
-    def test_same_length(self):
-        validation.check_same_length("a", [1, 2], "b", [3, 4])
-        with pytest.raises(ReproError):
-            validation.check_same_length("a", [1], "b", [1, 2])
