@@ -69,7 +69,6 @@ __getattr__, __dir__, __all__ = _lazy.exports(
             "HPLBenchmark",
             "StreamBenchmark",
             "IOzoneBenchmark",
-            "ScalingSweep",
             "SweepResult",
             "SuiteResult",
         ),

@@ -10,7 +10,7 @@ Each benchmark compiles its performance-model prediction into per-rank phase
 programs, executes them on the simulated, metered cluster, and returns a
 :class:`~repro.benchmarks.base.BenchmarkResult` carrying the reported
 performance plus the full power record.  :class:`~repro.benchmarks.suite.BenchmarkSuite`
-runs all members at one scale point; :class:`~repro.benchmarks.runner.ScalingSweep`
+runs all members at one scale point; :func:`~repro.benchmarks.runner.run_sweep`
 sweeps the suite over core counts the way the paper's figures do.
 """
 
@@ -26,6 +26,6 @@ __getattr__, __dir__, __all__ = _lazy.exports(
         "randomaccess": ("RandomAccessBenchmark",),
         "network": ("EffectiveBandwidthBenchmark",),
         "suite": ("BenchmarkSuite", "SuiteResult"),
-        "runner": ("ScalingSweep", "SweepResult", "ScalePoint", "run_sweep"),
+        "runner": ("SweepResult", "ScalePoint", "run_sweep"),
     },
 )

@@ -2,7 +2,7 @@
 
 The paper's Figures 2-6 are all functions of scale on the Fire cluster
 (MPI processes for HPL/STREAM, nodes for IOzone, cores for the TGI plots).
-:class:`ScalingSweep` runs a :class:`~repro.benchmarks.suite.BenchmarkSuite`
+:func:`run_sweep` runs a :class:`~repro.benchmarks.suite.BenchmarkSuite`
 at each point and collects a :class:`SweepResult` that the experiment
 drivers and the metric layer slice by benchmark or by point.
 """
@@ -19,7 +19,7 @@ from ..exceptions import BenchmarkError
 from ..sim.executor import ClusterExecutor
 from .suite import BenchmarkSuite, SuiteResult
 
-__all__ = ["ScalePoint", "SweepResult", "ScalingSweep", "run_sweep"]
+__all__ = ["ScalePoint", "SweepResult", "run_sweep"]
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,11 @@ def run_sweep(
 ) -> SweepResult:
     """Run ``suite`` at each core count on one executor, in order.
 
-    This is the pure execution primitive behind :class:`ScalingSweep` and
-    the campaign layer's jobs: given the same suite, a freshly-seeded
-    executor, and the same core counts, it produces bit-identical results
-    regardless of which process runs it.  ``on_error`` is forwarded to
+    This is the pure execution primitive behind the experiment drivers'
+    Fire sweep and the campaign layer's jobs: given the same suite, a
+    freshly-seeded executor, and the same core counts, it produces
+    bit-identical results regardless of which process runs it.  It rejects
+    empty, unsorted and repeated core counts.  ``on_error`` is forwarded to
     :meth:`BenchmarkSuite.run` — ``"skip"`` yields partial suite points
     when individual benchmarks fail (e.g. under injected node crashes).
     """
@@ -103,20 +104,3 @@ def run_sweep(
             suites.append(suite.run(executor, cores, on_error=on_error))
     return SweepResult(points=tuple(points), suites=tuple(suites))
 
-
-class ScalingSweep:
-    """Run a suite at each of a list of core counts."""
-
-    def __init__(self, suite: BenchmarkSuite, core_counts: Sequence[int]):
-        if not core_counts:
-            raise BenchmarkError("need at least one core count")
-        if list(core_counts) != sorted(core_counts):
-            raise BenchmarkError("core counts must be ascending")
-        if len(set(core_counts)) != len(core_counts):
-            raise BenchmarkError("core counts must be distinct")
-        self.suite = suite
-        self.core_counts = list(core_counts)
-
-    def run(self, executor: ClusterExecutor) -> SweepResult:
-        """Execute the sweep."""
-        return run_sweep(self.suite, executor, self.core_counts)

@@ -14,9 +14,9 @@ This package is the substrate that runs them at scale:
     hit/miss/invalidation accounting.
 :mod:`~repro.campaign.runner`
     :class:`CampaignRunner` — the one executor: cache probe, job-order
-    dispatch over a transport-shaped worker API (inline or process pool),
-    and journal-replay crash resume (see ``docs/distributed_campaigns.md``)
-    — and :class:`CampaignResult`.
+    dispatch (inline, or on one process pool), and journal-replay crash
+    resume (see ``docs/distributed_campaigns.md``) — and
+    :class:`CampaignResult`.
 :mod:`~repro.campaign.manifest`
     Machine-readable run manifests and their reproducibility fingerprint.
 
@@ -54,10 +54,7 @@ __getattr__, __dir__, __all__ = _lazy.exports(
         "runner": (
             "CampaignResult",
             "CampaignRunner",
-            "InlineTransport",
             "JobOutcome",
-            "ProcessPoolTransport",
-            "WorkerTransport",
             "WorkItem",
             "WorkResult",
             "build_manifest",

@@ -6,11 +6,10 @@ and produces a :class:`CampaignResult`:
 1. every job is keyed by the SHA-256 of its canonical serialization;
 2. keyed jobs are probed once against the (optional) on-disk
    :class:`~repro.campaign.cache.ResultCache` — hits skip execution;
-3. the remaining jobs are drained in job order through a
-   :class:`WorkerTransport`: inline (``workers == 1``, and automatically as
-   a fallback when a pool cannot start or dies mid-run) or on a process
-   pool.  Up to ``slots`` jobs are outstanding at once, and each collected
-   result frees a slot for the next job;
+3. the remaining jobs run in job order: inline (``workers == 1``, and
+   automatically as a fallback when a pool cannot start or dies mid-run)
+   or on one process pool, where up to ``workers`` jobs are outstanding at
+   once and each collected result frees a worker for the next job;
 4. each outcome records wall time, cache status and the digest of its
    payload's canonical JSON (taken once, where the payload was computed,
    and kept in its cache entry), and the whole run is summarized in a
@@ -88,7 +87,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import journal as jrnl
 from .. import telemetry as tele
@@ -111,9 +110,6 @@ __all__ = [
     "WorkItem",
     "WorkResult",
     "execute_work_item",
-    "WorkerTransport",
-    "InlineTransport",
-    "ProcessPoolTransport",
     "run_cache_stats",
     "check_jobs",
     "build_manifest",
@@ -280,7 +276,7 @@ def _attempt_job(
 def run_cache_stats(
     statuses: Sequence[str],
     *,
-    executions: Optional[Sequence[int]] = None,
+    executions: Sequence[int],
     invalidations: int = 0,
 ) -> Dict[str, float]:
     """Run-level cache accounting from per-job cache statuses.
@@ -291,19 +287,15 @@ def run_cache_stats(
     executed attempts (a job that succeeded on its third attempt was three
     misses of work, not one), so ``hits + misses == attempts`` holds by
     construction.  ``executions`` carries the per-job execution counts
-    aligned with ``statuses``; omitted, every non-hit job is assumed to
-    have executed exactly once (the retry-free behaviour).
+    aligned with ``statuses``.
     """
     jobs = len(statuses)
     hits = sum(1 for s in statuses if s == "hit")
-    if executions is None:
-        misses = jobs - hits
-    else:
-        if len(executions) != jobs:
-            raise ReproError(
-                f"executions has {len(executions)} entries for {jobs} statuses"
-            )
-        misses = int(sum(executions))
+    if len(executions) != jobs:
+        raise ReproError(
+            f"executions has {len(executions)} entries for {jobs} statuses"
+        )
+    misses = int(sum(executions))
     attempts = hits + misses
     return {
         "jobs": jobs,
@@ -445,9 +437,9 @@ class CampaignResult:
 class WorkItem:
     """One schedulable unit: a keyed job plus everything a worker needs.
 
-    Self-contained and picklable by design — a transport may hand it to
-    another process (or, later, another host), so it carries *paths* to
-    the shared journal and cache, never live handles.
+    Self-contained and picklable by design — the pool hands it to another
+    process, so it carries *paths* to the shared journal and cache, never
+    live handles.
     """
 
     index: int  # position in the campaign's job list (ordering contract)
@@ -488,7 +480,8 @@ def execute_work_item(
 ) -> WorkResult:
     """Execute (contained, with retries) → digest → publish, for one item.
 
-    The single execution path every transport funnels through.  The
+    The single execution path: the inline loop calls it with the live
+    cache and journal writer, each pool worker with its own.  The
     parent has already probed the cache and missed; keys are unique within
     a campaign, so probing again here could only hit when another campaign
     publishes the same key concurrently, and republishing identical
@@ -540,14 +533,33 @@ def execute_work_item(
 _WORKER_JOBS_DONE = 0
 
 
+def _start_pool(workers: int) -> ProcessPoolExecutor:
+    """A started process pool of ``workers`` workers.
+
+    Imports the executor here, so a serial campaign never loads
+    ``multiprocessing``.  Each worker drops the telemetry session a
+    fork-started process inherits, once, as it starts: nothing collected
+    into that copy would ever ship back.  A no-op job forces worker
+    start-up, so spawn failures surface here and not at the first job.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=tele.deactivate)
+    try:
+        pool.submit(int).result()
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    return pool
+
+
 def _pool_worker(item: WorkItem) -> WorkResult:
     """Pool-side shim: rebuild per-process handles, run one item.
 
     The worker opens its *own* ``O_APPEND`` handle on the shared journal
-    (same run id) and its own view of the shared cache directory, drops
-    any fork-inherited telemetry session, emits a pickup heartbeat, and
-    ships finished telemetry spans/metric state plus its cache-put count
-    back with the payload.
+    (same run id) and its own view of the shared cache directory, emits a
+    pickup heartbeat, and ships finished telemetry spans/metric state plus
+    its cache-put count back with the payload.
     """
     global _WORKER_JOBS_DONE
     journal = None
@@ -565,10 +577,6 @@ def _pool_worker(item: WorkItem) -> WorkResult:
         if not item.with_telemetry:
             result = execute_work_item(item, journal=journal, cache=cache)
         else:
-            # Fork-started workers inherit a copy of the parent session;
-            # nothing collected into it would ever ship back, so collect
-            # into a fresh one instead.
-            tele.deactivate()
             session = tele.TelemetrySession(
                 label=f"worker:{item.job.job_id}", process=f"worker-{os.getpid()}"
             )
@@ -585,140 +593,17 @@ def _pool_worker(item: WorkItem) -> WorkResult:
             journal.close()
 
 
-class WorkerTransport:
-    """Where work items execute: the multi-host seam.
-
-    A transport owns a fixed number of worker ``slots`` and moves
-    :class:`WorkItem`\\ s to them.  The runner drives it with a strict
-    protocol — items submitted in job order, at most ``slots`` of them
-    outstanding, ``next_result()`` only while ``outstanding() > 0`` — and
-    handles policy (fail-fast, fallback) itself, so a transport implements
-    mechanics only.  Implementations today run inline or on a local
-    process pool; a multi-host transport needs nothing beyond this
-    interface because items carry paths (shared journal, shared cache),
-    never live handles.
-    """
-
-    name = "abstract"
-    slots = 1
-
-    def start(self) -> None:
-        """Acquire execution resources (may raise; the runner degrades)."""
-
-    def submit(self, item: WorkItem) -> None:
-        raise NotImplementedError
-
-    def next_result(self) -> WorkResult:
-        raise NotImplementedError
-
-    def outstanding(self) -> int:
-        raise NotImplementedError
-
-    def close(self, *, cancel: bool = False) -> None:
-        """Release resources; ``cancel`` abandons queued work (fail-fast)."""
-
-
-class InlineTransport(WorkerTransport):
-    """Executes items synchronously in the scheduling process.
-
-    Used for ``workers=1``, single-job campaigns, and as the degradation
-    target when a process pool cannot start or dies mid-run (result-
-    identical by construction).  Items run against the *live* cache and
-    journal writer, so telemetry spans land directly in the ambient
-    session and cache stats accrue in place — no shipping needed.
-    """
-
-    name = "inline"
-    slots = 1
-
-    def __init__(
-        self,
-        *,
-        cache: Optional[ResultCache] = None,
-        journal: Optional[jrnl.JournalWriter] = None,
-    ):
-        self.cache = cache
-        self.journal = journal
-        self._done: Deque[WorkResult] = deque()
-
-    def submit(self, item: WorkItem) -> None:
-        self._done.append(
-            execute_work_item(item, journal=self.journal, cache=self.cache)
-        )
-
-    def next_result(self) -> WorkResult:
-        return self._done.popleft()
-
-    def outstanding(self) -> int:
-        return len(self._done)
-
-    def close(self, *, cancel: bool = False) -> None:
-        self._done.clear()
-
-
-class ProcessPoolTransport(WorkerTransport):
-    """Executes items on a local ``ProcessPoolExecutor``.
-
-    ``submit`` feeds one item per call (the runner's refill loop decides
-    what runs next); ``next_result`` blocks on the first completed future.
-    Pool-level failures propagate to the runner, which re-runs uncollected
-    items inline.
-    """
-
-    name = "process-pool"
-
-    def __init__(self, workers: int):
-        if workers < 1:
-            raise ReproError(f"transport workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.slots = workers
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._futures: Set[Future] = set()
-
-    def start(self) -> None:
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(max_workers=self.workers)
-            # Surface spawn failures now, not at first submit: submitting
-            # a no-op forces worker startup on platforms that lazily fork.
-            pool.submit(int).result()
-            self._pool = pool
-
-    def submit(self, item: WorkItem) -> None:
-        if self._pool is None:
-            self.start()
-        self._futures.add(self._pool.submit(_pool_worker, item))
-
-    def next_result(self) -> WorkResult:
-        if not self._futures:
-            raise ReproError("next_result() with no outstanding work")
-        done, self._futures = wait(self._futures, return_when=FIRST_COMPLETED)
-        first = done.pop()
-        self._futures |= done  # completed-but-unconsumed go back in the set
-        return first.result()
-
-    def outstanding(self) -> int:
-        return len(self._futures)
-
-    def close(self, *, cancel: bool = False) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=not cancel, cancel_futures=cancel)
-            self._pool = None
-        self._futures.clear()
-
-
 class CampaignRunner:
     """Executes campaigns of independent jobs: caching, retries, resume.
 
     Parameters
     ----------
     workers:
-        Worker-slot count; ``1`` (default) runs inline, more uses a
-        process pool (or the supplied ``transport``).  Pools that fail to
-        start (restricted platforms) or die mid-campaign degrade to inline
-        execution, which is result-identical by construction and only
-        re-executes jobs whose results were not already collected.
+        Worker count; ``1`` (default) runs inline, more runs the pending
+        jobs on one process pool of at most that many workers.  Pools that
+        fail to start (restricted platforms) or die mid-campaign degrade to
+        inline execution, which is result-identical by construction and
+        only re-executes jobs whose results were not already collected.
     cache:
         A :class:`ResultCache`, or ``None`` to always execute.  Required
         for resume — the journal records what finished, the cache holds
@@ -747,9 +632,6 @@ class CampaignRunner:
         captures its run timelines, which land as
         ``<dir>/<job_id>.timeline.json`` — the input of ``tgi dashboard``.
         ``None`` (default) captures nothing; cached jobs never re-capture.
-    transport:
-        A :class:`WorkerTransport` to execute on, overriding the
-        inline/process-pool choice (the multi-host hook).
     """
 
     def __init__(
@@ -763,7 +645,6 @@ class CampaignRunner:
         backoff_seed: int = 0,
         journal: Optional[Union[str, Path, jrnl.JournalWriter]] = None,
         timeline: Optional[Union[str, Path]] = None,
-        transport: Optional[WorkerTransport] = None,
     ):
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
@@ -779,7 +660,6 @@ class CampaignRunner:
         self.backoff_seed = backoff_seed
         self.journal = journal
         self.timeline = Path(timeline) if timeline is not None else None
-        self.transport = transport
 
     # ------------------------------------------------------------------
     def _journal_path(self) -> Optional[Path]:
@@ -839,15 +719,6 @@ class CampaignRunner:
             jrnl.JournalWriter(self._journal_path(), label=label, run_id=run_id),
             True,
         )
-
-    def _make_transport(
-        self, pending: int, writer: Optional[jrnl.JournalWriter]
-    ) -> WorkerTransport:
-        if self.transport is not None:
-            return self.transport
-        if self.workers > 1 and pending > 1:
-            return ProcessPoolTransport(min(self.workers, pending))
-        return InlineTransport(cache=self.cache, journal=writer)
 
     # ------------------------------------------------------------------
     def run(
@@ -914,33 +785,31 @@ class CampaignRunner:
                             "job.scheduled", job=job.job_id, key=key, index=index
                         )
 
-                payloads: Dict[int, Dict] = {}
-                digests: Dict[int, str] = {}
-                statuses: Dict[int, str] = {}
-                walls: Dict[int, float] = {}
-                errors: Dict[int, Dict] = {}
-                attempts: Dict[int, int] = {}
-
+                outcomes: List[Optional[JobOutcome]] = [None] * len(jobs)
                 pending: List[int] = []
-                for index, key in enumerate(keys):
-                    job_id = jobs[index].job_id
+                for index, (job, key) in enumerate(zip(jobs, keys)):
                     with tele.span(
-                        "job.cache_probe", job=job_id, skipped=self.cache is None
+                        "job.cache_probe", job=job.job_id, skipped=self.cache is None
                     ):
                         if self.cache is not None:
                             t0 = time.perf_counter()
                             cached = self.cache.get(key)
                             if cached is not None:
-                                payloads[index], digests[index] = cached
-                                statuses[index] = "hit"
-                                walls[index] = time.perf_counter() - t0
-                                attempts[index] = 0
-                                if job_id in prior_terminal:
+                                outcomes[index] = JobOutcome(
+                                    job=job,
+                                    key=key,
+                                    payload=cached.payload,
+                                    cache_status="hit",
+                                    wall_s=time.perf_counter() - t0,
+                                    attempts=0,
+                                    payload_sha256=cached.payload_sha256,
+                                )
+                                if job.job_id in prior_terminal:
                                     recovered += 1
                                 if writer is not None:
                                     writer.emit(
                                         "job.cache_hit",
-                                        job=job_id,
+                                        job=job.job_id,
                                         key=key,
                                         attempt=0,
                                     )
@@ -959,25 +828,27 @@ class CampaignRunner:
                     results, workers_used, transport_name = self._dispatch(
                         items, writer
                     )
-                    for result in results.values():
-                        index = result.index
-                        walls[index] = result.wall_s
-                        attempts[index] = result.attempts
-                        statuses[index] = result.cache_status
-                        if result.error is not None:
-                            errors[index] = result.error
-                        else:
-                            payloads[index] = result.payload
-                            digests[index] = result.payload_sha256
+                    for result in results:
+                        outcomes[result.index] = JobOutcome(
+                            job=jobs[result.index],
+                            key=keys[result.index],
+                            payload=result.payload,
+                            cache_status=result.cache_status,
+                            wall_s=result.wall_s,
+                            status="ok" if result.error is None else "failed",
+                            error=result.error,
+                            attempts=result.attempts,
+                            payload_sha256=result.payload_sha256,
+                        )
                         if self.cache is not None:
                             # Pool workers publish through their own cache
                             # objects; fold those puts into the parent's books.
                             self.cache.stats.puts += result.cache_puts
 
-                failed = [i for i in pending if i in errors]
+                failed = [o for o in outcomes if o is not None and not o.ok]
                 if failed and not self.keep_going:
                     failures = [
-                        {"job_id": jobs[i].job_id, "error": errors[i]} for i in failed
+                        {"job_id": o.job.job_id, "error": o.error} for o in failed
                     ]
                     first = failures[0]
                     raise CampaignExecutionError(
@@ -989,9 +860,11 @@ class CampaignRunner:
                     )
 
                 if tele.active():
-                    for index in range(len(jobs)):
-                        tele.count("tgi_campaign_jobs_total", status=statuses[index])
-                    retries_total = sum(max(0, attempts[i] - 1) for i in pending)
+                    for outcome in outcomes:
+                        tele.count(
+                            "tgi_campaign_jobs_total", status=outcome.cache_status
+                        )
+                    retries_total = sum(o.retries for o in outcomes)
                     if failed:
                         tele.count("tgi_campaign_jobs_failed_total", len(failed))
                     if retries_total:
@@ -1006,20 +879,6 @@ class CampaignRunner:
                 raise
 
         total_wall = time.perf_counter() - t_start
-        outcomes = [
-            JobOutcome(
-                job=jobs[i],
-                key=keys[i],
-                payload=payloads.get(i),
-                cache_status=statuses[i],
-                wall_s=walls[i],
-                status="failed" if i in errors else "ok",
-                error=errors.get(i),
-                attempts=attempts[i],
-                payload_sha256=digests.get(i),
-            )
-            for i in range(len(jobs))
-        ]
         invalidations = (
             self.cache.stats.invalidations - invalidations_before if self.cache is not None else 0
         )
@@ -1097,75 +956,87 @@ class CampaignRunner:
 
     def _dispatch(
         self, items: List[WorkItem], writer: Optional[jrnl.JournalWriter]
-    ) -> Tuple[Dict[int, WorkResult], int, str]:
-        """Drive the transport to drain all items.
+    ) -> Tuple[List[WorkResult], int, str]:
+        """Run every item, inline or on one process pool.
 
-        Returns ``(results by job index, workers used, transport name)``.
-        A pool that cannot start degrades to inline execution for every
-        item.  A pool that dies mid-run is closed, and the uncollected
-        remainder re-enters the same refill loop inline — result-identical,
-        re-executing only what never came back — unless fail-fast has
-        already stopped refilling.  The run still reports the pool's name
-        and width then.
+        Returns ``(results, workers used, transport name)``.  Inline items
+        run in job order against the live cache and journal writer.  A
+        pool that cannot start degrades to inline execution for every
+        item.  A pool that dies mid-run is shut down, and only the
+        uncollected items then run inline — result-identical, re-executing
+        only what never came back — unless fail-fast has already stopped
+        the run.  The run still reports the pool's name and width then.
         """
-        transport = self._make_transport(len(items), writer)
-        if not isinstance(transport, InlineTransport):
+        width = min(self.workers, len(items))
+        pool = None
+        if width > 1:
             try:
-                transport.start()
+                pool = _start_pool(width)
             except _POOL_FAILURES:
-                transport.close(cancel=True)
-                transport = InlineTransport(cache=self.cache, journal=writer)
-        inline = isinstance(transport, InlineTransport)
-        workers_used = 1 if inline else min(transport.slots, len(items))
+                pass
+        transport, workers_used = "inline", 1
+        if pool is not None:
+            transport, workers_used = "process-pool", width
 
         results: Dict[int, WorkResult] = {}
+        leftovers = items
         with tele.span(
-            "campaign.pool",
-            transport=transport.name,
-            workers=workers_used,
-            jobs=len(items),
+            "campaign.pool", transport=transport, workers=workers_used, jobs=len(items)
         ) as pool_span:
-            try:
-                self._refill(transport, items, results, pool_span)
-            except _POOL_FAILURES:
-                transport.close(cancel=True)
-                leftovers = [item for item in items if item.index not in results]
-                if tele.active() and leftovers:
-                    tele.count(
-                        "tgi_campaign_pool_fallback_total",
-                        resumed_jobs=len(leftovers),
-                    )
-                failed_fast = not self.keep_going and any(
-                    result.error is not None for result in results.values()
-                )
-                if not failed_fast:
-                    fallback = InlineTransport(cache=self.cache, journal=writer)
-                    self._refill(fallback, leftovers, results, pool_span)
-        return results, workers_used, transport.name
+            if pool is not None:
+                cancel = True  # a dead pool or an interrupt abandons queued work
+                try:
+                    cancel = self._drain_pool(pool, width, items, results, pool_span)
+                    leftovers = []
+                except _POOL_FAILURES:
+                    leftovers = [item for item in items if item.index not in results]
+                    if tele.active() and leftovers:
+                        tele.count(
+                            "tgi_campaign_pool_fallback_total",
+                            resumed_jobs=len(leftovers),
+                        )
+                    if not self.keep_going and any(
+                        result.error is not None for result in results.values()
+                    ):
+                        leftovers = []
+                finally:
+                    pool.shutdown(wait=not cancel, cancel_futures=cancel)
+            for item in leftovers:
+                result = execute_work_item(item, journal=writer, cache=self.cache)
+                results[item.index] = result
+                if result.error is not None and not self.keep_going:
+                    break
+        return list(results.values()), workers_used, transport
 
-    def _refill(
+    def _drain_pool(
         self,
-        transport: WorkerTransport,
+        pool: ProcessPoolExecutor,
+        width: int,
         items: List[WorkItem],
         results: Dict[int, WorkResult],
         pool_span,
-    ) -> None:
-        """Submit up to ``slots`` items in job order, then one per result.
+    ) -> bool:
+        """Submit ``width`` items in job order, then one per collected result.
 
-        Collected results land in ``results`` by job index.  Fail-fast
-        stops refilling on the first exhausted job but still collects
-        everything in flight, so no completed work is dropped.
+        Collected results land in ``results`` by job index; when several
+        futures are done, the earliest-submitted one is collected first.
+        Fail-fast stops submitting at the first exhausted job but still
+        collects everything in flight, so no completed work is dropped.
+        Returns whether fail-fast stopped it.
         """
         session = tele.current()
-        slots = max(1, transport.slots)
         queue = deque(items)
+        in_flight: List[Future] = []  # in submission order
         stop = False
         while True:
-            while queue and not stop and transport.outstanding() < slots:
-                transport.submit(queue.popleft())
-            if not transport.outstanding():
-                break
-            result = transport.next_result()
+            while queue and not stop and len(in_flight) < width:
+                in_flight.append(pool.submit(_pool_worker, queue.popleft()))
+            if not in_flight:
+                return stop
+            done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
+            future = next(f for f in in_flight if f in done)
+            in_flight.remove(future)
+            result = future.result()
             results[result.index] = result
             if session is not None and result.spans:
                 session.tracer.absorb(
@@ -1176,7 +1047,6 @@ class CampaignRunner:
             if session is not None and result.metrics:
                 session.metrics.merge(result.metrics)
             stop = stop or (result.error is not None and not self.keep_going)
-        transport.close(cancel=stop)
 
 
 def build_manifest(

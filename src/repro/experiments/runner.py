@@ -6,20 +6,18 @@ campaign takes a few seconds of simulation, so :class:`SharedContext`
 computes it lazily once and every driver reuses it — exactly how the paper's
 authors computed all their figures from one set of measurement logs.
 
-A context can optionally execute through a
-:class:`~repro.campaign.runner.CampaignRunner`, which runs the reference and
-the sweep as two independent jobs (in parallel when the runner has workers)
-and consults the runner's result cache.  Both jobs seed fresh executors the
-same way the serial path does, so campaign-backed contexts reproduce the
-serial numbers bit-for-bit — the golden tests pin this.
+``tgi campaign`` runs the same two measurements as the two jobs of
+:func:`~repro.campaign.jobs.paper_jobs`; both seed fresh executors the same
+way, so a campaign and a context describe the same numbers bit-for-bit
+(``tests/test_campaign_runner.py`` pins this).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple
 
 from .. import telemetry as tele
-from ..benchmarks.runner import ScalingSweep, SweepResult
+from ..benchmarks.runner import SweepResult, run_sweep
 from ..benchmarks.suite import SuiteResult
 from ..core.ree import ReferenceSet
 from .config import (
@@ -29,9 +27,6 @@ from .config import (
     build_reference,
     build_suite,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (campaign uses config)
-    from ..campaign.runner import CampaignRunner
 
 __all__ = ["SharedContext", "run_all"]
 
@@ -43,47 +38,19 @@ class SharedContext:
     ----------
     config:
         The run configuration (defaults to the calibrated paper config).
-    campaign:
-        Optional :class:`~repro.campaign.runner.CampaignRunner`; when given,
-        the reference run and the Fire sweep execute as campaign jobs —
-        cached, and in parallel if the runner has workers.
     """
 
-    def __init__(
-        self,
-        config: ExperimentConfig = PAPER_CONFIG,
-        *,
-        campaign: Optional["CampaignRunner"] = None,
-    ):
+    def __init__(self, config: ExperimentConfig = PAPER_CONFIG):
         self.config = config
-        self.campaign = campaign
         self._reference: Optional[Tuple[ReferenceSet, SuiteResult]] = None
         self._sweep: Optional[SweepResult] = None
-
-    # Campaign-backed path ---------------------------------------------
-    def _run_campaign(self) -> None:
-        """Fill both artifacts from one two-job campaign run."""
-        from ..campaign.jobs import paper_jobs
-
-        with tele.span("experiments.campaign_context"):
-            result = self.campaign.run(paper_jobs(self.config), label="paper-context")
-        ref_outcome = result["reference"]
-        ref_suite = result.suite("reference")
-        reference = ReferenceSet.from_suite_result(
-            ref_suite, system_name=ref_outcome.payload["cluster_name"]
-        )
-        self._reference = (reference, ref_suite)
-        self._sweep = result.sweep("fire-sweep")
 
     @property
     def reference(self) -> ReferenceSet:
         """Reference efficiencies from the SystemG run."""
         if self._reference is None:
-            if self.campaign is not None:
-                self._run_campaign()
-            else:
-                with tele.span("experiments.reference"):
-                    self._reference = build_reference(self.config)
+            with tele.span("experiments.reference"):
+                self._reference = build_reference(self.config)
         return self._reference[0]
 
     @property
@@ -97,25 +64,16 @@ class SharedContext:
     def sweep(self) -> SweepResult:
         """The Fire scaling sweep behind Figures 2-6."""
         if self._sweep is None:
-            if self.campaign is not None:
-                self._run_campaign()
-            else:
-                with tele.span("experiments.sweep"):
-                    executor = build_executor(self.config)
-                    suite = build_suite(self.config)
-                    self._sweep = ScalingSweep(suite, list(self.config.core_counts)).run(
-                        executor
-                    )
+            with tele.span("experiments.sweep"):
+                executor = build_executor(self.config)
+                suite = build_suite(self.config)
+                self._sweep = run_sweep(suite, executor, self.config.core_counts)
         return self._sweep
 
 
-def run_all(
-    config: ExperimentConfig = PAPER_CONFIG,
-    *,
-    campaign: Optional["CampaignRunner"] = None,
-) -> Dict[str, object]:
+def run_all(config: ExperimentConfig = PAPER_CONFIG) -> Dict[str, object]:
     """Run every registered experiment, returning id -> result."""
     from .registry import EXPERIMENTS  # local import to avoid cycle
 
-    context = SharedContext(config, campaign=campaign)
+    context = SharedContext(config)
     return {exp_id: entry.run(context) for exp_id, entry in EXPERIMENTS.items()}

@@ -5,8 +5,8 @@ or raw specs — and produces one TGI-ranked list.  Systems the analytic
 batched path covers (CPU-only nodes) are scored inline, chunk by chunk,
 through :func:`repro.fleet.evaluate.evaluate_fleet`; everything else
 (accelerated nodes, or ``full_sim=True``) falls back to the campaign
-executor, :class:`~repro.campaign.runner.CampaignRunner`, with its full
-worker/cache/retry/journal/timeline surface.  Both legs land in the same
+executor, :class:`~repro.campaign.runner.CampaignRunner`, with its
+worker/cache/journal/timeline surface.  Both legs land in the same
 row schema, so the output list is indifferent to which path scored a
 system.
 
@@ -284,8 +284,11 @@ class FleetRankingPipeline:
     full_sim:
         Force *every* system through the campaign executor (the
         pre-batched behaviour; meter noise included).
-    workers / cache_dir / retries / keep_going:
-        Campaign-leg execution policy.  All idle when everything batches.
+    workers / cache_dir:
+        Campaign-leg execution: worker count and result-cache directory.
+        The leg runs with the runner's failure policy: no retries, and a
+        failed job raises :class:`~repro.exceptions.CampaignExecutionError`.
+        Both idle when everything batches.
     journal:
         Flight-recorder path or caller-owned writer.  The campaign leg
         logs its usual events into it; the pipeline appends one
@@ -307,8 +310,6 @@ class FleetRankingPipeline:
         full_sim: bool = False,
         workers: int = 1,
         cache_dir: Optional[Union[str, Path]] = None,
-        retries: int = 0,
-        keep_going: bool = False,
         journal: Optional[Union[str, Path, JournalWriter]] = None,
         timeline: Optional[Union[str, Path]] = None,
         bootstrap_resamples: int = 1000,
@@ -333,8 +334,6 @@ class FleetRankingPipeline:
         self.full_sim = full_sim
         self.workers = workers
         self.cache_dir = cache_dir
-        self.retries = retries
-        self.keep_going = keep_going
         self.journal = journal
         self.timeline = timeline
         self.bootstrap_resamples = bootstrap_resamples
@@ -357,8 +356,6 @@ class FleetRankingPipeline:
         return CampaignRunner(
             workers=self.workers,
             cache=ResultCache(self.cache_dir) if self.cache_dir else None,
-            retries=self.retries,
-            keep_going=self.keep_going,
             journal=writer,
             timeline=self.timeline,
         )

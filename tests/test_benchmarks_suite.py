@@ -1,4 +1,4 @@
-"""BenchmarkSuite / SuiteResult / ScalingSweep tests."""
+"""BenchmarkSuite / SuiteResult / scaling-sweep tests."""
 
 import pytest
 
@@ -6,8 +6,8 @@ from repro.benchmarks import (
     BenchmarkSuite,
     HPLBenchmark,
     IOzoneBenchmark,
-    ScalingSweep,
     StreamBenchmark,
+    run_sweep,
 )
 from repro.exceptions import BenchmarkError
 
@@ -76,29 +76,29 @@ class TestSuiteResult:
 
 class TestScalingSweep:
     def test_sweep_collects_all_points(self, quick_suite, executor):
-        sweep = ScalingSweep(quick_suite, [16, 32]).run(executor)
+        sweep = run_sweep(quick_suite, executor, [16, 32])
         assert sweep.cores == [16, 32]
         assert len(sweep) == 2
 
     def test_series_extraction(self, quick_suite, executor):
-        sweep = ScalingSweep(quick_suite, [16, 32]).run(executor)
+        sweep = run_sweep(quick_suite, executor, [16, 32])
         perf = sweep.series("STREAM", "performance")
         assert perf.shape == (2,)
         assert perf[1] > perf[0]
 
     def test_efficiency_series(self, quick_suite, executor):
-        sweep = ScalingSweep(quick_suite, [16, 32]).run(executor)
+        sweep = run_sweep(quick_suite, executor, [16, 32])
         ee = sweep.efficiency_series("IOzone")
         assert (ee > 0).all()
 
-    def test_unsorted_core_counts_rejected(self, quick_suite):
-        with pytest.raises(BenchmarkError):
-            ScalingSweep(quick_suite, [32, 16])
+    def test_unsorted_core_counts_rejected(self, quick_suite, executor):
+        with pytest.raises(BenchmarkError, match="ascending"):
+            run_sweep(quick_suite, executor, [32, 16])
 
-    def test_duplicate_core_counts_rejected(self, quick_suite):
-        with pytest.raises(BenchmarkError):
-            ScalingSweep(quick_suite, [16, 16])
+    def test_duplicate_core_counts_rejected(self, quick_suite, executor):
+        with pytest.raises(BenchmarkError, match="distinct"):
+            run_sweep(quick_suite, executor, [16, 16])
 
-    def test_empty_core_counts_rejected(self, quick_suite):
-        with pytest.raises(BenchmarkError):
-            ScalingSweep(quick_suite, [])
+    def test_empty_core_counts_rejected(self, quick_suite, executor):
+        with pytest.raises(BenchmarkError, match="at least one"):
+            run_sweep(quick_suite, executor, [])

@@ -30,6 +30,7 @@ from repro.campaign import (
     payload_sweep,
 )
 from repro.cluster.generator import generate_fleet
+from repro.core import ReferenceSet
 from repro.exceptions import ReproError
 from repro.experiments import PAPER_CONFIG, SharedContext
 
@@ -237,21 +238,17 @@ class TestManifest:
 
 class TestSharedContextIntegration:
     def test_campaign_backed_context_matches_serial(self, cold_run):
-        serial = SharedContext(QUICK_CONFIG)
-        backed = SharedContext(QUICK_CONFIG, campaign=CampaignRunner(workers=1))
+        """``tgi campaign`` and ``tgi run all`` describe the same numbers."""
+        context = SharedContext(QUICK_CONFIG)
+        campaign_sweep = cold_run.sweep("fire-sweep")
         for bench in ("HPL", "STREAM", "IOzone"):
             assert np.array_equal(
-                serial.sweep.efficiency_series(bench),
-                backed.sweep.efficiency_series(bench),
+                context.sweep.efficiency_series(bench),
+                campaign_sweep.efficiency_series(bench),
             )
-        assert serial.reference.as_dict() == backed.reference.as_dict()
-        assert serial.reference.system_name == backed.reference.system_name
-
-    def test_context_reuses_one_campaign_run(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        context = SharedContext(QUICK_CONFIG, campaign=CampaignRunner(cache=cache))
-        _ = context.reference
-        _ = context.sweep
-        # both artifacts came from the same two-job campaign run
-        assert cache.stats.puts == 2
-        assert cache.stats.hits == 0
+        reference = ReferenceSet.from_suite_result(
+            cold_run.suite("reference"),
+            system_name=cold_run["reference"].payload["cluster_name"],
+        )
+        assert context.reference.as_dict() == reference.as_dict()
+        assert context.reference.system_name == reference.system_name

@@ -2,13 +2,16 @@
 
 The contracts pinned here:
 
+* the campaign contract itself: the default and ``--fleet 6`` campaigns'
+  manifest fingerprints, inline and pooled;
 * manifests are fingerprint-identical to the plain serial
   :class:`CampaignRunner` manifest for the same jobs — inline, pooled,
   resumed, fault-injected, or degraded to inline, "how it ran" never
   leaks into "what it computed";
-* the refill protocol: items are submitted in job order, never more than
-  ``slots`` are outstanding, and fail-fast stops refilling on the first
-  failed result while still collecting what is in flight;
+* the refill protocol, driven against a fake pool: items are submitted in
+  job order, never more than ``workers`` are outstanding, and fail-fast
+  stops refilling on the first failed result while still collecting what
+  is in flight;
 * failure policy: fail-fast raises :class:`CampaignExecutionError`,
   keep-going records the damage;
 * resume demands its inputs (journal + cache), rejects journals from a
@@ -23,6 +26,7 @@ The contracts pinned here:
 """
 
 import dataclasses
+from concurrent.futures import Future
 
 import pytest
 
@@ -31,15 +35,15 @@ from repro.campaign import (
     CampaignJob,
     CampaignRunner,
     ClusterRef,
-    InlineTransport,
     ResultCache,
-    WorkerTransport,
     cache_key,
-    execute_work_item,
+    fleet_jobs,
     load_manifest,
     manifest_fingerprint,
+    paper_jobs,
     write_manifest,
 )
+from repro.campaign import runner as runner_module
 from repro.campaign.cache import canonical_digest
 from repro.campaign.jobs import execute_job
 from repro.cli import main
@@ -85,6 +89,35 @@ def reference_fingerprint():
 
 
 # ---------------------------------------------------------------------------
+# The campaign contract
+
+
+class TestCampaignContract:
+    @pytest.mark.parametrize(
+        "workers, transport", [(1, "inline"), (2, "process-pool")]
+    )
+    @pytest.mark.parametrize(
+        "fleet, fingerprint",
+        [
+            (0, "8e9f89ca2ae6119580cb1760f70b6c3198ca596000849b7fb63927ecdbde2029"),
+            (6, "861f451be87921fc750249f1657a843093573cfda22db36e385672546392ef81"),
+        ],
+        ids=["paper", "fleet6"],
+    )
+    def test_manifest_fingerprint_is_pinned(
+        self, fleet, fingerprint, workers, transport
+    ):
+        """What ``tgi campaign [--fleet 6] [--workers 2]`` computes."""
+        jobs = paper_jobs(PAPER_CONFIG) + (fleet_jobs(fleet) if fleet else [])
+        result = CampaignRunner(workers=workers).run(jobs, label="cli-campaign")
+        assert result.manifest["execution"]["transport"] == transport
+        assert result.manifest["fingerprint"] == fingerprint, (
+            "the campaign computes something else now; the fingerprinted core "
+            "also hashes code_version, so a __version__ bump moves this pin"
+        )
+
+
+# ---------------------------------------------------------------------------
 # Parity with the runner
 
 
@@ -107,11 +140,15 @@ class TestSchedulerParity:
         # every computed payload was published worker-side
         assert len(cache) == 3
 
-    def test_failfast_raises_like_runner(self):
+    def test_failfast_raises_like_runner(self, tmp_path):
         jobs = _jobs(3, faulty=("j1",), transient_failures=99)
+        path = tmp_path / "r.jsonl"
         with pytest.raises(CampaignExecutionError) as excinfo:
-            CampaignRunner(workers=1).run(jobs, label="boom")
+            CampaignRunner(workers=1, journal=path).run(jobs, label="boom")
         assert excinfo.value.failures[0]["job_id"] == "j1"
+        # the inline loop stops at the first exhausted job: j2 never starts
+        events = jrnl.read_events(path)
+        assert [e["job"] for e in events if e["event"] == "job.started"] == ["j0", "j1"]
 
     def test_keep_going_records_failures(self):
         jobs = _jobs(3, faulty=("j1",), transient_failures=99)
@@ -132,13 +169,6 @@ class TestSchedulerParity:
         assert result.manifest["fingerprint"] == reference.manifest["fingerprint"]
         assert result.outcomes[2].attempts == 2
 
-    def test_explicit_transport_is_used(self):
-        transport = InlineTransport()
-        result = CampaignRunner(
-            workers=4, transport=transport
-        ).run(_jobs(2), label="custom")
-        assert result.manifest["execution"]["transport"] == "inline"
-
     def test_constructor_validation(self):
         with pytest.raises(ReproError):
             CampaignRunner(workers=0)
@@ -147,47 +177,69 @@ class TestSchedulerParity:
 
 
 # ---------------------------------------------------------------------------
-# The refill protocol
+# The refill protocol and the pool fallbacks, against a fake pool
 
 
-class _RecordingTransport(InlineTransport):
-    """Two inline slots that log how the runner drives them."""
+class _Delivery(Future):
+    """A fake pool's future: logs when the runner collects it."""
 
-    slots = 2
-
-    def __init__(self):
+    def __init__(self, pool, job_id):
         super().__init__()
+        self.pool = pool
+        self.job_id = job_id
+
+    def result(self, timeout=None):
+        self.pool.outstanding -= 1
+        self.pool.log.append(("result", self.job_id))
+        return super().result(timeout)
+
+
+class _FakePool:
+    """A process-pool stand-in that logs how the runner drives it.
+
+    Each submitted item runs through the real worker shim at once, in this
+    process.  With ``die_after`` set, every item submitted after that many
+    fails unexecuted with the ``OSError`` a dead pool can raise.
+    """
+
+    def __init__(self, die_after=None):
+        self.die_after = die_after
+        self.submitted = 0
+        self.outstanding = 0
         self.log = []
 
-    def submit(self, item):
-        super().submit(item)
-        self.log.append(("submit", item.job.job_id, self.outstanding()))
+    def submit(self, fn, item):
+        future = _Delivery(self, item.job.job_id)
+        if self.die_after is not None and self.submitted >= self.die_after:
+            future.set_exception(OSError("simulated pool death"))
+        else:
+            future.set_result(fn(item))
+        self.submitted += 1
+        self.outstanding += 1
+        self.log.append(("submit", item.job.job_id, self.outstanding))
+        return future
 
-    def next_result(self):
-        result = super().next_result()
-        self.log.append(("result", f"j{result.index}"))
-        return result
-
-    def close(self, *, cancel=False):
-        self.log.append(("close", cancel))
-        super().close(cancel=cancel)
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.log.append(("close", cancel_futures))
 
 
 class TestRefillProtocol:
-    def test_submits_in_job_order_within_the_slots(self):
-        transport = _RecordingTransport()
-        CampaignRunner(workers=2, transport=transport).run(_jobs(5), label=LABEL)
-        submits = [entry for entry in transport.log if entry[0] == "submit"]
+    def test_submits_in_job_order_within_the_slots(self, monkeypatch):
+        pool = _FakePool()
+        monkeypatch.setattr(runner_module, "_start_pool", lambda workers: pool)
+        CampaignRunner(workers=2).run(_jobs(5), label=LABEL)
+        submits = [entry for entry in pool.log if entry[0] == "submit"]
         assert [job_id for _, job_id, _ in submits] == [f"j{i}" for i in range(5)]
         assert max(outstanding for _, _, outstanding in submits) == 2
-        assert transport.log[-1] == ("close", False)
+        assert pool.log[-1] == ("close", False)
 
-    def test_failfast_stops_refilling_but_collects_in_flight(self):
-        transport = _RecordingTransport()
+    def test_failfast_stops_refilling_but_collects_in_flight(self, monkeypatch):
+        pool = _FakePool()
+        monkeypatch.setattr(runner_module, "_start_pool", lambda workers: pool)
         jobs = _jobs(5, faulty=("j1",), transient_failures=99)
         with pytest.raises(CampaignExecutionError):
-            CampaignRunner(workers=2, transport=transport).run(jobs, label="boom")
-        assert transport.log == [
+            CampaignRunner(workers=2).run(jobs, label="boom")
+        assert pool.log == [
             ("submit", "j0", 1),
             ("submit", "j1", 2),
             ("result", "j0"),
@@ -198,32 +250,8 @@ class TestRefillProtocol:
         ]
 
 
-class _FailingPool(WorkerTransport):
-    """A process-pool stand-in that fails at start-up or after one result."""
-
-    name = "process-pool"
-    slots = 2
-
-    def __init__(self, fail_at):
-        self.fail_at = fail_at
-        self.queued = []
-        self.delivered = False
-
-    def start(self):
-        if self.fail_at == "start":
-            raise PermissionError("simulated: no process pool on this platform")
-
-    def submit(self, item):
-        self.queued.append(item)
-
-    def next_result(self):
-        if self.delivered:
-            raise OSError("simulated pool death after one result")
-        self.delivered = True
-        return execute_work_item(self.queued.pop(0))
-
-    def outstanding(self):
-        return len(self.queued)
+def _no_pool(workers):
+    raise PermissionError("simulated: no process pool on this platform")
 
 
 class TestPoolFallback:
@@ -233,11 +261,13 @@ class TestPoolFallback:
         ids=["start", "mid-run"],
     )
     def test_fallback_finishes_inline_with_the_serial_fingerprint(
-        self, reference_fingerprint, fail_at, transport_name, workers_used
+        self, reference_fingerprint, monkeypatch, fail_at, transport_name,
+        workers_used
     ):
-        result = CampaignRunner(workers=2, transport=_FailingPool(fail_at)).run(
-            _jobs(3), label=LABEL
-        )
+        dying = _FakePool(die_after=1)
+        start = _no_pool if fail_at == "start" else (lambda workers: dying)
+        monkeypatch.setattr(runner_module, "_start_pool", start)
+        result = CampaignRunner(workers=2).run(_jobs(3), label=LABEL)
         assert result.ok
         assert result.manifest["fingerprint"] == reference_fingerprint
         assert result.manifest["workers_used"] == workers_used

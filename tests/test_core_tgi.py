@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.benchmarks import ScalingSweep
+from repro.benchmarks import run_sweep
 from repro.core import (
     ArithmeticMeanWeights,
     CustomWeights,
@@ -112,14 +112,14 @@ class TestTGICalculator:
 
 class TestTGISeries:
     def test_series_over_sweep(self, quick_suite, executor, reference):
-        sweep = ScalingSweep(quick_suite, [16, 32]).run(executor)
+        sweep = run_sweep(quick_suite, executor, [16, 32])
         series = TGICalculator(reference).compute_series(sweep)
         assert len(series) == 2
         assert series.cores == (16, 32)
         assert series.values.shape == (2,)
 
     def test_component_series(self, quick_suite, executor, reference):
-        sweep = ScalingSweep(quick_suite, [16, 32]).run(executor)
+        sweep = run_sweep(quick_suite, executor, [16, 32])
         series = TGICalculator(reference).compute_series(sweep)
         assert series.ree_series("HPL").shape == (2,)
         assert series.weight_series("HPL").shape == (2,)

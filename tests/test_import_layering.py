@@ -15,16 +15,19 @@ the test process has long since imported everything:
 The public-surface checks compare against literals recorded while every
 root still imported its whole subsystem, less the names deleted since: the
 ambient journal and timeline-sink names (the writer and the timeline list
-are now passed to the fault injector and the executor), three scaling
+are now passed to the fault injector and the executor); three scaling
 laws nothing called (``amdahl_speedup``, ``gustafson_speedup``,
-``karp_flatt_serial_fraction``), and 27 names no verb, example or
+``karp_flatt_serial_fraction``); 27 names no verb, example or
 perf-watch scenario reached: all of ``repro.kernels`` (8), the six means
 of ``analysis.stats``, ``analysis.reference_sensitivity``'s three,
 ``pareto_front``, ``correlation_matrix``, ``edp_efficiency``,
 ``parallel_efficiency``, ``RooflineModel``, ``arithmetic_intensity``,
-``power.energy``'s three and ``CommunicationModel``.  To find what made a
-path heavy, ``PYTHONPATH=src python -X importtime -c "import repro.cli"``
-prints each import's cost and the module that asked for it.
+``power.energy``'s three and ``CommunicationModel``; and four duplicate
+mechanisms, the three worker-transport classes (the campaign runner
+drives its own process pool) and ``ScalingSweep`` (``run_sweep`` did its
+work).  To find what made a path heavy,
+``PYTHONPATH=src python -X importtime -c "import repro.cli"`` prints each
+import's cost and the module that asked for it.
 """
 
 import importlib
@@ -44,7 +47,8 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 
 #: Each package's ``__all__``, recorded while every root imported its whole
 #: subsystem, less the 13 ambient journal/timeline names, the three scaling
-#: laws and the 27 unreached names deleted since.
+#: laws, the 27 unreached names and the four duplicate-mechanism names
+#: deleted since.
 PUBLIC = {
     "repro": (
         "ArithmeticMeanWeights Benchmark BenchmarkResult BenchmarkSuite "
@@ -52,7 +56,7 @@ PUBLIC = {
         "ClusterExecutor ClusterRef ClusterSpec CustomWeights EnergyWeights "
         "FaultInjector FaultPlan FleetRanking FleetRankingPipeline HPLBenchmark "
         "IOzoneBenchmark InjectedFault NodePowerModel NodeSpec PowerTrace PowerWeights "
-        "ReferenceSet ReproError ResultCache ScalingSweep StreamBenchmark SuiteResult "
+        "ReferenceSet ReproError ResultCache StreamBenchmark SuiteResult "
         "SweepResult TGICalculator TGIResult TGISeries TelemetrySession TimeWeights "
         "WallPlugMeter __version__ evaluate_fleet presets rank_systems "
         "tgi_from_components"
@@ -65,13 +69,13 @@ PUBLIC = {
     ),
     "repro.benchmarks": (
         "Benchmark BenchmarkResult BenchmarkSuite EffectiveBandwidthBenchmark "
-        "HPLBenchmark IOzoneBenchmark RandomAccessBenchmark ScalePoint ScalingSweep "
+        "HPLBenchmark IOzoneBenchmark RandomAccessBenchmark ScalePoint "
         "StreamBenchmark SuiteResult SweepResult run_sweep"
     ),
     "repro.campaign": (
         "CacheStats CampaignJob CampaignResult CampaignRunner ClusterRef "
-        "InlineTransport JobOutcome MANIFEST_VERSION ProcessPoolTransport ResultCache "
-        "WorkItem WorkResult WorkerTransport build_manifest cache_key canonical_json "
+        "JobOutcome MANIFEST_VERSION ResultCache "
+        "WorkItem WorkResult build_manifest cache_key canonical_json "
         "check_jobs execute_job execute_work_item fleet_jobs job_from_dict job_to_dict "
         "load_manifest manifest_core manifest_fingerprint paper_jobs payload_sweep "
         "run_cache_stats write_manifest"

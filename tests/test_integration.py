@@ -17,13 +17,13 @@ from repro import (
     HPLBenchmark,
     IOzoneBenchmark,
     ReferenceSet,
-    ScalingSweep,
     StreamBenchmark,
     TGICalculator,
     presets,
     rank_systems,
 )
 from repro.analysis import pearson
+from repro.benchmarks import run_sweep
 from repro.core import InverseEDP
 from repro.power import FixedPUECooling, PiecewisePower
 
@@ -172,7 +172,7 @@ class TestFullPipeline:
                 IOzoneBenchmark(target_seconds=5),
             ]
         )
-        sweep = ScalingSweep(suite, [4, 8, 16, 32]).run(executor)
+        sweep = run_sweep(suite, executor, [4, 8, 16, 32])
         ref = ReferenceSet.from_suite_result(sweep.suites[0])
         series = TGICalculator(ref).compute_series(sweep)
         r = pearson(series.values, sweep.efficiency_series("IOzone"))

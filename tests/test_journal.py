@@ -492,14 +492,6 @@ class TestCacheAccounting:
         with pytest.raises(Exception):
             run_cache_stats(["hit", "computed"], executions=[0])
 
-    def test_run_cache_stats_without_executions(self):
-        from repro.campaign.runner import run_cache_stats
-
-        stats = run_cache_stats(["hit", "computed", "failed"])
-        assert stats["attempts"] == 3
-        assert stats["hits"] == 1
-        assert stats["misses"] == 2
-
 
 # ---------------------------------------------------------------------------
 # Progress snapshots

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.benchmarks import ScalingSweep
+from repro.benchmarks import run_sweep
 from repro.core import ReferenceSet, TGICalculator
 from repro.exceptions import ReproError
 from repro.serialization import (
@@ -72,7 +72,7 @@ class TestSuiteAndSweepRoundTrip:
     def test_sweep_round_trip_preserves_tgi(self, quick_suite, executor):
         """The acid test: TGI computed from the archive equals TGI computed
         live, bit for bit on every series value."""
-        sweep = ScalingSweep(quick_suite, [16, 32]).run(executor)
+        sweep = run_sweep(quick_suite, executor, [16, 32])
         ref = ReferenceSet.from_suite_result(sweep.suites[0], system_name="self")
         live = TGICalculator(ref).compute_series(sweep).values
         restored_sweep = sweep_result_from_dict(sweep_result_to_dict(sweep))
